@@ -15,7 +15,6 @@ from .dataset import (
     Cohort,
     CohortSpec,
     FeatureMatrix,
-    PatientRecord,
     Scaler,
     StatBlock,
     age_bin_labels,
@@ -66,7 +65,6 @@ __all__ = [
     "AWARE",
     "UNAWARE",
     "PROTOCOLS",
-    "PatientRecord",
     "Cohort",
     "CohortSpec",
     "ClassSpec",

@@ -1,10 +1,11 @@
 """Cohort data model: CSV ingestion, calibrated synthesis, folds, scaling, encoding.
 
-A cohort is an ordered list of patient records, each carrying eight numeric
-blood/clinical variables, three demographic attributes and a binary diagnosis
-label. Two encoding protocols are supported: demographic-unaware (7 clinical
-columns; age is demographic, not clinical) and demographic-aware (those 7 plus
-gender, race one-hot and age = 13 columns).
+A cohort holds one row per patient, stored as columns: eight numeric
+blood/clinical variables, three demographic attributes (age is one of the
+numeric variables) and a binary diagnosis label. Two encoding protocols are
+supported: demographic-unaware (7 clinical columns; age is demographic, not
+clinical) and demographic-aware (those 7 plus gender, race one-hot and age =
+13 columns).
 """
 
 from __future__ import annotations
@@ -69,59 +70,76 @@ MAX_YEAR = datetime.date.today().year
 DEFAULT_AGE_EDGES = (45.0, 65.0)
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    diagnosis_year: int
-    age_last_seen: float
-    alt: float
-    dx_hb_ct: float
-    dx_neutro_ct: float
-    wbc_ct: float
-    rbc_ct: float
-    dx_plt_ct: float
-    gender: str
-    race: str
-    label: str
-
-    def __post_init__(self):
-        for name in NUMERIC_FIELDS:
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise InvariantViolation(f"{name} must be finite and non-negative, got {v}")
-        if not (MIN_YEAR <= self.diagnosis_year <= MAX_YEAR):
-            raise InvariantViolation(f"diagnosis_year {self.diagnosis_year} outside [{MIN_YEAR}, {MAX_YEAR}]")
-        if self.age_last_seen <= 0:
-            raise InvariantViolation("age_last_seen must be positive")
-        if self.gender not in GENDERS:
-            raise InvariantViolation(f"gender must be one of {GENDERS}, got {self.gender!r}")
-        if self.race not in RACES:
-            raise InvariantViolation(f"race must be one of {RACES}, got {self.race!r}")
-        if self.label not in LABELS:
-            raise InvariantViolation(f"label must be one of {LABELS}, got {self.label!r}")
-
-    @property
-    def y(self) -> int:
-        return 1 if self.label == "ITP" else 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    records: tuple[PatientRecord, ...]
+    """Patients as columns, one row per patient in input order.
+
+    Construction validates every row at once; an InvariantViolation names the
+    1-based row of the first bad patient.
+    """
+
+    numeric: np.ndarray  # float (n, 8), columns in NUMERIC_FIELDS order
+    gender: np.ndarray  # str, one of GENDERS
+    race: np.ndarray  # str, one of RACES
+    y: np.ndarray  # int64, 1 = ITP
     source: str
     n_itp: int = field(init=False)
     n_non_itp: int = field(init=False)
 
     def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "n_itp", sum(r.y for r in records))
-        object.__setattr__(self, "n_non_itp", len(records) - self.n_itp)
+        numeric = np.asarray(self.numeric, dtype=float)
+        gender = np.asarray(self.gender, dtype=str)
+        race = np.asarray(self.race, dtype=str)
+        y = np.asarray(self.y)
+        if (y.ndim != 1 or numeric.shape != (len(y), len(NUMERIC_FIELDS))
+                or gender.shape != y.shape or race.shape != y.shape):
+            raise InvariantViolation(
+                f"column shapes disagree: numeric {numeric.shape}, gender {gender.shape}, "
+                f"race {race.shape}, y {y.shape}"
+            )
+        _check_rows(numeric, gender, race, y)
+        object.__setattr__(self, "numeric", numeric)
+        object.__setattr__(self, "gender", gender)
+        object.__setattr__(self, "race", race)
+        object.__setattr__(self, "y", y.astype(np.int64))
+        object.__setattr__(self, "n_itp", int(self.y.sum()))
+        object.__setattr__(self, "n_non_itp", len(y) - self.n_itp)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.y)
 
-    def labels(self) -> np.ndarray:
-        return np.array([r.y for r in self.records], dtype=np.int64)
+    def column(self, name: str) -> np.ndarray:
+        return self.numeric[:, NUMERIC_FIELDS.index(name)]
+
+
+def _check_rows(numeric: np.ndarray, gender: np.ndarray, race: np.ndarray, y: np.ndarray) -> None:
+    """Raise for the first row failing a check; checks run in field order."""
+    year, age = numeric[:, 0], numeric[:, 1]
+
+    def value(j, i):
+        v = float(numeric[i, j])
+        return int(v) if j == 0 and np.isfinite(v) else v
+
+    checks = [
+        (~np.isfinite(numeric[:, j]) | (numeric[:, j] < 0),
+         lambda i, j=j: f"{NUMERIC_FIELDS[j]} must be finite and non-negative, got {value(j, i)}")
+        for j in range(len(NUMERIC_FIELDS))
+    ]
+    checks += [
+        ((year < MIN_YEAR) | (year > MAX_YEAR),
+         lambda i: f"diagnosis_year {value(0, i)} outside [{MIN_YEAR}, {MAX_YEAR}]"),
+        (age <= 0, lambda i: "age_last_seen must be positive"),
+        (~np.isin(gender, GENDERS),
+         lambda i: f"gender must be one of {GENDERS}, got {str(gender[i])!r}"),
+        (~np.isin(race, RACES), lambda i: f"race must be one of {RACES}, got {str(race[i])!r}"),
+        (~np.isin(y, (0, 1)), lambda i: f"y must be 0 (NonITP) or 1 (ITP), got {y[i]}"),
+    ]
+    failed = np.array([mask for mask, _ in checks])
+    bad_rows = np.flatnonzero(failed.any(axis=0))
+    if bad_rows.size:
+        row = int(bad_rows[0])
+        _, message = checks[int(np.argmax(failed[:, row]))]
+        raise InvariantViolation(message(row), row=row + 1)
 
 
 def _require_two_per_class(cohort: Cohort) -> Cohort:
@@ -136,8 +154,9 @@ def _require_two_per_class(cohort: Cohort) -> Cohort:
 
 def subset_cohort(cohort: Cohort, indices) -> Cohort:
     """Row subset preserving order; fold subsets may hold < 2 of a class."""
-    recs = tuple(cohort.records[int(i)] for i in indices)
-    return Cohort(records=recs, source=cohort.source)
+    idx = np.asarray(indices, dtype=np.intp)
+    return Cohort(numeric=cohort.numeric[idx], gender=cohort.gender[idx], race=cohort.race[idx],
+                  y=cohort.y[idx], source=cohort.source)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +167,9 @@ _GENDER_ALIASES = {"M": "M", "F": "F", "Male": "M", "Female": "F"}
 
 
 def load_cohort_csv(path: str | Path) -> Cohort:
-    """Read a cohort CSV (see CSV_HEADER) into validated records, order preserved."""
+    """Read a cohort CSV (see CSV_HEADER) into a validated cohort, order preserved."""
     path = Path(path)
+    source = f"csv:{path}"
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -160,16 +180,21 @@ def load_cohort_csv(path: str | Path) -> Cohort:
         if extra:
             raise UnexpectedColumn(extra)
 
-        records = []
+        rows = []
         for i, row in enumerate(reader, start=1):
-            records.append(_parse_row(i, row))
-    if not records:
+            try:
+                rows.append(_parse_row(i, row))
+            except UnparsableValue:
+                if rows:  # an invalid earlier row is reported first
+                    _cohort_from_rows(rows, source)
+                raise
+    if not rows:
         raise EmptyCohort(f"{path} has a header but no data rows")
-    return _require_two_per_class(Cohort(records=tuple(records), source=f"csv:{path}"))
+    return _require_two_per_class(_cohort_from_rows(rows, source))
 
 
-def _parse_row(row_no: int, row: dict) -> PatientRecord:
-    values = {}
+def _parse_row(row_no: int, row: dict) -> tuple[list[float], str, str, str]:
+    values = []
     for name in NUMERIC_FIELDS:
         raw = row.get(name)
         if raw is None:
@@ -178,11 +203,9 @@ def _parse_row(row_no: int, row: dict) -> PatientRecord:
             v = float(raw)
         except ValueError:
             raise UnparsableValue(row_no, name, raw) from None
-        if name == "diagnosis_year":
-            if not float(v).is_integer():
-                raise UnparsableValue(row_no, name, raw)
-            v = int(v)
-        values[name] = v
+        if name == "diagnosis_year" and not v.is_integer():
+            raise UnparsableValue(row_no, name, raw)
+        values.append(v)
 
     gender = _GENDER_ALIASES.get((row.get("gender") or "").strip())
     if gender is None:
@@ -193,25 +216,26 @@ def _parse_row(row_no: int, row: dict) -> PatientRecord:
     label = (row.get("label") or "").strip()
     if label not in LABELS:
         raise UnparsableValue(row_no, "label", row.get("label") or "")
+    return values, gender, race, label
 
-    try:
-        return PatientRecord(gender=gender, race=race, label=label, **values)
-    except InvariantViolation as exc:
-        raise InvariantViolation(exc.reason, row=row_no) from None
+
+def _cohort_from_rows(rows: list, source: str) -> Cohort:
+    numeric, gender, race, label = zip(*rows)
+    return Cohort(numeric=numeric, gender=gender, race=race,
+                  y=np.asarray(label, dtype=str) == "ITP", source=source)
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> Path:
-    """Write records in canonical column order; floats round-trip exactly via repr."""
+    """Write rows in canonical column order; floats round-trip exactly via repr."""
     path = Path(path)
+    labels = np.asarray(LABELS)[cohort.y]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in cohort.records:
-            writer.writerow(
-                [str(r.diagnosis_year)]
-                + [repr(float(getattr(r, n))) for n in NUMERIC_FIELDS[1:]]
-                + [r.gender, r.race, r.label]
-            )
+        for values, gender, race, label in zip(cohort.numeric.tolist(), cohort.gender.tolist(),
+                                               cohort.race.tolist(), labels.tolist()):
+            writer.writerow([str(int(values[0]))] + [repr(v) for v in values[1:]]
+                            + [gender, race, label])
     return path
 
 
@@ -373,17 +397,16 @@ def _sample_variable(block: StatBlock, n: int, rng: np.random.Generator) -> np.n
 
 
 def _allocate_categories(probs: dict[str, float], order: tuple[str, ...], n: int,
-                         rng: np.random.Generator) -> list[str]:
+                         rng: np.random.Generator) -> np.ndarray:
     # Largest-remainder allocation keeps category counts exact, then a seeded
-    # shuffle assigns them to records.
+    # shuffle assigns them to rows.
     quotas = [probs.get(k, 0.0) * n for k in order]
     counts = [int(np.floor(q)) for q in quotas]
     short = n - sum(counts)
     by_remainder = sorted(range(len(order)), key=lambda i: (-(quotas[i] - counts[i]), i))
     for i in by_remainder[:short]:
         counts[i] += 1
-    values = [k for k, c in zip(order, counts) for _ in range(c)]
-    return [values[i] for i in rng.permutation(n)]
+    return np.repeat(order, counts)[rng.permutation(n)]
 
 
 def synthesize_cohort(spec: CohortSpec, seed: int) -> Cohort:
@@ -393,33 +416,20 @@ def synthesize_cohort(spec: CohortSpec, seed: int) -> Cohort:
     first) in canonical field order, then gender and race are allocated.
     """
     rng = np.random.default_rng(int(seed) % (2**64))
-    records: list[PatientRecord] = []
-    for label, cls in (("ITP", spec.itp), ("NonITP", spec.non_itp)):
-        columns = {}
+    numeric, genders, races, ys = [], [], [], []
+    for y, cls in ((1, spec.itp), (0, spec.non_itp)):
+        columns = []
         for name in NUMERIC_FIELDS:
             x = _sample_variable(cls.variables[name], cls.size, rng)
-            if name == "diagnosis_year":
-                x = np.rint(x)
-            columns[name] = x
-        genders = _allocate_categories(cls.gender, GENDERS, cls.size, rng)
-        races = _allocate_categories(cls.race, RACES, cls.size, rng)
-        for i in range(cls.size):
-            records.append(
-                PatientRecord(
-                    diagnosis_year=int(columns["diagnosis_year"][i]),
-                    age_last_seen=float(columns["age_last_seen"][i]),
-                    alt=float(columns["alt"][i]),
-                    dx_hb_ct=float(columns["dx_hb_ct"][i]),
-                    dx_neutro_ct=float(columns["dx_neutro_ct"][i]),
-                    wbc_ct=float(columns["wbc_ct"][i]),
-                    rbc_ct=float(columns["rbc_ct"][i]),
-                    dx_plt_ct=float(columns["dx_plt_ct"][i]),
-                    gender=genders[i],
-                    race=races[i],
-                    label=label,
-                )
-            )
-    return _require_two_per_class(Cohort(records=tuple(records), source=f"synthetic:seed={int(seed)}"))
+            columns.append(np.rint(x) if name == "diagnosis_year" else x)
+        numeric.append(np.column_stack(columns))
+        genders.append(_allocate_categories(cls.gender, GENDERS, cls.size, rng))
+        races.append(_allocate_categories(cls.race, RACES, cls.size, rng))
+        ys.append(np.full(cls.size, y))
+    cohort = Cohort(numeric=np.vstack(numeric), gender=np.concatenate(genders),
+                    race=np.concatenate(races), y=np.concatenate(ys),
+                    source=f"synthetic:seed={int(seed)}")
+    return _require_two_per_class(cohort)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +445,7 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int) -> list[tuple[np.ndarray
     """
     if k < 2:
         raise TooFewSamples(f"k must be >= 2, got {k}")
-    labels = cohort.labels()
+    labels = cohort.y
     rng = np.random.default_rng(int(seed) % (2**64))
     test_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
     for cls in (1, 0):
@@ -498,94 +508,48 @@ def apply_minmax(scaler: Scaler, matrix: np.ndarray, clamp: bool = True) -> np.n
 
 
 @dataclass(frozen=True)
-class SensitiveAttrs:
-    """Raw demographic attributes kept beside the design matrix, never scaled."""
-
-    gender: np.ndarray  # str array, F/M
-    race: np.ndarray  # str array
-    age: np.ndarray  # float years
-
-    def __len__(self) -> int:
-        return len(self.age)
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     rows: np.ndarray
     column_names: tuple[str, ...]
     protocol: str
     labels: np.ndarray
-    sensitive: SensitiveAttrs
-    scaler: Scaler | None = None
 
     @property
     def n_features(self) -> int:
         return self.rows.shape[1]
 
 
-def encode_features(
-    cohort: Cohort,
-    protocol: str,
-    scaler: Scaler | None = None,
-    scale: bool = True,
-    clamp: bool = True,
-) -> FeatureMatrix:
-    """Build the design matrix for a protocol.
+_CLINICAL_INDEX = [NUMERIC_FIELDS.index(c) for c in CLINICAL_COLUMNS]
 
-    With ``scaler`` given, applies it (raising DimensionMismatch for a scaler
-    fit under the other protocol); otherwise fits min-max here when ``scale``
-    is on, or returns raw values when it is off.
-    """
+
+def encode_features(cohort: Cohort, protocol: str) -> FeatureMatrix:
+    """Build the unscaled design matrix for a protocol, one row per patient."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     if len(cohort) == 0:
         raise EmptyCohort("cannot encode an empty cohort")
 
-    recs = cohort.records
-    clinical = np.array([[float(getattr(r, n)) for n in CLINICAL_COLUMNS] for r in recs])
+    clinical = cohort.numeric[:, _CLINICAL_INDEX]
     if protocol == UNAWARE:
-        raw = clinical
+        rows = np.ascontiguousarray(clinical)  # row-major, as hstack gives the aware rows
         names = CLINICAL_COLUMNS
     else:
-        gender = np.array([[1.0 if r.gender == "M" else 0.0] for r in recs])
-        race = np.array([[1.0 if r.race == race_name else 0.0 for race_name in RACES] for r in recs])
-        age = np.array([[float(r.age_last_seen)] for r in recs])
-        raw = np.hstack([clinical, gender, race, age])
+        gender = (cohort.gender == "M")[:, None]
+        race = cohort.race[:, None] == np.asarray(RACES)
+        age = cohort.column("age_last_seen")[:, None]
+        rows = np.hstack([clinical, gender, race, age])
         names = AWARE_COLUMNS
-
-    if scaler is not None:
-        if scaler.n_columns != raw.shape[1]:
-            raise DimensionMismatch(
-                f"scaler expects {scaler.n_columns} columns but {protocol} encoding has {raw.shape[1]}"
-            )
-        rows = apply_minmax(scaler, raw, clamp=clamp)
-    elif scale:
-        scaler = fit_minmax(raw)
-        rows = apply_minmax(scaler, raw, clamp=clamp)
-    else:
-        rows = raw
-
-    sensitive = SensitiveAttrs(
-        gender=np.array([r.gender for r in recs]),
-        race=np.array([r.race for r in recs]),
-        age=np.array([float(r.age_last_seen) for r in recs]),
-    )
-    return FeatureMatrix(
-        rows=rows,
-        column_names=names,
-        protocol=protocol,
-        labels=cohort.labels(),
-        sensitive=sensitive,
-        scaler=scaler,
-    )
+    return FeatureMatrix(rows=rows, column_names=names, protocol=protocol, labels=cohort.y)
 
 
-def bin_age(age: float, edges: tuple[float, ...] = DEFAULT_AGE_EDGES) -> int:
-    """Half-open bin index: below the first edge -> 0, at/above the last -> len(edges)."""
+def bin_age(age, edges: tuple[float, ...] = DEFAULT_AGE_EDGES):
+    """Half-open bin index per age: below the first edge -> 0, at/above the last
+    -> len(edges). A scalar age gives an int, an array of ages an index array."""
     edges = tuple(edges)
     if any(a >= b for a, b in zip(edges, edges[1:])):
         raise InvariantViolation(f"age edges must be strictly increasing, got {edges}")
-    return int(np.searchsorted(edges, age, side="right"))
+    bins = np.searchsorted(edges, age, side="right")
+    return int(bins) if np.ndim(bins) == 0 else bins
 
 
 def age_bin_labels(edges: tuple[float, ...] = DEFAULT_AGE_EDGES) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -28,11 +29,12 @@ from .dataset import (
     Cohort,
     CohortSpec,
     age_bin_labels,
+    apply_minmax,
     bin_age,
     encode_features,
+    fit_minmax,
     load_cohort_csv,
     stratified_kfold,
-    subset_cohort,
     synthesize_cohort,
 )
 from .errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
@@ -40,7 +42,7 @@ from .importance import permutation_importance
 from .metrics import equalized_odds, group_rates, macro_f1
 from .models import ModelSpec, train
 from .rng import derive_seed
-from .specfile import default_cohort_spec
+from .specfile import cohort_spec_to_dict, default_cohort_spec
 
 SENSITIVE_ATTRIBUTES = ("gender", "race", "age")
 
@@ -81,11 +83,16 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate models in grid: {names}")
         if self.n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
+        edges = self.age_bin_edges
+        if not edges or any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ConfigError(f"age_bin_edges must be non-empty and strictly increasing, "
+                              f"got {list(edges)}")
 
     def canonical_dict(self) -> dict:
         return {
             "cohort_csv": self.cohort_csv,
-            "cohort_spec": None if self.cohort_spec is None else _spec_dict(self.cohort_spec),
+            "cohort_spec": (None if self.cohort_spec is None
+                            else cohort_spec_to_dict(self.cohort_spec)["classes"]),
             "cohort_seed": self.cohort_seed,
             "k_folds": self.k_folds,
             "master_seed": self.master_seed,
@@ -99,21 +106,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _spec_dict(spec: CohortSpec) -> dict:
-    def cls(c):
-        return {
-            "size": c.size,
-            "gender": dict(sorted(c.gender.items())),
-            "race": dict(sorted(c.race.items())),
-            "variables": {
-                k: {"min": v.lo, "max": v.hi, "median": v.median, "mean": v.mean}
-                for k, v in sorted(c.variables.items())
-            },
-        }
-
-    return {"ITP": cls(spec.itp), "NonITP": cls(spec.non_itp)}
 
 
 @dataclass
@@ -170,10 +162,6 @@ def materialize_cohort(config: ExperimentConfig) -> tuple[Cohort, int | None]:
     return synthesize_cohort(spec, seed), seed
 
 
-def _expected_width(protocol: str) -> int:
-    return 13 if protocol == AWARE else 7
-
-
 def prepare_folds(cohort: Cohort, config: ExperimentConfig,
                   protocol: str) -> list[_FoldData]:
     """Per-fold encoded matrices; the scaler is fitted on the train split only."""
@@ -183,28 +171,20 @@ def prepare_folds(cohort: Cohort, config: ExperimentConfig,
     except TooFewSamples as exc:
         raise TooFewSamples(f"(k_folds={config.k_folds}) {exc}") from None
 
+    fm = encode_features(cohort, protocol)
+    edges = config.age_bin_edges
+    age_groups = np.asarray(age_bin_labels(edges))[bin_age(cohort.column("age_last_seen"), edges)]
     out = []
-    age_labels = age_bin_labels(config.age_bin_edges)
     for train_idx, test_idx in folds:
-        fm_train = encode_features(subset_cohort(cohort, train_idx), protocol,
-                                   scale=True, clamp=config.clamp)
-        fm_test = encode_features(subset_cohort(cohort, test_idx), protocol,
-                                  scaler=fm_train.scaler, clamp=config.clamp)
-        if fm_train.n_features != _expected_width(protocol):
-            raise InvariantViolation(
-                f"{protocol} encoding must have {_expected_width(protocol)} columns, "
-                f"got {fm_train.n_features}"
-            )
-        groups = {
-            "gender": fm_test.sensitive.gender,
-            "race": fm_test.sensitive.race,
-            "age": np.array([age_labels[bin_age(a, config.age_bin_edges)]
-                             for a in fm_test.sensitive.age]),
-        }
+        scaler = fit_minmax(fm.rows[train_idx])
         out.append(_FoldData(
-            X_train=fm_train.rows, y_train=fm_train.labels,
-            X_test=fm_test.rows, y_test=fm_test.labels,
-            column_names=fm_train.column_names, test_groups=groups,
+            X_train=apply_minmax(scaler, fm.rows[train_idx], clamp=config.clamp),
+            y_train=fm.labels[train_idx],
+            X_test=apply_minmax(scaler, fm.rows[test_idx], clamp=config.clamp),
+            y_test=fm.labels[test_idx],
+            column_names=fm.column_names,
+            test_groups={"gender": cohort.gender[test_idx], "race": cohort.race[test_idx],
+                         "age": age_groups[test_idx]},
         ))
     return out
 
@@ -305,8 +285,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             payloads.append((order, spec, protocol, folds_by_protocol[protocol],
                              config.master_seed, config.n_permutation_repeats))
 
-    if config.n_workers > 1:
-        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
+    # the pool forks every worker up front: never more than can be kept busy
+    n_workers = min(config.n_workers, len(payloads), os.cpu_count() or 1)
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = dict(pool.map(_evaluate_pair_task, payloads))
     else:
         results = dict(map(_evaluate_pair_task, payloads))
@@ -332,7 +314,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     report = ExperimentReport(
         provenance=provenance,
-        fold_flags=_fold_flags(cohort, config),
+        # every protocol splits the same rows: any one's folds give the test races
+        fold_flags=_fold_flags(cohort, folds_by_protocol[config.protocols[0]]),
         entries=entries,
         directional_findings=_directional_findings(entries, config.protocols),
     )
@@ -342,16 +325,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _fold_flags(cohort: Cohort, config: ExperimentConfig) -> list[dict]:
+def _fold_flags(cohort: Cohort, folds: list[_FoldData]) -> list[dict]:
     """Per-fold note of race groups too small (< 2 test members) to trust."""
-    fold_seed = derive_seed(config.master_seed, "folds")
-    folds = stratified_kfold(cohort, config.k_folds, fold_seed)
-    present = {r.race for r in cohort.records}
+    present = np.unique(cohort.race)
     flags = []
-    for f, (_, test_idx) in enumerate(folds):
-        races = [cohort.records[int(i)].race for i in test_idx]
-        small = sorted(r for r in present if races.count(r) < 2)
-        flags.append({"fold": f, "small_race_groups": small})
+    for f, fd in enumerate(folds):
+        counts = (fd.test_groups["race"] == present[:, None]).sum(axis=1)
+        flags.append({"fold": f, "small_race_groups": present[counts < 2].tolist()})
     return flags
 
 
@@ -409,22 +389,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if synth.get("seed") is not None:
             kwargs["cohort_seed"] = int(synth["seed"])
 
-    if "k_folds" in doc:
-        kwargs["k_folds"] = int(doc["k_folds"])
-    if "seed" in doc:
-        kwargs["master_seed"] = int(doc["seed"])
-    if "models" in doc:
-        kwargs["models"] = tuple(_model_from_config(m) for m in doc["models"])
-    if "protocols" in doc:
-        kwargs["protocols"] = tuple(str(p) for p in doc["protocols"])
-    if "n_permutation_repeats" in doc:
-        kwargs["n_permutation_repeats"] = int(doc["n_permutation_repeats"])
-    if "age_bin_edges" in doc:
-        kwargs["age_bin_edges"] = tuple(float(e) for e in doc["age_bin_edges"])
-    if "clamp" in doc:
-        kwargs["clamp"] = bool(doc["clamp"])
-    if "workers" in doc:
-        kwargs["n_workers"] = int(doc["workers"])
+    fields = {  # config key -> (ExperimentConfig field, conversion)
+        "k_folds": ("k_folds", int),
+        "seed": ("master_seed", int),
+        "models": ("models", lambda v: tuple(_model_from_config(m) for m in v)),
+        "protocols": ("protocols", lambda v: tuple(str(p) for p in v)),
+        "n_permutation_repeats": ("n_permutation_repeats", int),
+        "age_bin_edges": ("age_bin_edges", lambda v: tuple(float(e) for e in v)),
+        "clamp": ("clamp", bool),
+        "workers": ("n_workers", int),
+    }
+    for key, (name, convert) in fields.items():
+        if key in doc:
+            try:
+                kwargs[name] = convert(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {key!r}: {doc[key]!r} ({exc})") from exc
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:

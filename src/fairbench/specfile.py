@@ -49,6 +49,23 @@ def _class_spec(doc: dict, name: str) -> ClassSpec:
     return ClassSpec(size=size, gender=gender, race=race, variables=variables)
 
 
+def cohort_spec_to_dict(spec: CohortSpec) -> dict:
+    """The document ``cohort_spec_from_dict`` parses into ``spec``, keys sorted."""
+
+    def class_doc(c: ClassSpec) -> dict:
+        return {
+            "size": c.size,
+            "gender": dict(sorted(c.gender.items())),
+            "race": dict(sorted(c.race.items())),
+            "variables": {
+                k: {"min": v.lo, "max": v.hi, "median": v.median, "mean": v.mean}
+                for k, v in sorted(c.variables.items())
+            },
+        }
+
+    return {"classes": {"ITP": class_doc(spec.itp), "NonITP": class_doc(spec.non_itp)}}
+
+
 def load_cohort_spec(path: str | Path) -> CohortSpec:
     with Path(path).open(encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)

@@ -188,7 +188,7 @@ def test_criterion_7_stratification_property():
         k = int(rng.integers(2, 1 + min(6, n_itp, n_non)))
         cohort = make_cohort(n_itp, n_non)
         folds = stratified_kfold(cohort, k, int(rng.integers(0, 2**63)))
-        labels = cohort.labels()
+        labels = cohort.y
         all_test = np.concatenate([test for _, test in folds])
         assert sorted(all_test.tolist()) == list(range(len(cohort)))
         for train_idx, test_idx in folds:

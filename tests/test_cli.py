@@ -102,6 +102,22 @@ def test_run_invalid_config_exits_1(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("line", [
+    "age_bin_edges: []",
+    "age_bin_edges: [65, 45]",
+    "k_folds: abc",
+    "workers: x",
+    "n_permutation_repeats: [1]",
+    "models: null",
+    "protocols: null",
+])
+def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
+    config = tmp_path / "bad.yaml"
+    config.write_text(line + "\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_unknown_config_key_exits_1(tmp_path):
     config = tmp_path / "bad.yaml"
     config.write_text("k_fold: 5\n")

@@ -6,8 +6,8 @@ from fairbench.dataset import (
     CSV_HEADER,
     NUMERIC_FIELDS,
     MOMENT_TOLERANCE,
+    LABELS,
     Cohort,
-    PatientRecord,
     StatBlock,
     age_bin_labels,
     apply_minmax,
@@ -33,8 +33,8 @@ from fairbench.errors import (
 from fairbench.specfile import cohort_spec_from_dict, default_cohort_spec
 
 
-def make_record(label="ITP", plt=10.0, age=60.0, gender="F", race="White", **over):
-    kwargs = dict(
+def make_row(label="ITP", plt=10.0, age=60.0, gender="F", race="White", **over):
+    row = dict(
         diagnosis_year=2010,
         age_last_seen=age,
         alt=20.0,
@@ -47,40 +47,66 @@ def make_record(label="ITP", plt=10.0, age=60.0, gender="F", race="White", **ove
         race=race,
         label=label,
     )
-    kwargs.update(over)
-    return PatientRecord(**kwargs)
+    row.update(over)
+    return row
+
+
+def cohort_of(*rows):
+    return Cohort(
+        numeric=[[r[n] for n in NUMERIC_FIELDS] for r in rows],
+        gender=[r["gender"] for r in rows],
+        race=[r["race"] for r in rows],
+        y=[LABELS.index(r["label"]) for r in rows],
+        source="test",
+    )
 
 
 def make_cohort(n_itp, n_non):
-    recs = [make_record("ITP", plt=5.0 + i) for i in range(n_itp)]
-    recs += [make_record("NonITP", plt=200.0 + i) for i in range(n_non)]
-    return Cohort(records=tuple(recs), source="test")
+    rows = [make_row("ITP", plt=5.0 + i) for i in range(n_itp)]
+    rows += [make_row("NonITP", plt=200.0 + i) for i in range(n_non)]
+    return cohort_of(*rows)
+
+
+def assert_same_rows(a, b):
+    assert np.array_equal(a.numeric, b.numeric)
+    assert a.gender.tolist() == b.gender.tolist()
+    assert a.race.tolist() == b.race.tolist()
+    assert a.y.tolist() == b.y.tolist()
+
+
+def class_column(cohort, label, name):
+    return cohort.column(name)[cohort.y == LABELS.index(label)]
 
 
 # ---------------------------------------------------------------------------
-# records and CSV round trip
+# row checks and CSV round trip
 # ---------------------------------------------------------------------------
 
 
 def test_record_rejects_negative_numeric():
-    with pytest.raises(InvariantViolation):
-        make_record(plt=-1.0)
+    with pytest.raises(InvariantViolation, match="row 2: dx_plt_ct must be finite and non-negative, got -1.0"):
+        cohort_of(make_row(), make_row(plt=-1.0), make_row(age=0.0))
 
 
 def test_record_rejects_zero_age():
-    with pytest.raises(InvariantViolation):
-        make_record(age=0.0)
+    with pytest.raises(InvariantViolation, match="row 1: age_last_seen must be positive"):
+        cohort_of(make_row(age=0.0))
 
 
 def test_record_rejects_ancient_year():
-    with pytest.raises(InvariantViolation):
-        make_record(diagnosis_year=1850)
+    with pytest.raises(InvariantViolation, match=r"row 3: diagnosis_year 1850 outside \[1900, "):
+        cohort_of(make_row(), make_row(), make_row(diagnosis_year=1850))
+
+
+def test_record_rejects_unknown_race():
+    with pytest.raises(InvariantViolation, match="row 1: race must be one of .* got 'Martian'"):
+        cohort_of(make_row(race="Martian"))
 
 
 def test_cohort_counts_match_tally():
     c = make_cohort(3, 2)
     assert (c.n_itp, c.n_non_itp) == (3, 2)
-    assert c.labels().tolist() == [1, 1, 1, 0, 0]
+    assert c.y.tolist() == [1, 1, 1, 0, 0]
 
 
 def test_round_trip_synthetic_csv(tmp_path):
@@ -88,7 +114,7 @@ def test_round_trip_synthetic_csv(tmp_path):
     assert (cohort.n_itp, cohort.n_non_itp) == (100, 50)
     path = write_cohort_csv(cohort, tmp_path / "cohort.csv")
     loaded = load_cohort_csv(path)
-    assert loaded.records == cohort.records
+    assert_same_rows(loaded, cohort)
     assert (loaded.n_itp, loaded.n_non_itp) == (100, 50)
 
 
@@ -99,6 +125,17 @@ def test_load_rejects_negative_platelets(tmp_path):
     rows += ["2010,60,20,140,5,8,4.5,250,M,Black,NonITP"] * 2
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(InvariantViolation, match="row 1"):
+        load_cohort_csv(path)
+
+
+def test_load_reports_an_invalid_row_before_a_later_unparsable_one(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = [",".join(CSV_HEADER)]
+    rows += ["2010,60,20,140,5,8,4.5,10,F,White,ITP"]
+    rows += ["2010,0,20,140,5,8,4.5,10,F,White,ITP"]
+    rows += ["2010,60,20,140,5,8,4.5,250,X,Black,NonITP"]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(InvariantViolation, match="row 2: age_last_seen must be positive"):
         load_cohort_csv(path)
 
 
@@ -140,7 +177,7 @@ def test_load_accepts_spelled_out_gender(tmp_path):
     rows += ["2010,60,20,140,5,8,4.5,250,Male,Black,NonITP"] * 2
     path.write_text("\n".join(rows) + "\n")
     cohort = load_cohort_csv(path)
-    assert {r.gender for r in cohort.records} == {"F", "M"}
+    assert cohort.gender.tolist() == ["F", "F", "M", "M"]
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +189,18 @@ def test_synthesize_deterministic():
     spec = default_cohort_spec()
     a = synthesize_cohort(spec, 7)
     b = synthesize_cohort(spec, 7)
-    assert a.records == b.records
+    assert_same_rows(a, b)
     c = synthesize_cohort(spec, 8)
-    assert c.records != a.records
+    assert not np.array_equal(c.numeric, a.numeric)
 
 
 def test_synthesize_samples_within_ranges():
     spec = default_cohort_spec()
     cohort = synthesize_cohort(spec, 3)
     for cls_spec, label in ((spec.itp, "ITP"), (spec.non_itp, "NonITP")):
-        recs = [r for r in cohort.records if r.label == label]
         for name in NUMERIC_FIELDS:
             block = cls_spec.variables[name]
-            values = [getattr(r, name) for r in recs]
+            values = class_column(cohort, label, name)
             assert min(values) >= block.lo and max(values) <= block.hi
 
 
@@ -173,11 +209,10 @@ def test_synthesize_moments_within_tolerance(seed):
     spec = default_cohort_spec()
     cohort = synthesize_cohort(spec, seed)
     for cls_spec, label in ((spec.itp, "ITP"), (spec.non_itp, "NonITP")):
-        recs = [r for r in cohort.records if r.label == label]
         for name in NUMERIC_FIELDS:
             block = cls_spec.variables[name]
             tol = MOMENT_TOLERANCE * (block.hi - block.lo)
-            values = np.array([getattr(r, name) for r in recs], dtype=float)
+            values = class_column(cohort, label, name)
             if block.mean is not None:
                 assert abs(values.mean() - block.mean) <= tol, (label, name, "mean")
             if block.median is not None:
@@ -188,15 +223,16 @@ def test_synthesize_platelet_gap_always_separates_classes():
     spec = default_cohort_spec()
     for seed in range(10):
         cohort = synthesize_cohort(spec, seed)
-        itp = [r.dx_plt_ct for r in cohort.records if r.label == "ITP"]
-        non = [r.dx_plt_ct for r in cohort.records if r.label == "NonITP"]
+        itp = class_column(cohort, "ITP", "dx_plt_ct")
+        non = class_column(cohort, "NonITP", "dx_plt_ct")
         assert max(itp) < min(non)
 
 
 def test_synthesize_gender_allocation_is_exact():
     cohort = synthesize_cohort(default_cohort_spec(), 11)
-    itp_male = sum(1 for r in cohort.records if r.label == "ITP" and r.gender == "M")
-    non_male = sum(1 for r in cohort.records if r.label == "NonITP" and r.gender == "M")
+    male = cohort.gender == "M"
+    itp_male = int(np.sum(male & (cohort.y == 1)))
+    non_male = int(np.sum(male & (cohort.y == 0)))
     assert itp_male == 53
     assert non_male == 29
 
@@ -227,7 +263,7 @@ def test_synthesize_constant_variable():
     doc = _spec_dict_with(itp_over={"alt": {"min": 3.0, "max": 3.0}})
     spec = cohort_spec_from_dict(doc)
     cohort = synthesize_cohort(spec, 5)
-    assert all(r.alt == 3.0 for r in cohort.records if r.label == "ITP")
+    assert np.all(class_column(cohort, "ITP", "alt") == 3.0)
 
 
 def test_synthesize_infeasible_mean_at_boundary():
@@ -252,7 +288,7 @@ def test_synthesize_spends_mean_budget_to_reach_median():
     spec = cohort_spec_from_dict(doc)
     for seed in (0, 1, 2):
         cohort = synthesize_cohort(spec, seed)
-        alts = np.array([r.alt for r in cohort.records if r.label == "ITP"])
+        alts = class_column(cohort, "ITP", "alt")
         assert abs(alts.mean() - 5.0) <= 0.8
         assert abs(np.median(alts) - 4.0) <= 0.8
 
@@ -269,7 +305,7 @@ def test_stat_block_rejects_moment_outside_range():
 
 def test_kfold_exact_counts_on_divisible_cohort():
     c = make_cohort(100, 50)
-    labels = c.labels()
+    labels = c.y
     for train, test in stratified_kfold(c, 5, seed=9):
         assert labels[test].sum() == 20
         assert len(test) - labels[test].sum() == 10
@@ -279,7 +315,7 @@ def test_kfold_exact_counts_on_divisible_cohort():
 def test_kfold_balanced_assignment_on_uneven_cohort():
     # 7 + 5 split over k=5: ITP per fold in {1, 2} with exactly two folds of 2
     c = make_cohort(7, 5)
-    labels = c.labels()
+    labels = c.y
     itp_counts = []
     for _, test in stratified_kfold(c, 5, seed=0):
         itp = int(labels[test].sum())
@@ -314,7 +350,7 @@ def test_kfold_partition_and_determinism():
         )
         all_test = np.concatenate([test for _, test in folds])
         assert sorted(all_test.tolist()) == list(range(len(c)))
-        labels = c.labels()
+        labels = c.y
         for train, test in folds:
             assert np.intersect1d(train, test).size == 0
             for cls, n_cls in ((1, n_itp), (0, n_non)):
@@ -379,37 +415,30 @@ def test_encode_aware_has_thirteen_columns():
 
 
 def test_encode_one_hot_for_black_female_patient():
-    c = Cohort(
-        records=(
-            make_record(gender="F", race="Black"),
-            make_record(gender="M", race="White", label="NonITP"),
-        ),
-        source="test",
+    c = cohort_of(
+        make_row(gender="F", race="Black"),
+        make_row(gender="M", race="White", label="NonITP"),
     )
-    fm = encode_features(c, "aware", scale=False)
+    fm = encode_features(c, "aware")
     row = dict(zip(fm.column_names, fm.rows[0]))
     assert row["gender"] == 0.0
     assert [row[f"race_{r}"] for r in ("white", "black", "asian", "other")] == [0, 1, 0, 0]
 
 
-def test_encode_scaler_from_other_protocol_rejected():
-    c = make_cohort(3, 3)
-    aware_scaler = encode_features(c, "aware").scaler
-    with pytest.raises(DimensionMismatch):
-        encode_features(c, "unaware", scaler=aware_scaler)
-
-
-def test_encode_retains_raw_sensitive_attributes():
+def test_encode_returns_raw_values_in_column_order():
     c = make_cohort(2, 2)
-    fm = encode_features(c, "unaware")
-    assert fm.sensitive.age.tolist() == [60.0] * 4
-    assert set(fm.sensitive.race) == {"White"}
+    fm = encode_features(c, "aware")
+    assert fm.rows[:, fm.column_names.index("age_last_seen")].tolist() == [60.0] * 4
+    assert fm.rows[:, fm.column_names.index("dx_plt_ct")].tolist() == [5.0, 6.0, 200.0, 201.0]
+    assert fm.labels.tolist() == [1, 1, 0, 0]
 
 
 def test_subset_cohort_preserves_order():
     c = make_cohort(3, 3)
     sub = subset_cohort(c, [4, 1])
-    assert sub.records == (c.records[4], c.records[1])
+    assert sub.column("dx_plt_ct").tolist() == [201.0, 6.0]
+    assert sub.y.tolist() == [0, 1]
+    assert (sub.n_itp, sub.n_non_itp, sub.source) == (1, 1, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +449,11 @@ def test_subset_cohort_preserves_order():
 @pytest.mark.parametrize("age,expected", [(29, 0), (44.9, 0), (45, 1), (64.9, 1), (65, 2), (106, 2)])
 def test_bin_age_half_open_bins(age, expected):
     assert bin_age(age, (45, 65)) == expected
+
+
+def test_bin_age_over_an_array_of_ages():
+    ages = np.array([29, 44.9, 45, 64.9, 65, 106])
+    assert bin_age(ages, (45, 65)).tolist() == [0, 0, 1, 1, 2, 2]
 
 
 def test_bin_age_rejects_unsorted_edges():

@@ -1,16 +1,28 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairbench.dataset import AWARE, UNAWARE, encode_features, subset_cohort, synthesize_cohort
+from fairbench import experiment
+from fairbench.dataset import (
+    AWARE,
+    UNAWARE,
+    age_bin_labels,
+    bin_age,
+    encode_features,
+    fit_minmax,
+    subset_cohort,
+    synthesize_cohort,
+)
 from fairbench.errors import ConfigError, TooFewSamples
 from fairbench.experiment import (
     ExperimentConfig,
     ExperimentReport,
     config_from_dict,
     default_model_grid,
+    load_experiment_config,
     materialize_cohort,
     parse_model_name,
     prepare_folds,
@@ -18,7 +30,43 @@ from fairbench.experiment import (
 )
 from fairbench.models import ModelSpec
 from fairbench.report import emit_report, load_report_json, mean_importance
-from fairbench.specfile import default_cohort_spec
+from fairbench.specfile import (
+    cohort_spec_from_dict,
+    cohort_spec_to_dict,
+    default_cohort_spec,
+    load_cohort_spec,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CUSTOM_SPEC = """classes:
+  ITP:
+    size: 6
+    gender: {M: 0.5, F: 0.5}
+    race: {White: 0.5, Black: 0.2, Asian: 0.2, Other: 0.1}
+    variables:
+      diagnosis_year: {min: 2000, max: 2010}
+      age_last_seen: {min: 30, max: 80, median: 50, mean: 52}
+      alt: {min: 5, max: 50, median: 20, mean: 22}
+      dx_hb_ct: {min: 100, max: 200, median: 140, mean: 145}
+      dx_neutro_ct: {min: 1, max: 10, median: 4}
+      wbc_ct: {min: 3, max: 12, mean: 7}
+      rbc_ct: {min: 3.5, max: 6.0}
+      dx_plt_ct: {min: 5, max: 100, median: 30, mean: 35}
+  NonITP:
+    size: 4
+    gender: {M: 0.25, F: 0.75}
+    race: {White: 1.0}
+    variables:
+      diagnosis_year: {min: 2001, max: 2012}
+      age_last_seen: {min: 20, max: 70, median: 45, mean: 44}
+      alt: {min: 5, max: 60, median: 25, mean: 26}
+      dx_hb_ct: {min: 110, max: 190, median: 150, mean: 150}
+      dx_neutro_ct: {min: 1, max: 9, median: 4, mean: 4.5}
+      wbc_ct: {min: 3, max: 11}
+      rbc_ct: {min: 3.8, max: 6.2, median: 5.0}
+      dx_plt_ct: {min: 150, max: 400, median: 250, mean: 260}
+"""
 
 
 def small_spec(n_itp=24, n_non=16):
@@ -106,6 +154,22 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"cohort": {"csv": "a.csv", "synthetic": {}}})
 
 
+def test_cohort_spec_to_dict_inverts_parsing(tmp_path):
+    path = tmp_path / "spec.yaml"
+    path.write_text(CUSTOM_SPEC)
+    for spec in (default_cohort_spec(), load_cohort_spec(path)):
+        assert cohort_spec_from_dict(cohort_spec_to_dict(spec)) == spec
+
+
+def test_config_hash_of_a_custom_spec_is_stable(tmp_path):
+    # the value earlier releases computed for this document; a change here
+    # changes the provenance of every report made with a custom spec
+    path = tmp_path / "spec.yaml"
+    path.write_text(CUSTOM_SPEC)
+    cfg = config_from_dict({"cohort": {"synthetic": {"spec": str(path), "seed": 5}}})
+    assert cfg.config_hash() == "a6387c4bbae15a9a"
+
+
 def test_config_hash_tracks_content():
     a = small_config()
     b = small_config()
@@ -127,15 +191,34 @@ def test_fold_scaler_is_fit_on_train_split_only():
     from fairbench.rng import derive_seed
 
     raw_folds = stratified_kfold(cohort, cfg.k_folds, derive_seed(cfg.master_seed, "folds"))
-    for fd, (train_idx, _) in zip(folds, raw_folds):
-        raw_train = encode_features(subset_cohort(cohort, train_idx), UNAWARE, scale=False)
+    for fd, (train_idx, test_idx) in zip(folds, raw_folds):
+        raw_train = encode_features(subset_cohort(cohort, train_idx), UNAWARE).rows
+        raw_test = encode_features(subset_cohort(cohort, test_idx), UNAWARE).rows
         # scaled training columns span exactly [0, 1]: the scaler saw them alone
         assert np.allclose(fd.X_train.min(axis=0), 0.0)
         assert np.allclose(fd.X_train.max(axis=0), 1.0)
-        # and its recorded ranges equal the raw training ranges
-        scaler = encode_features(subset_cohort(cohort, train_idx), UNAWARE).scaler
-        assert np.array_equal(scaler.mins, raw_train.rows.min(axis=0))
-        assert np.array_equal(scaler.maxs, raw_train.rows.max(axis=0))
+        # and both splits are mapped by the ranges of the raw training rows
+        scaler = fit_minmax(raw_train)
+        lo, span = scaler.mins, scaler.maxs - scaler.mins
+        assert np.allclose(fd.X_train, (raw_train - lo) / span)
+        assert np.allclose(fd.X_test, np.clip((raw_test - lo) / span, 0.0, 1.0))
+
+
+def test_fold_groups_use_raw_sensitive_columns():
+    cfg = small_config(age_bin_edges=(40.0, 55.0, 70.0))
+    cohort, _ = materialize_cohort(cfg)
+    from fairbench.dataset import stratified_kfold
+    from fairbench.rng import derive_seed
+
+    raw_folds = stratified_kfold(cohort, cfg.k_folds, derive_seed(cfg.master_seed, "folds"))
+    labels = age_bin_labels(cfg.age_bin_edges)
+    for fd, (_, test_idx) in zip(prepare_folds(cohort, cfg, AWARE), raw_folds):
+        ages = cohort.column("age_last_seen")[test_idx]
+        assert fd.test_groups["age"].tolist() == [labels[bin_age(a, cfg.age_bin_edges)]
+                                                  for a in ages]
+        assert fd.test_groups["race"].tolist() == cohort.race[test_idx].tolist()
+        assert fd.test_groups["gender"].tolist() == cohort.gender[test_idx].tolist()
+        assert np.array_equal(fd.y_test, cohort.y[test_idx])
 
 
 def test_protocol_isolation_widths():
@@ -220,7 +303,44 @@ def test_csv_cohort_source(tmp_path):
     cfg = small_config(cohort_csv=str(path), cohort_spec=None, cohort_seed=None)
     loaded, seed = materialize_cohort(cfg)
     assert seed is None
-    assert loaded.records == cohort.records
+    assert np.array_equal(loaded.numeric, cohort.numeric)
+    assert loaded.race.tolist() == cohort.race.tolist()
+    assert loaded.gender.tolist() == cohort.gender.tolist()
+    assert np.array_equal(loaded.y, cohort.y)
+
+
+def test_pool_is_no_larger_than_the_work_or_the_machine(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    cfg = config_from_dict({"models": ["dt", "knn-1", "knn-2"], "k_folds": 2,
+                            "n_permutation_repeats": 1, "workers": 64})
+    serial = run_experiment(replace(cfg, n_workers=1)).to_json()
+    assert sizes == []
+    for cpus, expected in ((4, 4), (None, None), (128, 6)):  # 6 = 3 models x 2 protocols
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert run_experiment(cfg).to_json() == serial
+        assert sizes == ([] if expected is None else [expected])
+
+
+def test_quick_config_reproduces_the_golden_report():
+    config = load_experiment_config(ROOT / "configs" / "quick.yaml")
+    golden = (ROOT / "tests" / "golden" / "quick_report.json").read_text(encoding="utf-8")
+    assert run_experiment(config).to_json() == golden
 
 
 # ---------------------------------------------------------------------------
