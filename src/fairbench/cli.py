@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .dataset import synthesize_cohort, write_cohort_csv
 from .errors import FairbenchError
@@ -97,6 +99,9 @@ def _cmd_run(args) -> int:
         "platform": platform.platform(),
         "argv": sys.argv[1:],
         "config_hash": report.provenance["config_hash"],
+        "blas": _blas_build(),
+        "blas_threads_env": {var: os.environ.get(var)
+                             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
     meta_path = out_dir / "run_meta.json"
     meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
@@ -105,6 +110,12 @@ def _cmd_run(args) -> int:
     for path in written:
         print(path)
     return 0
+
+
+def _blas_build() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 def _cmd_report(args) -> int:

@@ -387,7 +387,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
             kwargs["cohort_spec"] = load_cohort_spec(synth["spec"])
         if synth.get("seed") is not None:
-            kwargs["cohort_seed"] = int(synth["seed"])
+            try:
+                kwargs["cohort_seed"] = int(synth["seed"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for 'cohort.synthetic.seed': "
+                                  f"{synth['seed']!r} ({exc})") from exc
 
     fields = {  # config key -> (ExperimentConfig field, conversion)
         "k_folds": ("k_folds", int),

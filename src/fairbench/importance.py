@@ -7,8 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .metrics import macro_f1
+from .metrics import macro_f1, macro_f1_rows
 from .rng import derive_rng
+
+# rows of stacked shuffled copies per predict call; a copy with more rows is
+# predicted alone
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,10 @@ def permutation_importance(
     listed columns are shuffled jointly with a single permutation (used to
     report one-hot blocks as a single feature). The caller's X is never
     mutated.
+
+    The shuffled copies are stacked and predicted ``CHUNK_ROWS`` rows at a
+    time, so ``model.predict`` must be row-independent: the label of a row may
+    not depend on the other rows passed with it. All five model families are.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
@@ -72,18 +80,27 @@ def permutation_importance(
     for gi, (name, cols) in enumerate(sorted((grouped_columns or {}).items())):
         targets.append((name, d + gi, tuple(int(c) for c in cols)))
 
-    features = {}
-    for name, stream_key, cols in targets:
-        drops = np.empty(n_repeats)
-        for r in range(n_repeats):
-            rng = _rng_for(seed, stream_key, r)
-            perm = rng.permutation(len(y))
-            shuffled = X.copy()
-            shuffled[:, cols] = shuffled[np.ix_(perm, cols)]
-            drops[r] = baseline - macro_f1(y, model.predict(shuffled))
-        features[name] = FeatureImportance(
-            mean_drop=float(drops.mean()),
-            std_drop=float(drops.std()),
+    # one copy per (target, repeat), in that order
+    n = len(y)
+    copies = [(cols, _rng_for(seed, stream_key, r).permutation(n))
+              for _, stream_key, cols in targets for r in range(n_repeats)]
+    per_chunk = max(1, CHUNK_ROWS // n)
+    scores = np.empty(len(copies))
+    for start in range(0, len(copies), per_chunk):
+        chunk = copies[start:start + per_chunk]
+        stacked = np.tile(X, (len(chunk), 1))
+        for i, (cols, perm) in enumerate(chunk):
+            stacked[i * n:(i + 1) * n, cols] = X[np.ix_(perm, cols)]
+        pred = model.predict(stacked).reshape(len(chunk), n)
+        scores[start:start + len(chunk)] = macro_f1_rows(y, pred)
+    drops = (baseline - scores).reshape(len(targets), n_repeats)
+
+    features = {
+        name: FeatureImportance(
+            mean_drop=float(drops[t].mean()),
+            std_drop=float(drops[t].std()),
             repeats=n_repeats,
         )
+        for t, (name, _, _) in enumerate(targets)
+    }
     return ImportanceResult(baseline_score=float(baseline), features=features, split=split)

@@ -75,6 +75,32 @@ def macro_f1(y_true, y_pred) -> float:
     )
 
 
+def macro_f1_rows(y_true, y_pred) -> np.ndarray:
+    """``macro_f1(y_true, row)`` for every row of the 2-D ``y_pred`` at once.
+
+    Applies the formula of ``f1_score`` to arrays of confusion counts, in the
+    same order of operations, so each value equals the scalar one exactly.
+    """
+    yt = _as_binary("y_true", y_true)
+    yp = np.asarray(y_pred).astype(np.int64)
+    if yp.ndim != 2 or yp.shape[1] != len(yt):
+        raise LengthMismatch(f"y_pred must have shape (m, {len(yt)}), got {yp.shape}")
+    if len(yt) == 0:
+        raise EmptyInput("cannot count an empty prediction vector")
+    f1 = []
+    for label in (1, 0):
+        pos_t = yt == label
+        pos_p = yp == label
+        tp = np.count_nonzero(pos_t & pos_p, axis=1)
+        fp = np.count_nonzero(~pos_t & pos_p, axis=1)
+        fn = np.count_nonzero(pos_t & ~pos_p, axis=1)
+        precision = tp / np.maximum(tp + fp, 1)
+        recall = tp / np.maximum(tp + fn, 1)
+        # tp = 0 makes precision and recall 0, so F1 is 0 as in f1_score
+        f1.append(2.0 * precision * recall / np.where(tp > 0, precision + recall, 1.0))
+    return 0.5 * (f1[0] + f1[1])
+
+
 def group_rates(y_true, y_pred, groups) -> GroupRates:
     yt = _as_binary("y_true", y_true)
     yp = _as_binary("y_pred", y_pred)

@@ -35,6 +35,9 @@ LOGR_MAX_ITER = 10_000
 LOGR_GRAD_TOL = 1e-6
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000
+# query rows per KNN distance block; bounds the block's distance matrix and
+# selection temporaries to this many rows times the training size
+KNN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,8 @@ class TrainedModel:
             raise DimensionMismatch(
                 f"model was trained on {self.n_features} columns, got matrix of shape {X.shape}"
             )
+        if not np.isfinite(X).all():
+            raise NonFiniteInput("prediction matrix contains non-finite values")
         return self._predict(X)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
@@ -233,20 +238,32 @@ class KnnModel(TrainedModel):
     train_y: np.ndarray = None
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
+        pred = np.empty(len(X), dtype=np.int64)
+        for start in range(0, len(X), KNN_BLOCK_ROWS):
+            stop = start + KNN_BLOCK_ROWS
+            pred[start:stop] = self._predict_block(X[start:stop])
+        return pred
+
+    def _predict_block(self, X: np.ndarray) -> np.ndarray:
         k = min(self.spec.k_neighbors, len(self.train_y))
         d2 = (
             np.sum(X * X, axis=1)[:, None]
             - 2.0 * (X @ self.train_X.T)
             + np.sum(self.train_X * self.train_X, axis=1)[None, :]
         )
-        # stable sort: equal distances resolve to the lowest training index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = self.train_y[order]
-        pos = votes.sum(axis=1)
+        # the k nearest with equal distances resolved to the lowest training
+        # index: everything closer than the k-th distance, then the
+        # lowest-index points at that distance until k are taken
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        closer = d2 < kth
+        at_kth = d2 == kth
+        room = k - np.count_nonzero(closer, axis=1)
+        chosen = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= room[:, None]))
+        pos = np.count_nonzero(chosen & (self.train_y == 1), axis=1)
         pred = np.where(2 * pos > k, 1, 0)
         ties = 2 * pos == k  # even k: fall back to the single nearest neighbour
-        pred[ties] = votes[ties, 0]
-        return pred.astype(np.int64)
+        pred[ties] = self.train_y[np.argmin(d2[ties], axis=1)]
+        return pred
 
 
 @dataclass

@@ -85,6 +85,9 @@ def test_run_meta_sidecar_has_wall_clock(run_dir):
     meta = json.loads((run_dir / "run_meta.json").read_text())
     assert meta["wall_clock_seconds"] >= 0
     assert "config_hash" in meta
+    assert set(meta["blas"]) == {"name", "version"}
+    assert meta["blas"]["name"]
+    assert set(meta["blas_threads_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
 def test_report_rerender_from_json(run_dir, tmp_path):
@@ -110,6 +113,7 @@ def test_run_invalid_config_exits_1(tmp_path):
     "n_permutation_repeats: [1]",
     "models: null",
     "protocols: null",
+    "cohort: {synthetic: {seed: abc}}",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"

@@ -4,7 +4,8 @@ import pytest
 import fairbench.importance as importance_mod
 from fairbench.dataset import encode_features, synthesize_cohort
 from fairbench.errors import DimensionMismatch
-from fairbench.importance import permutation_importance
+from fairbench.importance import FeatureImportance, ImportanceResult, permutation_importance
+from fairbench.metrics import macro_f1
 from fairbench.models import ModelSpec, train
 from fairbench.specfile import default_cohort_spec
 
@@ -114,3 +115,53 @@ def test_importance_dimension_mismatch():
         permutation_importance(m, X[:, :1], y, n_repeats=1, seed=0)
     with pytest.raises(DimensionMismatch):
         permutation_importance(m, X, y, n_repeats=1, seed=0, column_names=("only_one",))
+
+
+def one_copy_at_a_time(model, X, y, n_repeats, seed, grouped_columns=None):
+    """Reference: shuffle one copy, predict it and score it, for every
+    (target, repeat) in turn."""
+    d = X.shape[1]
+    baseline = macro_f1(y, model.predict(X))
+    targets = [(f"x{j}", j, (j,)) for j in range(d)]
+    for gi, (name, cols) in enumerate(sorted((grouped_columns or {}).items())):
+        targets.append((name, d + gi, cols))
+    features = {}
+    for name, stream_key, cols in targets:
+        drops = np.empty(n_repeats)
+        for r in range(n_repeats):
+            perm = importance_mod._rng_for(seed, stream_key, r).permutation(len(y))
+            shuffled = X.copy()
+            shuffled[:, cols] = shuffled[np.ix_(perm, cols)]
+            drops[r] = baseline - macro_f1(y, model.predict(shuffled))
+        features[name] = FeatureImportance(mean_drop=float(drops.mean()),
+                                           std_drop=float(drops.std()), repeats=n_repeats)
+    return ImportanceResult(baseline_score=float(baseline), features=features, split="test")
+
+
+def noisy_with_onehot(n, seed):
+    rng = np.random.default_rng(seed)
+    numeric = rng.random((n, 3))
+    onehot = np.eye(3)[rng.integers(0, 3, n)]
+    y = (numeric[:, 0] + 0.3 * onehot[:, 1] + 0.4 * rng.standard_normal(n) > 0.6).astype(int)
+    return np.hstack([numeric, onehot]), y
+
+
+@pytest.mark.parametrize("chunk_rows", [50, 10, 1024])  # 2 copies, 1 copy, all copies
+@pytest.mark.parametrize("grouped", [None, {"onehot (grouped)": (3, 4, 5)}])
+@pytest.mark.parametrize("spec", [
+    ModelSpec.logr(),
+    ModelSpec.svm("rbf"),
+    ModelSpec.knn(4),
+    ModelSpec.tree(),
+    ModelSpec.forest(n_trees=7, seed=3),
+], ids=lambda s: s.name)
+def test_stacked_copies_equal_one_copy_at_a_time(monkeypatch, spec, grouped, chunk_rows):
+    # 25 rows and 3 repeats: with 2 copies per chunk, chunks straddle targets
+    monkeypatch.setattr(importance_mod, "CHUNK_ROWS", chunk_rows)
+    X_train, y_train = noisy_with_onehot(60, seed=1)
+    X, y = noisy_with_onehot(25, seed=2)
+    m = train(spec, X_train, y_train)
+    got = permutation_importance(m, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
+    want = one_copy_at_a_time(m, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
+    assert got == want
+    assert any(fi.std_drop > 0 for fi in got.features.values())

@@ -9,6 +9,7 @@ from fairbench.metrics import (
     f1_score,
     group_rates,
     macro_f1,
+    macro_f1_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,33 @@ def test_macro_f1_relabel_symmetry():
         yt = rng.integers(0, 2, n)
         yp = rng.integers(0, 2, n)
         assert macro_f1(yt, yp) == pytest.approx(macro_f1(1 - yt, 1 - yp), abs=1e-15)
+
+
+def test_macro_f1_rows_equals_macro_f1_row_by_row():
+    yt = np.array([1, 1, 0, 0, 1, 0])
+    rows = np.array([
+        [0, 0, 0, 0, 0, 0],  # all 0: tp = 0 for class 1
+        [1, 1, 1, 1, 1, 1],  # all 1: tp = 0 for class 0
+        [0, 0, 1, 1, 0, 1],  # every label flipped: tp = 0 for both
+        [1, 1, 0, 0, 1, 0],  # perfect
+        [1, 0, 0, 1, 1, 0],
+    ])
+    rng = np.random.default_rng(3)
+    rows = np.vstack([rows, rng.integers(0, 2, (40, 6))])
+    got = macro_f1_rows(yt, rows)
+    assert got.tolist() == [macro_f1(yt, row) for row in rows]
+    for label in (0, 1):  # single-class truth
+        same = np.full(6, label)
+        assert macro_f1_rows(same, rows).tolist() == [macro_f1(same, row) for row in rows]
+
+
+def test_macro_f1_rows_shape_checks():
+    with pytest.raises(LengthMismatch):
+        macro_f1_rows([1, 0, 1], [[1, 0]])
+    with pytest.raises(LengthMismatch):
+        macro_f1_rows([1, 0], [1, 0])
+    with pytest.raises(EmptyInput):
+        macro_f1_rows([], np.zeros((2, 0)))
 
 
 def test_metrics_invariant_under_sample_order():

@@ -125,6 +125,23 @@ def test_non_finite_input_rejected():
         train(ModelSpec.tree(), X, y)
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec.logr(),
+    ModelSpec.svm("rbf"),
+    ModelSpec.knn(3),
+    ModelSpec.tree(),
+    ModelSpec.forest(n_trees=3),
+], ids=lambda s: s.name)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_prediction_input_rejected(spec, bad):
+    X, y = toy_problem()
+    m = train(spec, X, y)
+    Xq = X[:5].copy()
+    Xq[2, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        m.predict(Xq)
+
+
 def test_predict_dimension_mismatch():
     X, y = toy_problem(d=3)
     m = train(ModelSpec.svm("ln"), X, y)
@@ -237,6 +254,37 @@ def test_knn_majority_vote():
     y = np.array([1, 1, 0, 0])
     m = train(ModelSpec.knn(3), X, y)
     assert m.predict(np.array([[0.1]]))[0] == 1
+
+
+def knn_stable_argsort_reference(model, X):
+    """Full stable sort of every distance row: the k nearest with equal
+    distances resolved to the lowest training index."""
+    k = min(model.spec.k_neighbors, len(model.train_y))
+    d2 = (np.sum(X * X, axis=1)[:, None] - 2.0 * (X @ model.train_X.T)
+          + np.sum(model.train_X * model.train_X, axis=1)[None, :])
+    votes = model.train_y[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    pos = votes.sum(axis=1)
+    pred = np.where(2 * pos > k, 1, 0)
+    ties = 2 * pos == k
+    pred[ties] = votes[ties, 0]
+    return pred
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 12, 40])
+def test_knn_ties_match_stable_argsort(monkeypatch, k):
+    # integer grid points with duplicates: many equal distances, including at
+    # the k-th boundary, and different labels on duplicated points
+    monkeypatch.setattr(models_mod, "KNN_BLOCK_ROWS", 3)
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 3, size=(10, 2)).astype(float)
+    X = np.vstack([base, base, base[:6]])
+    y = (np.arange(len(X)) % 3 == 0).astype(int)
+    m = train(ModelSpec.knn(k), X, y)
+    Xq = np.vstack([X, rng.integers(0, 3, size=(14, 2)).astype(float), [[1.0, 1.0]]])
+    if k < len(y):  # some row shares its k-th distance with a point left out
+        d2 = np.sort(((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2), axis=1)
+        assert (d2[:, k - 1] == d2[:, k]).any()
+    assert np.array_equal(m.predict(Xq), knn_stable_argsort_reference(m, Xq))
 
 
 # ---------------------------------------------------------------------------
