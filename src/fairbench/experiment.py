@@ -81,6 +81,8 @@ class ExperimentConfig:
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate models in grid: {names}")
+        if len(set(self.protocols)) != len(self.protocols):
+            raise ConfigError(f"duplicate protocols: {list(self.protocols)}")
         if self.n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
         edges = self.age_bin_edges
@@ -364,6 +366,20 @@ def _model_from_config(entry) -> ModelSpec:
     raise ConfigError(f"model entries must be names or mappings, got {entry!r}")
 
 
+def _mapping(value, key: str) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a mapping, got {value!r}")
+    return value
+
+
+def _path(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key!r} must be a path string, got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from the YAML document schema (see README)."""
     if not isinstance(doc, dict):
@@ -375,17 +391,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
 
     kwargs: dict = {}
-    cohort = doc.get("cohort", {}) or {}
+    cohort = _mapping(doc.get("cohort"), "cohort")
     if "csv" in cohort and "synthetic" in cohort:
         raise ConfigError("cohort must give either 'csv' or 'synthetic', not both")
     if "csv" in cohort:
-        kwargs["cohort_csv"] = str(cohort["csv"])
+        kwargs["cohort_csv"] = _path(cohort["csv"], "cohort.csv")
     elif "synthetic" in cohort:
-        synth = cohort["synthetic"] or {}
+        synth = _mapping(cohort["synthetic"], "cohort.synthetic")
         if synth.get("spec") is not None:
             from .specfile import load_cohort_spec
 
-            kwargs["cohort_spec"] = load_cohort_spec(synth["spec"])
+            kwargs["cohort_spec"] = load_cohort_spec(_path(synth["spec"], "cohort.synthetic.spec"))
         if synth.get("seed") is not None:
             try:
                 kwargs["cohort_seed"] = int(synth["seed"])

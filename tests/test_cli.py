@@ -114,6 +114,11 @@ def test_run_invalid_config_exits_1(tmp_path):
     "models: null",
     "protocols: null",
     "cohort: {synthetic: {seed: abc}}",
+    "cohort: 5",
+    "cohort: {synthetic: [1]}",
+    "cohort: {synthetic: {spec: 5}}",
+    "cohort: {csv: 5}",
+    "protocols: [aware, aware]",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"

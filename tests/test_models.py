@@ -1,7 +1,10 @@
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import fairbench.models as models_mod
 from fairbench.dataset import CLINICAL_COLUMNS, encode_features, synthesize_cohort
@@ -12,6 +15,7 @@ from fairbench.errors import (
     SingleClassTraining,
 )
 from fairbench.models import (
+    SVM_KKT_TOL,
     ForestModel,
     ModelSpec,
     TreeNode,
@@ -202,19 +206,62 @@ def test_logr_warns_when_iteration_cap_hit(monkeypatch):
     assert m.predict(X).shape == y.shape  # partial model still usable
 
 
+def test_logr_reaches_the_regularised_optimum():
+    # a 1200 x 13 aware-protocol fold like those of a 1500-patient cohort:
+    # separable on platelet count, one-hot race columns collinear with the
+    # bias; plain gradient descent needs more than 10,000 iterations here
+    spec = default_cohort_spec()
+    spec = replace(spec, itp=replace(spec.itp, size=800), non_itp=replace(spec.non_itp, size=400))
+    fm = encode_features(synthesize_cohort(spec, 3), "aware")
+    X = (fm.rows - fm.rows.min(axis=0)) / np.ptp(fm.rows, axis=0)
+    y = fm.labels
+    lam = 1.0 / len(y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = train(ModelSpec.logr(), X, y)
+    assert caught == []
+    assert m.converged
+    assert m.n_iter <= 20
+    loss, _ = logistic_loss_grad(np.r_[m.weights, m.bias], X, y, lam)
+    ref = minimize(logistic_loss_grad, np.zeros(X.shape[1] + 1), args=(X, y, lam),
+                   jac=True, method="L-BFGS-B")
+    assert loss <= ref.fun + 1e-10
+
+
 # ---------------------------------------------------------------------------
 # SVM
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", ["ln", "rbf", "p2", "p3", "p4"])
-def test_svm_dual_feasibility(kernel):
+@pytest.fixture(scope="module", params=["ln", "rbf", "p2", "p3", "p4"])
+def toy_svm_fits(request):
+    """One fit per noisy toy set, shared by the dual checks of one kernel."""
+    fits = []
     for ds in range(5):
         X, y = toy_problem(n=60, seed=100 + ds, noise=0.3)
-        m = train(ModelSpec.svm(kernel), X, y)
+        fits.append((X, train(ModelSpec.svm(request.param), X, y)))
+    return fits
+
+
+def test_svm_dual_feasibility(toy_svm_fits):
+    for _, m in toy_svm_fits:
         assert abs(float(m.alpha @ m.train_t)) <= 1e-6
         assert float(m.alpha.min()) >= 0.0
         assert float(m.alpha.max()) <= m.spec.c_value
+
+
+def test_svm_exit_satisfies_kkt(toy_svm_fits):
+    for X, m in toy_svm_fits:
+        assert m.converged
+        t, alpha, C = m.train_t, m.alpha, m.spec.c_value
+        K = models_mod._kernel_matrix(m.spec.kernel, X, X, m.gamma, m.coef0)
+        G = (t[:, None] * t[None, :] * K) @ alpha - 1.0  # recomputed, not the solver's
+        tG = -t * G
+        up = ((t > 0) & (alpha < C)) | ((t < 0) & (alpha > 0))
+        low = ((t < 0) & (alpha < C)) | ((t > 0) & (alpha > 0))
+        assert tG[up].max() - tG[low].min() <= SVM_KKT_TOL
+        if m.spec.kernel == "p4":
+            assert m.n_iter <= 30_000  # maximal-violating-pair selection needed up to 84,099
 
 
 def test_svm_separates_clean_threshold():
