@@ -51,10 +51,6 @@ from .models import (
     ModelSpec,
     TrainedModel,
     kernel_eval,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
     train,
 )
 from .report import emit_report, load_report_json
@@ -85,10 +81,6 @@ __all__ = [
     "TrainedModel",
     "train",
     "kernel_eval",
-    "save_model",
-    "load_model",
-    "model_to_dict",
-    "model_from_dict",
     "ConfusionCounts",
     "GroupRates",
     "confusion",

@@ -22,7 +22,7 @@ from ._version import __version__
 from .dataset import synthesize_cohort, write_cohort_csv
 from .errors import FairbenchError
 from .experiment import load_experiment_config, run_experiment
-from .report import emit_report, load_report_json
+from .report import FORMAT_ALIASES, emit_report, load_report_json
 from .specfile import default_cohort_spec, load_cohort_spec
 
 log = logging.getLogger("fairbench")
@@ -74,6 +74,7 @@ def _cmd_run(args) -> int:
     from dataclasses import replace
 
     config = load_experiment_config(args.config)
+    formats = _parse_formats(args.formats)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     if args.workers is not None:
@@ -86,7 +87,7 @@ def _cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     written = []
-    for fmt in _parse_formats(args.formats):
+    for fmt in formats:
         written += emit_report(report, fmt, out_dir)
 
     # audit sidecar; deliberately not part of report.json so reports stay
@@ -119,9 +120,10 @@ def _blas_build() -> dict:
 
 
 def _cmd_report(args) -> int:
+    formats = _parse_formats(args.formats)
     report = load_report_json(args.input)
     written = []
-    for fmt in _parse_formats(args.formats):
+    for fmt in formats:
         written += emit_report(report, fmt, Path(args.out))
     for path in written:
         print(path)
@@ -132,6 +134,9 @@ def _parse_formats(text: str) -> list[str]:
     formats = [f.strip() for f in text.split(",") if f.strip()]
     if not formats:
         raise FairbenchError("no report formats given")
+    for fmt in formats:
+        if fmt.lower() not in FORMAT_ALIASES:
+            raise FairbenchError(f"unknown report format {fmt!r}; use md, json or svg")
     return formats
 
 

@@ -298,14 +298,6 @@ class CohortSpec:
     itp: ClassSpec
     non_itp: ClassSpec
 
-    @property
-    def n_itp(self) -> int:
-        return self.itp.size
-
-    @property
-    def n_non_itp(self) -> int:
-        return self.non_itp.size
-
 
 # Tolerance contract of the generator: sample mean and median of each variable
 # land within this fraction of (hi - lo) of the spec's targets.

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class ExperimentConfig:
             "cohort_seed": self.cohort_seed,
             "k_folds": self.k_folds,
             "master_seed": self.master_seed,
-            "models": [m.name for m in self.models],
+            "models": [_canonical_model(m) for m in self.models],
             "protocols": list(self.protocols),
             "n_permutation_repeats": self.n_permutation_repeats,
             "age_bin_edges": list(self.age_bin_edges),
@@ -108,6 +108,16 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _canonical_model(spec: ModelSpec):
+    """Grid shorthand for a spec the name alone gives, else its set fields.
+    Spec seeds are left out: the study derives every model seed from the
+    master seed."""
+    spec = replace(spec, seed=0)
+    if spec == parse_model_name(spec.name):
+        return spec.name
+    return {k: v for k, v in asdict(spec).items() if v is not None and k != "seed"}
 
 
 @dataclass
@@ -359,6 +369,9 @@ def _model_from_config(entry) -> ModelSpec:
     if isinstance(entry, str):
         return parse_model_name(entry)
     if isinstance(entry, dict):
+        if "seed" in entry:
+            raise ConfigError(f"bad model entry {entry!r}: model seeds derive from "
+                              f"the top-level 'seed'")
         try:
             return ModelSpec(**entry)
         except (TypeError, ValueError) as exc:
@@ -366,11 +379,15 @@ def _model_from_config(entry) -> ModelSpec:
     raise ConfigError(f"model entries must be names or mappings, got {entry!r}")
 
 
-def _mapping(value, key: str) -> dict:
+def _mapping(value, key: str, known: set[str]) -> dict:
+    """A config section; None reads as empty, keys outside known are errors."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{key!r} must be a mapping, got {value!r}")
+    unknown = set(value) - known
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {key!r}: {sorted(unknown)}")
     return value
 
 
@@ -382,22 +399,18 @@ def _path(value, key: str) -> str:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from the YAML document schema (see README)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("experiment config must be a mapping")
-    known = {"cohort", "k_folds", "seed", "models", "protocols",
-             "n_permutation_repeats", "age_bin_edges", "clamp", "workers"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+    doc = _mapping(doc, "config", {"cohort", "k_folds", "seed", "models", "protocols",
+                                   "n_permutation_repeats", "age_bin_edges", "clamp",
+                                   "workers"})
 
     kwargs: dict = {}
-    cohort = _mapping(doc.get("cohort"), "cohort")
+    cohort = _mapping(doc.get("cohort"), "cohort", {"csv", "synthetic"})
     if "csv" in cohort and "synthetic" in cohort:
         raise ConfigError("cohort must give either 'csv' or 'synthetic', not both")
     if "csv" in cohort:
         kwargs["cohort_csv"] = _path(cohort["csv"], "cohort.csv")
     elif "synthetic" in cohort:
-        synth = _mapping(cohort["synthetic"], "cohort.synthetic")
+        synth = _mapping(cohort["synthetic"], "cohort.synthetic", {"spec", "seed"})
         if synth.get("spec") is not None:
             from .specfile import load_cohort_spec
 
@@ -435,8 +448,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     import yaml
 
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    return config_from_dict(doc or {})
+        return config_from_dict(yaml.safe_load(fh))
 
 
 def _directional_findings(entries: list[dict], protocols: tuple[str, ...]) -> dict:

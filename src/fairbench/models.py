@@ -13,11 +13,9 @@ forest.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -32,8 +30,6 @@ from .rng import derive_rng
 
 FAMILIES = ("logr", "svm", "knn", "tree", "forest")
 KERNELS = ("ln", "rbf", "p2", "p3", "p4")
-
-FORMAT_VERSION = 1
 
 LOGR_MAX_ITER = 50  # safety net; Newton needs a handful of steps
 LOGR_GRAD_TOL = 1e-6
@@ -562,117 +558,3 @@ def _tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
         stack.append((node.left, idx[mask]))
         stack.append((node.right, idx[~mask]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization (versioned JSON; format_version is mandatory)
-# ---------------------------------------------------------------------------
-
-
-def _spec_to_dict(spec: ModelSpec) -> dict:
-    out = {"family": spec.family, "seed": int(spec.seed)}
-    for name in ("kernel", "k_neighbors", "n_trees", "max_depth", "C", "gamma",
-                 "coef0", "bootstrap", "max_features"):
-        v = getattr(spec, name)
-        if v is not None:
-            out[name] = v
-    return out
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"v": int(node.value)}
-    return {
-        "f": int(node.feature),
-        "t": float(node.threshold),
-        "l": _node_to_dict(node.left),
-        "r": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "v" in doc:
-        return TreeNode(value=int(doc["v"]))
-    return TreeNode(
-        feature=int(doc["f"]),
-        threshold=float(doc["t"]),
-        left=_node_from_dict(doc["l"]),
-        right=_node_from_dict(doc["r"]),
-    )
-
-
-def model_to_dict(model: TrainedModel) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "family": model.spec.family,
-        "spec": _spec_to_dict(model.spec),
-        "n_features": int(model.n_features),
-    }
-    if isinstance(model, LogisticModel):
-        doc["params"] = {
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "converged": model.converged,
-            "n_iter": model.n_iter,
-        }
-    elif isinstance(model, SvmModel):
-        doc["params"] = {
-            "support_X": model.support_X.tolist(),
-            "support_coef": model.support_coef.tolist(),
-            "bias": model.bias,
-            "gamma": model.gamma,
-            "coef0": model.coef0,
-            "alpha": model.alpha.tolist(),
-            "train_t": model.train_t.tolist(),
-            "converged": model.converged,
-            "n_iter": model.n_iter,
-        }
-    elif isinstance(model, KnnModel):
-        doc["params"] = {"train_X": model.train_X.tolist(), "train_y": model.train_y.tolist()}
-    elif isinstance(model, TreeModel):
-        doc["params"] = {"root": _node_to_dict(model.root)}
-    elif isinstance(model, ForestModel):
-        doc["params"] = {"trees": [_node_to_dict(t) for t in model.trees]}
-    else:  # pragma: no cover
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    return doc
-
-
-def model_from_dict(doc: dict) -> TrainedModel:
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version!r}")
-    spec = ModelSpec(**doc["spec"])
-    d = int(doc["n_features"])
-    p = doc["params"]
-    if spec.family == "logr":
-        return LogisticModel(spec=spec, n_features=d, weights=np.array(p["weights"]),
-                             bias=float(p["bias"]), converged=bool(p["converged"]),
-                             n_iter=int(p["n_iter"]))
-    if spec.family == "svm":
-        return SvmModel(spec=spec, n_features=d,
-                        support_X=np.array(p["support_X"], dtype=float).reshape(-1, d),
-                        support_coef=np.array(p["support_coef"], dtype=float),
-                        bias=float(p["bias"]), gamma=float(p["gamma"]),
-                        coef0=float(p["coef0"]),
-                        alpha=np.array(p["alpha"], dtype=float),
-                        train_t=np.array(p["train_t"], dtype=float),
-                        converged=bool(p["converged"]), n_iter=int(p["n_iter"]))
-    if spec.family == "knn":
-        return KnnModel(spec=spec, n_features=d,
-                        train_X=np.array(p["train_X"], dtype=float).reshape(-1, d),
-                        train_y=np.array(p["train_y"], dtype=np.int64))
-    if spec.family == "tree":
-        return TreeModel(spec=spec, n_features=d, root=_node_from_dict(p["root"]))
-    return ForestModel(spec=spec, n_features=d,
-                       trees=[_node_from_dict(t) for t in p["trees"]])
-
-
-def save_model(model: TrainedModel, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
-    return path
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import AWARE, UNAWARE
+from .errors import FairbenchError
 from .experiment import SENSITIVE_ATTRIBUTES, ExperimentReport
 
 PROTOCOL_TITLES = {AWARE: "Demographic-aware", UNAWARE: "Demographic-unaware"}
@@ -181,4 +182,14 @@ def _svg_barchart(title: str, pairs: list[tuple[str, float]]) -> str:
 
 
 def load_report_json(path: str | Path) -> ExperimentReport:
-    return ExperimentReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON; a missing file stays an OSError
+        raise FairbenchError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FairbenchError(f"{path} is not a report: expected a JSON object")
+    missing = [k for k in ("provenance", "fold_flags", "entries", "directional_findings")
+               if k not in doc]
+    if missing:
+        raise FairbenchError(f"{path} is not a report: missing {missing}")
+    return ExperimentReport.from_dict(doc)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fairbench import cli
 from fairbench.cli import main
 from fairbench.dataset import load_cohort_csv
 
@@ -119,12 +120,39 @@ def test_run_invalid_config_exits_1(tmp_path):
     "cohort: {synthetic: {spec: 5}}",
     "cohort: {csv: 5}",
     "protocols: [aware, aware]",
+    "cohort: {sythetic: {seed: 5}}",
+    "cohort: {synthetic: {sed: 5}}",
+    "models: [{family: forest, n_trees: 5, seed: 5}]",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"
     config.write_text(line + "\n")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_unknown_format_exits_1_before_the_study(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise AssertionError("the study must not start")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    config = tmp_path / "config.yaml"
+    config.write_text("models: [dt]\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--formats", "md,pdf"]) == 1
+    assert "'pdf'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{}", "not json", "[1, 2]"])
+def test_report_of_a_malformed_file_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_unknown_config_key_exits_1(tmp_path):

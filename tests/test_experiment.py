@@ -170,6 +170,16 @@ def test_config_hash_of_a_custom_spec_is_stable(tmp_path):
     assert cfg.config_hash() == "a6387c4bbae15a9a"
 
 
+def test_config_hash_covers_model_hyperparameters():
+    def config_hash(models):
+        return config_from_dict({"models": models}).config_hash()
+
+    assert (config_hash([{"family": "svm", "kernel": "rbf", "C": 1.0}])
+            != config_hash([{"family": "svm", "kernel": "rbf", "C": 50.0}]))
+    # a mapping equal to a shorthand name hashes as that name
+    assert config_hash([{"family": "svm", "kernel": "rbf", "C": 1.0}]) == config_hash(["svm-rbf"])
+
+
 def test_config_hash_tracks_content():
     a = small_config()
     b = small_config()

@@ -1,4 +1,3 @@
-import json
 import warnings
 from dataclasses import replace
 
@@ -20,11 +19,7 @@ from fairbench.models import (
     ModelSpec,
     TreeNode,
     kernel_eval,
-    load_model,
     logistic_loss_grad,
-    model_from_dict,
-    model_to_dict,
-    save_model,
     train,
 )
 from fairbench.specfile import default_cohort_spec
@@ -427,8 +422,8 @@ def test_forest_seed_changes_trees_deterministically():
     c = train(ModelSpec.forest(n_trees=5, seed=2), X, y)
     Xq = np.random.default_rng(17).random((50, 4))
     assert np.array_equal(a.predict(Xq), b.predict(Xq))
-    assert model_to_dict(a) == model_to_dict(b)
-    assert model_to_dict(a) != model_to_dict(c)
+    assert a.trees == b.trees
+    assert a.trees != c.trees
 
 
 def test_forest_learns_separable_problem():
@@ -437,42 +432,3 @@ def test_forest_learns_separable_problem():
     Xq = np.random.default_rng(19).random((200, 4))
     yq = (Xq[:, 0] > 0.5).astype(int)
     assert (m.predict(Xq) == yq).mean() >= 0.9
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("spec", [
-    ModelSpec.logr(),
-    ModelSpec.svm("rbf"),
-    ModelSpec.svm("p3", C=2.0),
-    ModelSpec.knn(2),
-    ModelSpec.tree(),
-    ModelSpec.forest(n_trees=4, seed=5),
-])
-def test_model_round_trips_through_json(tmp_path, spec):
-    X, y = toy_problem(n=50, seed=20, noise=0.3)
-    m = train(spec, X, y)
-    path = save_model(m, tmp_path / f"{spec.name}.json")
-    loaded = load_model(path)
-    Xq = np.random.default_rng(21).random((30, 4))
-    assert np.array_equal(m.predict(Xq), loaded.predict(Xq))
-    assert loaded.spec == spec or loaded.spec == m.spec
-
-
-def test_model_format_version_is_checked():
-    X, y = toy_problem(n=20)
-    doc = model_to_dict(train(ModelSpec.tree(), X, y))
-    doc["format_version"] = 99
-    with pytest.raises(ValueError, match="format_version"):
-        model_from_dict(doc)
-
-
-def test_model_dict_is_json_serializable():
-    X, y = toy_problem(n=30)
-    for spec in (ModelSpec.svm("ln"), ModelSpec.forest(n_trees=2)):
-        doc = model_to_dict(train(spec, X, y))
-        assert doc["format_version"] == 1
-        json.dumps(doc)
