@@ -24,7 +24,6 @@ from .dataset import (
     fit_minmax,
     load_cohort_csv,
     stratified_kfold,
-    subset_cohort,
     synthesize_cohort,
     write_cohort_csv,
 )
@@ -50,7 +49,6 @@ from .metrics import (
 from .models import (
     ModelSpec,
     TrainedModel,
-    kernel_eval,
     train,
 )
 from .report import emit_report, load_report_json
@@ -71,7 +69,6 @@ __all__ = [
     "write_cohort_csv",
     "synthesize_cohort",
     "stratified_kfold",
-    "subset_cohort",
     "encode_features",
     "fit_minmax",
     "apply_minmax",
@@ -80,7 +77,6 @@ __all__ = [
     "ModelSpec",
     "TrainedModel",
     "train",
-    "kernel_eval",
     "ConfusionCounts",
     "GroupRates",
     "confusion",

@@ -152,13 +152,6 @@ def _require_two_per_class(cohort: Cohort) -> Cohort:
     return cohort
 
 
-def subset_cohort(cohort: Cohort, indices) -> Cohort:
-    """Row subset preserving order; fold subsets may hold < 2 of a class."""
-    idx = np.asarray(indices, dtype=np.intp)
-    return Cohort(numeric=cohort.numeric[idx], gender=cohort.gender[idx], race=cohort.race[idx],
-                  y=cohort.y[idx], source=cohort.source)
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .importance import permutation_importance
 from .metrics import equalized_odds, group_rates, macro_f1
 from .models import ModelSpec, train
 from .rng import derive_seed
-from .specfile import cohort_spec_to_dict, default_cohort_spec
+from .specfile import cohort_spec_to_dict, default_cohort_spec, load_cohort_spec, load_yaml
 
 SENSITIVE_ATTRIBUTES = ("gender", "race", "age")
 
@@ -412,8 +412,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     elif "synthetic" in cohort:
         synth = _mapping(cohort["synthetic"], "cohort.synthetic", {"spec", "seed"})
         if synth.get("spec") is not None:
-            from .specfile import load_cohort_spec
-
             kwargs["cohort_spec"] = load_cohort_spec(_path(synth["spec"], "cohort.synthetic.spec"))
         if synth.get("seed") is not None:
             try:
@@ -445,10 +443,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    import yaml
-
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(yaml.safe_load(fh))
+    return config_from_dict(load_yaml(path))
 
 
 def _directional_findings(entries: list[dict], protocols: tuple[str, ...]) -> dict:

@@ -4,18 +4,22 @@ Logistic regression (damped Newton: a closed-form Hessian solve per step and
 Armijo backtracking, so every step lowers the regularised loss), kernel SVM
 (two-coordinate dual descent; the maximal violator i in the up set is paired
 with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005),
-k-nearest neighbours, CART decision tree (Gini, midpoint thresholds) and a
-random forest of such trees. Both solvers stop on a tolerance; their iteration
-caps are safety nets that warn with DidNotConverge. All models are
-deterministic given their ModelSpec, including the per-tree RNG streams of the
-forest.
+k-nearest neighbours, and CART trees (Gini, midpoint thresholds; each node
+scores all its candidate columns in one sorted pass). Both solvers stop on a
+tolerance; their iteration caps are safety nets that warn with DidNotConverge.
+Trees are stored as flat preorder node arrays in a ForestModel: a decision
+tree is a one-tree forest over every row and column, a random forest bags rows
+and samples columns per node. All models are deterministic given their
+ModelSpec, including the per-tree RNG streams of the forest; a ModelSpec
+resolves every field of its family to its effective value on construction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -40,6 +44,41 @@ SVM_MAX_ITER = 200_000
 KNN_BLOCK_ROWS = 256
 
 
+def _positive_int(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return int(value)
+
+
+def _positive(value) -> float:
+    if not float(value) > 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return float(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+# each family's fields, name -> (conversion, default). Construction resolves
+# them to their effective value, so two spellings of one model compare (and
+# hash) equal; gamma and max_features stay unset, as their defaults depend on
+# the training data
+_FAMILY_FIELDS = {
+    "logr": {"C": (_positive, 1.0)},
+    "svm": {"kernel": (str, None), "C": (_positive, 1.0), "gamma": (_positive, None),
+            "coef0": (float, 1.0)},
+    "knn": {"k_neighbors": (_positive_int, None)},
+    "tree": {"max_depth": (_positive_int, None)},
+    "forest": {"n_trees": (_positive_int, 100), "max_depth": (_positive_int, None),
+               "bootstrap": (_flag, True), "max_features": (_positive_int, None)},
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
@@ -57,38 +96,18 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        allowed = {
-            "logr": {"C"},
-            "svm": {"kernel", "C", "gamma", "coef0"},
-            "knn": {"k_neighbors"},
-            "tree": {"max_depth"},
-            "forest": {"n_trees", "max_depth", "bootstrap", "max_features"},
-        }[self.family]
-        for name in ("kernel", "k_neighbors", "n_trees", "max_depth", "C", "gamma",
-                     "coef0", "bootstrap", "max_features"):
-            if getattr(self, name) is not None and name not in allowed:
-                raise ValueError(f"{name} is not a valid field for family {self.family!r}")
-        if self.family == "svm":
-            if self.kernel not in KERNELS:
-                raise ValueError(f"svm kernel must be one of {KERNELS}, got {self.kernel!r}")
-            if self.gamma is not None and self.gamma <= 0:
-                raise ValueError("gamma must be positive")
-        if self.family in ("logr", "svm") and self.c_value <= 0:
-            raise ValueError("C must be positive")
-        if self.family == "knn" and (self.k_neighbors is None or self.k_neighbors < 1):
-            raise ValueError("knn needs k_neighbors >= 1")
-        if self.family == "forest" and self.trees_value < 1:
-            raise ValueError("forest needs n_trees >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 when set")
-
-    @property
-    def c_value(self) -> float:
-        return 1.0 if self.C is None else float(self.C)
-
-    @property
-    def trees_value(self) -> int:
-        return 100 if self.n_trees is None else int(self.n_trees)
+        allowed = _FAMILY_FIELDS[self.family]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in allowed:
+                convert, default = allowed[f.name]
+                object.__setattr__(self, f.name, default if value is None else convert(value))
+            elif value is not None and f.name not in ("family", "seed"):
+                raise ValueError(f"{f.name} is not a valid field for family {self.family!r}")
+        if self.family == "svm" and self.kernel not in KERNELS:
+            raise ValueError(f"svm kernel must be one of {KERNELS}, got {self.kernel!r}")
+        if self.family == "knn" and self.k_neighbors is None:
+            raise ValueError("knn needs k_neighbors")
 
     @property
     def name(self) -> str:
@@ -111,11 +130,11 @@ class ModelSpec:
         return "DT" if self.family == "tree" else "RF"
 
     @classmethod
-    def logr(cls, C: float = 1.0, seed: int = 0) -> "ModelSpec":
+    def logr(cls, C: float | None = None, seed: int = 0) -> "ModelSpec":
         return cls(family="logr", C=C, seed=seed)
 
     @classmethod
-    def svm(cls, kernel: str, C: float = 1.0, gamma: float | None = None,
+    def svm(cls, kernel: str, C: float | None = None, gamma: float | None = None,
             coef0: float | None = None, seed: int = 0) -> "ModelSpec":
         return cls(family="svm", kernel=kernel, C=C, gamma=gamma, coef0=coef0, seed=seed)
 
@@ -128,8 +147,8 @@ class ModelSpec:
         return cls(family="tree", max_depth=max_depth, seed=seed)
 
     @classmethod
-    def forest(cls, n_trees: int = 100, max_depth: int | None = None,
-               bootstrap: bool = True, max_features: int | None = None,
+    def forest(cls, n_trees: int | None = None, max_depth: int | None = None,
+               bootstrap: bool | None = None, max_features: int | None = None,
                seed: int = 0) -> "ModelSpec":
         return cls(family="forest", n_trees=n_trees, max_depth=max_depth,
                    bootstrap=bootstrap, max_features=max_features, seed=seed)
@@ -140,20 +159,8 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def kernel_eval(kernel: str, u, v, gamma: float, coef0: float = 1.0) -> float:
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"kernel arguments differ in length: {u.shape} vs {v.shape}")
-    return float(_kernel_matrix(kernel, u[None, :], v[None, :], gamma, coef0)[0, 0])
-
-
 def _kernel_matrix(kernel: str, A: np.ndarray, B: np.ndarray, gamma: float,
                    coef0: float) -> np.ndarray:
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if kernel == "ln":
         return A @ B.T
     if kernel == "rbf":
@@ -217,15 +224,14 @@ class SvmModel(TrainedModel):
     support_X: np.ndarray = None
     support_coef: np.ndarray = None  # alpha_i * t_i per support vector
     bias: float = 0.0
-    gamma: float = 1.0
-    coef0: float = 1.0
+    gamma: float = 1.0  # resolved: spec.gamma, or the default from the training data
     alpha: np.ndarray = None  # full dual vector, kept for feasibility checks
     train_t: np.ndarray = None
     converged: bool = True
     n_iter: int = 0
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        K = _kernel_matrix(self.spec.kernel, X, self.support_X, self.gamma, self.coef0)
+        K = _kernel_matrix(self.spec.kernel, X, self.support_X, self.gamma, self.spec.coef0)
         return K @ self.support_coef + self.bias
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
@@ -267,41 +273,42 @@ class KnnModel(TrainedModel):
 
 
 @dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: int | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-    def used_features(self) -> set[int]:
-        if self.is_leaf:
-            return set()
-        return {self.feature} | self.left.used_features() | self.right.used_features()
-
-
-@dataclass
-class TreeModel(TrainedModel):
-    root: TreeNode = None
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return _tree_predict(self.root, X)
-
-
-@dataclass
 class ForestModel(TrainedModel):
-    trees: list[TreeNode] = None
+    """Tree ensemble as flat node arrays; a decision tree is a one-tree forest.
+
+    Tree t starts at node roots[t] and lies in preorder after it. Node i sends
+    a row left when X[:, feature[i]] <= threshold[i]; a leaf has feature -1,
+    left and right -1, and predicts value[i] (every node stores its majority
+    label).
+    """
+
+    feature: np.ndarray = None
+    threshold: np.ndarray = None
+    left: np.ndarray = None
+    right: np.ndarray = None
+    value: np.ndarray = None
+    roots: np.ndarray = None
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
         votes = np.zeros(len(X), dtype=np.int64)
-        for root in self.trees:
-            votes += _tree_predict(root, X)
+        out = np.empty(len(X), dtype=np.int64)  # one tree's labels; every row reaches a leaf
+        for root in self.roots.tolist():  # one tree at a time, routing row subsets
+            stack = [(root, np.arange(len(X)))]
+            while stack:
+                node, idx = stack.pop()
+                if idx.size == 0:
+                    continue
+                if feature[node] < 0:
+                    out[idx] = value[node]
+                    continue
+                mask = X[idx, feature[node]] <= threshold[node]
+                stack.append((left[node], idx[mask]))
+                stack.append((right[node], idx[~mask]))
+            votes += out
         # majority vote; an exact tie resolves to label 0
-        return (2 * votes > len(self.trees)).astype(np.int64)
+        return (2 * votes > len(self.roots)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +337,10 @@ def train(spec: ModelSpec, X, y) -> TrainedModel:
         return _train_svm(spec, X, y)
     if spec.family == "knn":
         return KnnModel(spec=spec, n_features=X.shape[1], train_X=X.copy(), train_y=y.copy())
-    if spec.family == "tree":
-        root = _grow_tree(X, y, depth=0, max_depth=spec.max_depth, max_features=None, rng=None)
-        return TreeModel(spec=spec, n_features=X.shape[1], root=root)
-    return _train_forest(spec, X, y)
+    if spec.family == "tree":  # one tree over every column, fit to every row
+        return _train_forest(spec, X, y, n_trees=1, bootstrap=False, max_features=X.shape[1])
+    return _train_forest(spec, X, y, spec.n_trees, spec.bootstrap,
+                         spec.max_features or math.ceil(math.sqrt(X.shape[1])))
 
 
 def logistic_loss_grad(wb: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -356,7 +363,7 @@ def logistic_loss_grad(wb: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 def _train_logr(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> LogisticModel:
     n, d = X.shape
-    lam = 1.0 / (n * spec.c_value)
+    lam = 1.0 / (n * spec.C)
     Xb = np.hstack([X, np.ones((n, 1))])
     ridge = np.diag(np.r_[np.full(d, lam), 0.0])  # the bias is unregularized
     wb = np.zeros(d + 1)
@@ -399,11 +406,10 @@ def _train_logr(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> LogisticModel:
 
 def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     n = len(y)
-    C = spec.c_value
+    C = spec.C
     gamma = spec.gamma if spec.gamma is not None else _default_gamma(X)
-    coef0 = 1.0 if spec.coef0 is None else float(spec.coef0)
     t = np.where(y == 1, 1.0, -1.0)
-    K = _kernel_matrix(spec.kernel, X, X, gamma, coef0)
+    K = _kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
     K_diag = np.diag(K).copy()
 
     alpha = np.zeros(n)
@@ -463,7 +469,6 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
         support_coef=(alpha * t)[sv],
         bias=float(bias),
         gamma=float(gamma),
-        coef0=float(coef0),
         alpha=alpha,
         train_t=t,
         converged=converged,
@@ -471,90 +476,59 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     )
 
 
-def _gini_best_split(X: np.ndarray, y: np.ndarray, cols) -> tuple[int, float] | None:
-    """Exhaustive midpoint search; ties resolve to the lowest column then
-    the lowest threshold."""
+def _gini_best_split(X: np.ndarray, y: np.ndarray, cols: np.ndarray) -> tuple[int, float] | None:
+    """Exhaustive midpoint search over the columns ``cols`` of one node, all
+    columns in one pass; ties resolve to the lowest column then the lowest
+    threshold. None when every candidate column is constant."""
     n = len(y)
-    best = None
-    for c in cols:
-        v = X[:, c]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = y[order]
-        cut = np.flatnonzero(sv[1:] > sv[:-1])
-        if cut.size == 0:
-            continue
-        cpos = np.cumsum(sy)
-        nl = cut + 1.0
-        nr = n - nl
-        pl = cpos[cut] / nl
-        pr = (cpos[-1] - cpos[cut]) / nr
-        weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
-        k = int(np.argmin(weighted))
-        if best is None or weighted[k] < best[0]:
-            thr = 0.5 * (sv[cut[k]] + sv[cut[k] + 1])
-            best = (float(weighted[k]), int(c), float(thr))
-    if best is None:
+    Xc = X[:, cols]
+    order = np.argsort(Xc, axis=0, kind="stable")
+    sv = np.take_along_axis(Xc, order, axis=0)
+    cpos = np.cumsum(y[order], axis=0)  # row r: positives among the r + 1 smallest
+    nl = np.arange(1.0, n)[:, None]  # left size of the cut after sorted row r
+    nr = n - nl
+    pl = cpos[:-1] / nl
+    pr = (cpos[-1] - cpos[:-1]) / nr
+    weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
+    weighted[sv[1:] <= sv[:-1]] = np.inf  # no cut between equal values
+    flat = int(np.argmin(weighted.T))  # column-major: lowest column, then threshold
+    c, r = divmod(flat, n - 1)
+    if weighted[r, c] == np.inf:
         return None
-    return best[1], best[2]
+    return int(cols[c]), float(0.5 * (sv[r, c] + sv[r + 1, c]))
 
 
-def _majority(y: np.ndarray) -> int:
-    # exact tie resolves to label 0
-    return int(2 * int(y.sum()) > len(y))
-
-
-def _grow_tree(X: np.ndarray, y: np.ndarray, depth: int, max_depth: int | None,
-               max_features: int | None, rng: np.random.Generator | None) -> TreeNode:
-    if len(np.unique(y)) == 1:
-        return TreeNode(value=int(y[0]))
-    if max_depth is not None and depth >= max_depth:
-        return TreeNode(value=_majority(y))
-
+def _grow_tree(nodes: list, X: np.ndarray, y: np.ndarray, depth: int,
+               max_depth: int | None, max_features: int, rng: np.random.Generator) -> int:
+    """Append the tree fitted to (X, y) to ``nodes`` in preorder, one
+    [feature, threshold, left, right, value] row per node; returns its root."""
+    node, pos = len(nodes), int(y.sum())
+    nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(y))])  # majority label; a tie is 0
+    if pos in (0, len(y)) or (max_depth is not None and depth >= max_depth):  # pure or deep
+        return node
     d = X.shape[1]
-    if max_features is None or max_features >= d or rng is None:
-        cols = range(d)
-    else:
-        cols = np.sort(rng.choice(d, size=max_features, replace=False))
-
+    cols = np.arange(d) if max_features >= d else np.sort(
+        rng.choice(d, size=max_features, replace=False))
     split = _gini_best_split(X, y, cols)
     if split is None:
-        return TreeNode(value=_majority(y))
+        return node
     feature, threshold = split
     mask = X[:, feature] <= threshold
-    left = _grow_tree(X[mask], y[mask], depth + 1, max_depth, max_features, rng)
-    right = _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, max_features, rng)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+    left = _grow_tree(nodes, X[mask], y[mask], depth + 1, max_depth, max_features, rng)
+    right = _grow_tree(nodes, X[~mask], y[~mask], depth + 1, max_depth, max_features, rng)
+    nodes[node][:4] = feature, threshold, left, right
+    return node
 
 
-def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> ForestModel:
-    n, d = X.shape
-    mtry = spec.max_features if spec.max_features is not None else math.ceil(math.sqrt(d))
-    bootstrap = True if spec.bootstrap is None else spec.bootstrap
-    trees = []
-    for tree_idx in range(spec.trees_value):
+def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
+                  bootstrap: bool, max_features: int) -> ForestModel:
+    n = len(y)
+    nodes: list = []
+    roots = []
+    for tree_idx in range(n_trees):
         rng = derive_rng(spec.seed, "tree", tree_idx)
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-            Xt, yt = X[idx], y[idx]
-        else:
-            Xt, yt = X, y
-        trees.append(_grow_tree(Xt, yt, depth=0, max_depth=spec.max_depth,
-                                max_features=mtry, rng=rng))
-    return ForestModel(spec=spec, n_features=d, trees=trees)
-
-
-def _tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(X), dtype=np.int64)
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+        rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
+        roots.append(_grow_tree(nodes, X[rows], y[rows], 0, spec.max_depth, max_features, rng))
+    feature, threshold, left, right, value = (np.array(col) for col in zip(*nodes))
+    return ForestModel(spec=spec, n_features=X.shape[1], feature=feature, threshold=threshold,
+                       left=left, right=right, value=value, roots=np.array(roots))

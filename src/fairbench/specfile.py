@@ -66,10 +66,18 @@ def cohort_spec_to_dict(spec: CohortSpec) -> dict:
     return {"classes": {"ITP": class_doc(spec.itp), "NonITP": class_doc(spec.non_itp)}}
 
 
-def load_cohort_spec(path: str | Path) -> CohortSpec:
+def load_yaml(path: str | Path):
+    """The document of a YAML file; a file that is not UTF-8 YAML is a
+    ConfigError naming it (a missing file still raises OSError)."""
     with Path(path).open(encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    return cohort_spec_from_dict(doc)
+        try:
+            return yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 YAML: {exc}") from exc
+
+
+def load_cohort_spec(path: str | Path) -> CohortSpec:
+    return cohort_spec_from_dict(load_yaml(path))
 
 
 @functools.lru_cache(maxsize=1)

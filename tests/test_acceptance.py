@@ -169,7 +169,7 @@ def test_criterion_6_svm_dual_feasibility():
             worst_sum = max(worst_sum, abs(float(m.alpha @ m.train_t)))
             worst_box = max(
                 worst_box,
-                float(max(-m.alpha.min(), (m.alpha - m.spec.c_value).max())),
+                float(max(-m.alpha.min(), (m.alpha - m.spec.C).max())),
             )
     ok = _verdict(
         6, worst_sum <= 1e-6 and worst_box <= 0.0,

@@ -123,6 +123,8 @@ def test_run_invalid_config_exits_1(tmp_path):
     "cohort: {sythetic: {seed: 5}}",
     "cohort: {synthetic: {sed: 5}}",
     "models: [{family: forest, n_trees: 5, seed: 5}]",
+    "models: [{family: knn, k_neighbors: 2.5}]",
+    "k_folds: [1",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"
@@ -171,3 +173,14 @@ def test_synth_invalid_spec_exits_1(tmp_path):
     spec.write_text("classes: {}\n")
     assert main(["synth", "--spec", str(spec), "--seed", "1",
                  "--out", str(tmp_path / "c.csv")]) == 1
+
+
+@pytest.mark.parametrize("content", [b"k_folds: [1\n", b"classes: \xff\n"], ids=["syntax", "bytes"])
+def test_synth_spec_that_is_not_utf8_yaml_exits_1(tmp_path, capsys, content):
+    spec = tmp_path / "spec.yaml"
+    spec.write_bytes(content)
+    assert main(["synth", "--spec", str(spec), "--seed", "1",
+                 "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(spec) in err
+    assert not (tmp_path / "c.csv").exists()

@@ -16,7 +16,6 @@ from fairbench.dataset import (
     fit_minmax,
     load_cohort_csv,
     stratified_kfold,
-    subset_cohort,
     synthesize_cohort,
     write_cohort_csv,
 )
@@ -431,14 +430,6 @@ def test_encode_returns_raw_values_in_column_order():
     assert fm.rows[:, fm.column_names.index("age_last_seen")].tolist() == [60.0] * 4
     assert fm.rows[:, fm.column_names.index("dx_plt_ct")].tolist() == [5.0, 6.0, 200.0, 201.0]
     assert fm.labels.tolist() == [1, 1, 0, 0]
-
-
-def test_subset_cohort_preserves_order():
-    c = make_cohort(3, 3)
-    sub = subset_cohort(c, [4, 1])
-    assert sub.column("dx_plt_ct").tolist() == [201.0, 6.0]
-    assert sub.y.tolist() == [0, 1]
-    assert (sub.n_itp, sub.n_non_itp, sub.source) == (1, 1, "test")
 
 
 # ---------------------------------------------------------------------------

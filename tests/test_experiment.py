@@ -13,7 +13,6 @@ from fairbench.dataset import (
     bin_age,
     encode_features,
     fit_minmax,
-    subset_cohort,
     synthesize_cohort,
 )
 from fairbench.errors import ConfigError, TooFewSamples
@@ -180,6 +179,19 @@ def test_config_hash_covers_model_hyperparameters():
     assert config_hash([{"family": "svm", "kernel": "rbf", "C": 1.0}]) == config_hash(["svm-rbf"])
 
 
+def test_config_hash_does_not_depend_on_spelling():
+    def config_hash(models):
+        return config_from_dict({"models": models}).config_hash()
+
+    assert (config_hash([{"family": "svm", "kernel": "rbf", "C": 50}])
+            == config_hash([{"family": "svm", "kernel": "rbf", "C": 50.0}]))
+    # an omitted field means its default
+    assert config_hash([{"family": "logr"}]) == config_hash(["logr"])
+    assert config_hash([{"family": "forest"}]) == config_hash(["rf"])
+    assert (config_hash([{"family": "forest", "n_trees": 5}])
+            == config_hash([{"family": "forest", "n_trees": 5.0, "bootstrap": True}]))
+
+
 def test_config_hash_tracks_content():
     a = small_config()
     b = small_config()
@@ -201,9 +213,9 @@ def test_fold_scaler_is_fit_on_train_split_only():
     from fairbench.rng import derive_seed
 
     raw_folds = stratified_kfold(cohort, cfg.k_folds, derive_seed(cfg.master_seed, "folds"))
+    raw = encode_features(cohort, UNAWARE).rows
     for fd, (train_idx, test_idx) in zip(folds, raw_folds):
-        raw_train = encode_features(subset_cohort(cohort, train_idx), UNAWARE).rows
-        raw_test = encode_features(subset_cohort(cohort, test_idx), UNAWARE).rows
+        raw_train, raw_test = raw[train_idx], raw[test_idx]
         # scaled training columns span exactly [0, 1]: the scaler saw them alone
         assert np.allclose(fd.X_train.min(axis=0), 0.0)
         assert np.allclose(fd.X_train.max(axis=0), 1.0)

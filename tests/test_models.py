@@ -17,8 +17,6 @@ from fairbench.models import (
     SVM_KKT_TOL,
     ForestModel,
     ModelSpec,
-    TreeNode,
-    kernel_eval,
     logistic_loss_grad,
     train,
 )
@@ -59,6 +57,36 @@ def test_spec_requires_family_fields():
         ModelSpec.forest(n_trees=0)
 
 
+def test_spec_resolves_fields_to_their_effective_values():
+    assert ModelSpec(family="svm", kernel="rbf", C=50) == ModelSpec.svm("rbf", C=50.0)
+    assert ModelSpec(family="logr") == ModelSpec.logr(C=1.0)
+    assert ModelSpec(family="forest") == ModelSpec.forest(n_trees=100, bootstrap=True)
+    assert (ModelSpec.forest().n_trees, ModelSpec.forest().bootstrap) == (100, True)
+    spec = ModelSpec(family="forest", n_trees=5.0, max_depth=3.0, max_features=2.0)
+    assert [type(v) for v in (spec.n_trees, spec.max_depth, spec.max_features)] == [int] * 3
+    assert (spec.bootstrap, spec.max_features) == (True, 2)
+    svm = ModelSpec(family="svm", kernel="p2", C=2)
+    assert (type(svm.C), svm.coef0, svm.gamma) == (float, 1.0, None)  # gamma depends on the data
+    assert ModelSpec.forest().max_features is None
+    assert ModelSpec.tree().max_depth is None
+
+
+@pytest.mark.parametrize("fields", [
+    {"family": "knn", "k_neighbors": 2.5},
+    {"family": "knn", "k_neighbors": "3"},
+    {"family": "knn", "k_neighbors": True},
+    {"family": "forest", "n_trees": float("inf")},
+    {"family": "forest", "max_features": 0},
+    {"family": "forest", "bootstrap": "no"},
+    {"family": "tree", "max_depth": 1.5},
+    {"family": "logr", "C": float("nan")},
+    {"family": "svm", "kernel": "rbf", "gamma": 0},
+], ids=repr)
+def test_spec_rejects_malformed_values(fields):
+    with pytest.raises(ValueError):
+        ModelSpec(**fields)
+
+
 def test_spec_names_and_labels():
     assert ModelSpec.svm("p3").name == "svm-p3"
     assert ModelSpec.svm("p3").label == "SVM-P3"
@@ -73,18 +101,24 @@ def test_spec_names_and_labels():
 # ---------------------------------------------------------------------------
 
 
+def kernel_value(kernel, u, v, gamma, coef0=1.0):
+    """The kernel of two vectors, as the one entry of a one-row kernel matrix."""
+    u, v = np.atleast_2d(np.asarray(u, dtype=float)), np.atleast_2d(np.asarray(v, dtype=float))
+    return float(models_mod._kernel_matrix(kernel, u, v, gamma, coef0)[0, 0])
+
+
 def test_rbf_kernel_at_zero_distance():
     u = np.array([0.3, 0.7, 0.1])
-    assert kernel_eval("rbf", u, u, gamma=2.0) == 1.0
+    assert kernel_value("rbf", u, u, gamma=2.0) == 1.0
 
 
 def test_linear_kernel_orthonormal_vectors():
-    assert kernel_eval("ln", [1, 0], [0, 1], gamma=1.0) == 0.0
+    assert kernel_value("ln", [1, 0], [0, 1], gamma=1.0) == 0.0
 
 
 def test_p2_kernel_hand_value():
     # (0.5 * 2 + 1)^2 = 4
-    assert kernel_eval("p2", [1, 1], [1, 1], gamma=0.5, coef0=1.0) == pytest.approx(4.0)
+    assert kernel_value("p2", [1, 1], [1, 1], gamma=0.5, coef0=1.0) == pytest.approx(4.0)
 
 
 def test_kernel_symmetry():
@@ -92,14 +126,9 @@ def test_kernel_symmetry():
     for kernel in ("ln", "rbf", "p2", "p3", "p4"):
         for _ in range(10):
             u, v = rng.random(5), rng.random(5)
-            assert kernel_eval(kernel, u, v, 0.7, 1.0) == pytest.approx(
-                kernel_eval(kernel, v, u, 0.7, 1.0), rel=1e-12
+            assert kernel_value(kernel, u, v, 0.7, 1.0) == pytest.approx(
+                kernel_value(kernel, v, u, 0.7, 1.0), rel=1e-12
             )
-
-
-def test_kernel_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        kernel_eval("rbf", [1, 2], [1, 2, 3], gamma=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +271,14 @@ def test_svm_dual_feasibility(toy_svm_fits):
     for _, m in toy_svm_fits:
         assert abs(float(m.alpha @ m.train_t)) <= 1e-6
         assert float(m.alpha.min()) >= 0.0
-        assert float(m.alpha.max()) <= m.spec.c_value
+        assert float(m.alpha.max()) <= m.spec.C
 
 
 def test_svm_exit_satisfies_kkt(toy_svm_fits):
     for X, m in toy_svm_fits:
         assert m.converged
-        t, alpha, C = m.train_t, m.alpha, m.spec.c_value
-        K = models_mod._kernel_matrix(m.spec.kernel, X, X, m.gamma, m.coef0)
+        t, alpha, C = m.train_t, m.alpha, m.spec.C
+        K = models_mod._kernel_matrix(m.spec.kernel, X, X, m.gamma, m.spec.coef0)
         G = (t[:, None] * t[None, :] * K) @ alpha - 1.0  # recomputed, not the solver's
         tG = -t * G
         up = ((t > 0) & (alpha < C)) | ((t < 0) & (alpha > 0))
@@ -363,7 +392,7 @@ def test_tree_root_splits_on_platelet_count():
     m = train(ModelSpec.tree(), fm.rows, fm.labels)
     _, oracle_col, _ = brute_force_best_split(fm.rows, fm.labels)
     assert CLINICAL_COLUMNS[oracle_col] == "dx_plt_ct"
-    assert m.root.feature == oracle_col
+    assert m.feature[m.roots[0]] == oracle_col
 
 
 def test_tree_perfect_fit_without_conflicts():
@@ -378,27 +407,105 @@ def test_tree_split_tie_prefers_lowest_column():
     X = np.stack([col, col], axis=1)
     y = np.array([0, 0, 1, 1])
     m = train(ModelSpec.tree(), X, y)
-    assert m.root.feature == 0
-    assert m.root.threshold == pytest.approx(1.5)
+    assert m.feature[0] == 0
+    assert m.threshold[0] == pytest.approx(1.5)
 
 
 def test_tree_max_depth_limits_growth():
     X, y = toy_problem(n=60, seed=13, noise=0.6)
     m = train(ModelSpec.tree(max_depth=1), X, y)
-    assert m.root.left.is_leaf and m.root.right.is_leaf
+    assert m.feature[0] >= 0
+    assert m.feature[m.left[0]] == m.feature[m.right[0]] == -1
+    assert len(m.feature) == 3
 
 
 def test_tree_conflicting_duplicates_become_majority_leaf():
     X = np.zeros((5, 2))
     y = np.array([1, 1, 0, 0, 0])
     m = train(ModelSpec.tree(), X, y)
-    assert m.root.is_leaf
-    assert m.root.value == 0
+    assert m.feature.tolist() == [-1]
+    assert m.value.tolist() == [0]
+
+
+def per_column_best_split(X, y, cols):
+    """Reference: one stable argsort/cumsum per candidate column, keeping a
+    column only when its best cut is strictly better than the best so far."""
+    n = len(y)
+    best = None
+    for c in cols:
+        v = X[:, c]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        sy = y[order]
+        cut = np.flatnonzero(sv[1:] > sv[:-1])
+        if cut.size == 0:
+            continue
+        cpos = np.cumsum(sy)
+        nl = cut + 1.0
+        nr = n - nl
+        pl = cpos[cut] / nl
+        pr = (cpos[-1] - cpos[cut]) / nr
+        weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
+        k = int(np.argmin(weighted))
+        if best is None or weighted[k] < best[0]:
+            thr = 0.5 * (sv[cut[k]] + sv[cut[k] + 1])
+            best = (float(weighted[k]), int(c), float(thr))
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_batched_gini_split_equals_the_per_column_loop(seed):
+    # small integer values: equal values inside a column, equal Gini at
+    # several thresholds, and a mirrored column that ties with column 0 at
+    # the mirrored threshold
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 30)), int(rng.integers(3, 8))
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    X[:, 1] = 3.0 - X[:, 0]
+    X[:, int(rng.integers(2, d))] = 2.0  # a constant column
+    y = rng.integers(0, 2, n)
+    subset = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+    for cols in (np.arange(d), subset, np.array([0, 1])):
+        got = models_mod._gini_best_split(X, y, cols)
+        assert got == per_column_best_split(X, y, cols)
+        assert got is None or type(got[1]) is float
+
+
+def test_batched_gini_split_is_none_without_a_cut():
+    X = np.hstack([np.full((6, 1), 3.0), np.zeros((6, 2))])
+    y = np.array([0, 1, 0, 1, 1, 0])
+    assert models_mod._gini_best_split(X, y, np.arange(3)) is None
+    assert per_column_best_split(X, y, np.arange(3)) is None
+    X[:, 1] = np.arange(6)
+    assert models_mod._gini_best_split(X, y, np.array([0, 2])) is None  # cuts exist outside cols
+
+
+def test_tree_arrays_are_preorder():
+    X, y = toy_problem(n=80, seed=20, noise=0.5)
+    m = train(ModelSpec.forest(n_trees=4, seed=3), X, y)
+    n_nodes = len(m.feature)
+    assert m.roots[0] == 0 and (np.diff(m.roots) > 0).all()
+    split = np.flatnonzero(m.feature >= 0)
+    leaf = np.flatnonzero(m.feature < 0)
+    assert (m.left[split] == split + 1).all()  # left subtree follows its parent
+    assert (m.right[split] > m.left[split]).all() and (m.right[split] < n_nodes).all()
+    assert (m.left[leaf] == -1).all() and (m.right[leaf] == -1).all()
+    assert set(m.value.tolist()) <= {0, 1}
+    # every node but a root is the child of exactly one split
+    children = np.sort(np.r_[m.left[split], m.right[split]])
+    assert children.tolist() == sorted(set(range(n_nodes)) - set(m.roots.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
+
+
+def same_trees(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("feature", "threshold", "left", "right", "value", "roots"))
 
 
 def test_forest_single_plain_tree_equals_decision_tree():
@@ -407,11 +514,14 @@ def test_forest_single_plain_tree_equals_decision_tree():
     rf = train(ModelSpec.forest(n_trees=1, bootstrap=False, max_features=X.shape[1]), X, y)
     Xq = np.random.default_rng(15).random((40, 4))
     assert np.array_equal(dt.predict(Xq), rf.predict(Xq))
+    assert same_trees(dt, rf)
 
 
 def test_forest_vote_tie_resolves_to_zero():
-    trees = [TreeNode(value=1), TreeNode(value=0)]
-    m = ForestModel(spec=ModelSpec.forest(n_trees=2), n_features=1, trees=trees)
+    leaves = np.array([-1, -1])  # two one-leaf trees voting 1 and 0
+    m = ForestModel(spec=ModelSpec.forest(n_trees=2), n_features=1, feature=leaves,
+                    threshold=np.zeros(2), left=leaves, right=leaves, value=np.array([1, 0]),
+                    roots=np.array([0, 1]))
     assert m.predict(np.zeros((3, 1))).tolist() == [0, 0, 0]
 
 
@@ -422,8 +532,8 @@ def test_forest_seed_changes_trees_deterministically():
     c = train(ModelSpec.forest(n_trees=5, seed=2), X, y)
     Xq = np.random.default_rng(17).random((50, 4))
     assert np.array_equal(a.predict(Xq), b.predict(Xq))
-    assert a.trees == b.trees
-    assert a.trees != c.trees
+    assert same_trees(a, b)
+    assert not same_trees(a, c)
 
 
 def test_forest_learns_separable_problem():
