@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import (
     DimensionMismatch,
@@ -303,8 +303,8 @@ def _band_score(A, B, MU, CC, mu, t, n, z):
     """Worst sample-moment error predicted at z-sigma: order-statistic band
     around the distribution median, plus mean offset and CLT mean noise."""
     delta = min(z * 0.5 / np.sqrt(n), 0.49)
-    q_lo = stats.beta.ppf(0.5 - delta, A, B)
-    q_hi = stats.beta.ppf(0.5 + delta, A, B)
+    q_lo = special.betaincinv(A, B, 0.5 - delta)
+    q_hi = special.betaincinv(A, B, 0.5 + delta)
     med_err = np.maximum(np.abs(q_lo - t), np.abs(q_hi - t))
     mean_err = np.abs(MU - mu) + z * np.sqrt(MU * (1.0 - MU) / (CC + 1.0)) / np.sqrt(n)
     return np.maximum(med_err, mean_err)

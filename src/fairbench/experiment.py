@@ -40,7 +40,7 @@ from .dataset import (
 from .errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
 from .importance import permutation_importance
 from .metrics import equalized_odds, group_rates, macro_f1
-from .models import ModelSpec, train
+from .models import ModelSpec, _flag, predict_many, train
 from .rng import derive_seed
 from .specfile import cohort_spec_to_dict, default_cohort_spec, load_cohort_spec, load_yaml
 
@@ -210,66 +210,76 @@ def _annotate(exc: FairbenchError, context: str) -> FairbenchError:
     return new
 
 
-def _evaluate_pair(spec: ModelSpec, protocol: str, folds: list[_FoldData],
-                   master_seed: int, n_repeats: int) -> dict:
-    """All results for one (model, protocol): fold scores, fairness, importance."""
-    fold_scores: list[float] = []
-    pooled_true: list[np.ndarray] = []
-    pooled_pred: list[np.ndarray] = []
-    pooled_groups: dict[str, list[np.ndarray]] = {a: [] for a in SENSITIVE_ATTRIBUTES}
-    per_fold_eo: dict[str, list[float]] = {a: [] for a in SENSITIVE_ATTRIBUTES}
-    importance: dict[str, list[dict]] = {"train": [], "test": []}
+def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _FoldData,
+                   master_seed: int, n_repeats: int) -> list[dict]:
+    """Every model's results on one (protocol, fold) pair, in ``specs`` order:
+    test labels, fold score, per-fold fairness and importance on both splits.
+
+    The test-split prediction doubles as that split's importance baseline, and
+    every model scores the same shuffled copies of each split, drawn from
+    streams keyed by (protocol, fold, split)."""
+    fitted = []
+    for spec in specs:
+        try:
+            fitted.append(train(replace(spec, seed=derive_seed(master_seed, "model",
+                                                               spec.name, protocol, f)),
+                                fd.X_train, fd.y_train))
+        except FairbenchError as exc:
+            raise _annotate(exc, f"(model={spec.name}, protocol={protocol}, fold={f})") from exc
+    try:
+        y_hats = predict_many(fitted, fd.X_test)
+    except FairbenchError as exc:
+        raise _annotate(exc, f"(protocol={protocol}, fold={f})") from exc
 
     grouped = None
     if protocol == AWARE:
-        cols = folds[0].column_names
-        grouped = {"race (grouped)": tuple(cols.index(c) for c in RACE_COLUMNS)}
+        grouped = {"race (grouped)": tuple(fd.column_names.index(c) for c in RACE_COLUMNS)}
+    importance: dict[str, list] = {}
+    for split, X, y, predictions in (("train", fd.X_train, fd.y_train, None),
+                                     ("test", fd.X_test, fd.y_test, y_hats)):
+        importance[split] = permutation_importance(
+            fitted, X, y, n_repeats=n_repeats,
+            seed=derive_seed(master_seed, "importance", protocol, f, split),
+            column_names=fd.column_names, grouped_columns=grouped, split=split,
+            predictions=predictions,
+        )
 
-    for f, fd in enumerate(folds):
-        context = f"(model={spec.name}, protocol={protocol}, fold={f})"
-        try:
-            fitted = train(replace(spec, seed=derive_seed(master_seed, "model",
-                                                          spec.name, protocol, f)),
-                           fd.X_train, fd.y_train)
-            y_hat = fitted.predict(fd.X_test)
-        except FairbenchError as exc:
-            raise _annotate(exc, context) from exc
-
-        fold_scores.append(macro_f1(fd.y_test, y_hat))
-        pooled_true.append(fd.y_test)
-        pooled_pred.append(y_hat)
-        for attr in SENSITIVE_ATTRIBUTES:
-            pooled_groups[attr].append(fd.test_groups[attr])
-            per_fold_eo[attr].append(
-                equalized_odds(group_rates(fd.y_test, y_hat, fd.test_groups[attr]))
-            )
-
-        for split, X, y in (("train", fd.X_train, fd.y_train),
-                            ("test", fd.X_test, fd.y_test)):
-            res = permutation_importance(
-                fitted, X, y, n_repeats=n_repeats,
-                seed=derive_seed(master_seed, "importance", spec.name, protocol, f, split),
-                column_names=fd.column_names, grouped_columns=grouped, split=split,
-            )
-            importance[split].append({
-                "baseline_score": res.baseline_score,
+    results = []
+    for m, y_hat in enumerate(y_hats):
+        results.append({
+            "y_hat": y_hat,
+            "score": macro_f1(fd.y_test, y_hat),
+            "eo": {attr: equalized_odds(group_rates(fd.y_test, y_hat, fd.test_groups[attr]))
+                   for attr in SENSITIVE_ATTRIBUTES},
+            "importance": {split: {
+                "baseline_score": res[m].baseline_score,
                 "split": split,
                 "features": {
                     name: {"mean_drop": fi.mean_drop, "std_drop": fi.std_drop,
                            "repeats": fi.repeats}
-                    for name, fi in res.features.items()
+                    for name, fi in res[m].features.items()
                 },
-            })
+            } for split, res in importance.items()},
+        })
+    return results
 
-    y_true = np.concatenate(pooled_true)
-    y_pred = np.concatenate(pooled_pred)
+
+def _evaluate_pair_task(payload) -> tuple[tuple[str, int], list[dict]]:
+    specs, protocol, f, fd, master_seed, n_repeats = payload
+    return (protocol, f), _evaluate_pair(specs, protocol, f, fd, master_seed, n_repeats)
+
+
+def _entry(spec: ModelSpec, protocol: str, folds: list[_FoldData], per_fold: list[dict]) -> dict:
+    """One (model, protocol) report entry from the model's results on each fold."""
+    fold_scores = [r["score"] for r in per_fold]
+    y_true = np.concatenate([fd.y_test for fd in folds])
+    y_pred = np.concatenate([r["y_hat"] for r in per_fold])
     fairness = {}
     for attr in SENSITIVE_ATTRIBUTES:
         pooled = equalized_odds(
-            group_rates(y_true, y_pred, np.concatenate(pooled_groups[attr]))
+            group_rates(y_true, y_pred, np.concatenate([fd.test_groups[attr] for fd in folds]))
         )
-        fairness[attr] = {"pooled": pooled, "per_fold": per_fold_eo[attr]}
-
+        fairness[attr] = {"pooled": pooled, "per_fold": [r["eo"][attr] for r in per_fold]}
     return {
         "model": spec.name,
         "label": spec.label,
@@ -277,25 +287,19 @@ def _evaluate_pair(spec: ModelSpec, protocol: str, folds: list[_FoldData],
         "fold_scores": fold_scores,
         "mean_score": float(np.mean(fold_scores)),
         "fairness": fairness,
-        "importance": importance,
+        "importance": {split: [r["importance"][split] for r in per_fold]
+                       for split in ("train", "test")},
     }
-
-
-def _evaluate_pair_task(payload) -> tuple[int, dict]:
-    order, spec, protocol, folds, master_seed, n_repeats = payload
-    return order, _evaluate_pair(spec, protocol, folds, master_seed, n_repeats)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cohort, cohort_seed = materialize_cohort(config)
     folds_by_protocol = {p: prepare_folds(cohort, config, p) for p in config.protocols}
 
-    payloads = []
-    for mi, spec in enumerate(config.models):
-        for pi, protocol in enumerate(config.protocols):
-            order = mi * len(config.protocols) + pi
-            payloads.append((order, spec, protocol, folds_by_protocol[protocol],
-                             config.master_seed, config.n_permutation_repeats))
+    payloads = [(config.models, protocol, f, fd, config.master_seed,
+                 config.n_permutation_repeats)
+                for protocol in config.protocols
+                for f, fd in enumerate(folds_by_protocol[protocol])]
 
     # the pool forks every worker up front: never more than can be kept busy
     n_workers = min(config.n_workers, len(payloads), os.cpu_count() or 1)
@@ -304,7 +308,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             results = dict(pool.map(_evaluate_pair_task, payloads))
     else:
         results = dict(map(_evaluate_pair_task, payloads))
-    entries = [results[i] for i in sorted(results)]
+    # assembled in grid order, whatever order the units finished in
+    entries = [
+        _entry(spec, protocol, folds_by_protocol[protocol],
+               [results[protocol, f][m] for f in range(config.k_folds)])
+        for m, spec in enumerate(config.models)
+        for protocol in config.protocols
+    ]
 
     for e in entries:
         scores = e["fold_scores"] + [e["mean_score"]] + [
@@ -323,6 +333,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "cohort_source": cohort.source,
         "n_records": len(cohort),
         "class_counts": {"ITP": cohort.n_itp, "NonITP": cohort.n_non_itp},
+        # every model of a (protocol, fold) scores the same shuffled copies
+        "importance_streams": ["protocol", "fold", "split"],
     }
     report = ExperimentReport(
         provenance=provenance,
@@ -427,7 +439,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         "protocols": ("protocols", lambda v: tuple(str(p) for p in v)),
         "n_permutation_repeats": ("n_permutation_repeats", int),
         "age_bin_edges": ("age_bin_edges", lambda v: tuple(float(e) for e in v)),
-        "clamp": ("clamp", bool),
+        "clamp": ("clamp", _flag),
         "workers": ("n_workers", int),
     }
     for key, (name, convert) in fields.items():

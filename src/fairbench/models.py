@@ -4,7 +4,8 @@ Logistic regression (damped Newton: a closed-form Hessian solve per step and
 Armijo backtracking, so every step lowers the regularised loss), kernel SVM
 (two-coordinate dual descent; the maximal violator i in the up set is paired
 with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005),
-k-nearest neighbours, and CART trees (Gini, midpoint thresholds; each node
+k-nearest neighbours (one neighbour order per block of query rows serves every
+k fit to the same rows, see predict_many), and CART trees (Gini, midpoint thresholds; each node
 scores all its candidate columns in one sorted pass). Both solvers stop on a
 tolerance; their iteration caps are safety nets that warn with DidNotConverge.
 Trees are stored as flat preorder node arrays in a ForestModel: a decision
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -88,7 +90,7 @@ class ModelSpec:
     max_depth: int | None = None  # tree/forest only
     C: float | None = None  # logr/svm only
     gamma: float | None = None  # svm only; None -> 1/(d * mean column variance)
-    coef0: float | None = None  # svm polynomial kernels only
+    coef0: float | None = None  # svm polynomial kernels only; None for ln and rbf
     bootstrap: bool | None = None  # forest only
     max_features: int | None = None  # forest only; None -> ceil(sqrt(d))
     seed: int = 0
@@ -97,13 +99,17 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         allowed = _FAMILY_FIELDS[self.family]
+        if self.family == "svm" and self.kernel in ("ln", "rbf"):  # only polynomials read coef0
+            allowed = {k: v for k, v in allowed.items() if k != "coef0"}
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in allowed:
                 convert, default = allowed[f.name]
                 object.__setattr__(self, f.name, default if value is None else convert(value))
             elif value is not None and f.name not in ("family", "seed"):
-                raise ValueError(f"{f.name} is not a valid field for family {self.family!r}")
+                kernel = f" with kernel {self.kernel!r}" if self.family == "svm" else ""
+                raise ValueError(f"{f.name} is not a valid field for family "
+                                 f"{self.family!r}{kernel}")
         if self.family == "svm" and self.kernel not in KERNELS:
             raise ValueError(f"svm kernel must be one of {KERNELS}, got {self.kernel!r}")
         if self.family == "knn" and self.k_neighbors is None:
@@ -192,6 +198,9 @@ class TrainedModel:
     n_features: int
 
     def predict(self, X) -> np.ndarray:
+        return self._predict(self._checked(X))
+
+    def _checked(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise DimensionMismatch(
@@ -199,7 +208,7 @@ class TrainedModel:
             )
         if not np.isfinite(X).all():
             raise NonFiniteInput("prediction matrix contains non-finite values")
-        return self._predict(X)
+        return X
 
     def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
@@ -244,32 +253,68 @@ class KnnModel(TrainedModel):
     train_y: np.ndarray = None
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        pred = np.empty(len(X), dtype=np.int64)
-        for start in range(0, len(X), KNN_BLOCK_ROWS):
-            stop = start + KNN_BLOCK_ROWS
-            pred[start:stop] = self._predict_block(X[start:stop])
-        return pred
+        return _knn_votes(self.train_X, self.train_y, X, [self.spec.k_neighbors])[0]
 
-    def _predict_block(self, X: np.ndarray) -> np.ndarray:
-        k = min(self.spec.k_neighbors, len(self.train_y))
-        d2 = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * (X @ self.train_X.T)
-            + np.sum(self.train_X * self.train_X, axis=1)[None, :]
-        )
-        # the k nearest with equal distances resolved to the lowest training
-        # index: everything closer than the k-th distance, then the
-        # lowest-index points at that distance until k are taken
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        closer = d2 < kth
-        at_kth = d2 == kth
-        room = k - np.count_nonzero(closer, axis=1)
-        chosen = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= room[:, None]))
-        pos = np.count_nonzero(chosen & (self.train_y == 1), axis=1)
-        pred = np.where(2 * pos > k, 1, 0)
-        ties = 2 * pos == k  # even k: fall back to the single nearest neighbour
-        pred[ties] = self.train_y[np.argmin(d2[ties], axis=1)]
-        return pred
+
+def _nearest(d2: np.ndarray, kmax: int) -> np.ndarray:
+    """Each row's first ``kmax`` column indices in (distance, index) order,
+    the order a stable argsort of the row gives."""
+    cand = np.sort(np.argpartition(d2, kmax - 1, axis=1)[:, :kmax], axis=1)
+    dist = np.take_along_axis(d2, cand, axis=1)
+    idx = np.take_along_axis(cand, np.argsort(dist, axis=1, kind="stable"), axis=1)
+    # the candidates are the kmax nearest unless a point left out ties the
+    # kmax-th distance; only such rows need a stable sort of the whole row
+    within = np.count_nonzero(d2 <= dist.max(axis=1, keepdims=True), axis=1)
+    tied = np.flatnonzero(within > kmax)
+    idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :kmax]
+    return idx
+
+
+def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
+               ks: list[int]) -> list[np.ndarray]:
+    """Labels of X by majority vote of the k nearest training rows, for each
+    k in ``ks``, from one distance block and one neighbour order per
+    ``KNN_BLOCK_ROWS`` query rows. Equal distances resolve to the lowest
+    training index; an even-k vote tie takes the nearest neighbour's label."""
+    ks = [min(k, len(train_y)) for k in ks]
+    sq_train = np.sum(train_X * train_X, axis=1)
+    preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
+    for start in range(0, len(X), KNN_BLOCK_ROWS):
+        B = X[start:start + KNN_BLOCK_ROWS]
+        d2 = np.sum(B * B, axis=1)[:, None] - 2.0 * (B @ train_X.T) + sq_train[None, :]
+        votes = train_y[_nearest(d2, max(ks))]
+        pos = np.cumsum(votes, axis=1)
+        for pred, k in zip(preds, ks):
+            twice = 2 * pos[:, k - 1]
+            pred[start:start + len(B)] = np.where(twice == k, votes[:, 0], twice > k)
+    return preds
+
+
+def predict_many(models: Sequence[TrainedModel], X) -> list[np.ndarray]:
+    """Each model's labels for X, equal to its own ``predict``. KNN models fit
+    to equal training rows share one distance block and one neighbour order;
+    every other model goes through ``TrainedModel.predict``."""
+    out: list = [None] * len(models)
+    groups: list[list[int]] = []  # KNN models with equal training rows
+    for i, m in enumerate(models):
+        if not isinstance(m, KnnModel):
+            out[i] = m.predict(X)
+            continue
+        for group in groups:
+            first = models[group[0]]
+            if (np.array_equal(first.train_X, m.train_X)
+                    and np.array_equal(first.train_y, m.train_y)):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    for group in groups:
+        first = models[group[0]]
+        preds = _knn_votes(first.train_X, first.train_y, first._checked(X),
+                           [models[i].spec.k_neighbors for i in group])
+        for i, pred in zip(group, preds):
+            out[i] = pred
+    return out
 
 
 @dataclass

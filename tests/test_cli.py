@@ -125,6 +125,8 @@ def test_run_invalid_config_exits_1(tmp_path):
     "models: [{family: forest, n_trees: 5, seed: 5}]",
     "models: [{family: knn, k_neighbors: 2.5}]",
     "k_folds: [1",
+    'clamp: "false"',
+    "models: [{family: svm, kernel: rbf, coef0: 2}]",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"

@@ -352,7 +352,7 @@ def test_pool_is_no_larger_than_the_work_or_the_machine(monkeypatch):
                             "n_permutation_repeats": 1, "workers": 64})
     serial = run_experiment(replace(cfg, n_workers=1)).to_json()
     assert sizes == []
-    for cpus, expected in ((4, 4), (None, None), (128, 6)):  # 6 = 3 models x 2 protocols
+    for cpus, expected in ((3, 3), (None, None), (128, 4)):  # 4 = 2 protocols x 2 folds
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
         sizes.clear()
         assert run_experiment(cfg).to_json() == serial

@@ -23,8 +23,8 @@ def test_noise_column_has_negligible_importance():
     X, y = separable_with_noise()
     for spec in (ModelSpec.tree(), ModelSpec.forest(n_trees=10)):
         m = train(spec, X, y)
-        res = permutation_importance(m, X, y, n_repeats=5, seed=1,
-                                     column_names=("signal", "noise"))
+        (res,) = permutation_importance([m], X, y, n_repeats=5, seed=1,
+                                        column_names=("signal", "noise"))
         fi = res.features["noise"]
         assert abs(fi.mean_drop) <= 2 * fi.std_drop + 1e-12
         assert res.features["signal"].mean_drop > fi.mean_drop
@@ -38,7 +38,7 @@ def test_identity_permutation_gives_zero_drops(monkeypatch):
     monkeypatch.setattr(importance_mod, "_rng_for", lambda *a: _IdentityRng())
     X, y = separable_with_noise(seed=3)
     m = train(ModelSpec.tree(), X, y)
-    res = permutation_importance(m, X, y, n_repeats=1, seed=0)
+    (res,) = permutation_importance([m], X, y, n_repeats=1, seed=0)
     assert all(fi.mean_drop == 0.0 for fi in res.features.values())
     assert all(fi.std_drop == 0.0 for fi in res.features.values())
 
@@ -47,17 +47,17 @@ def test_caller_matrix_is_never_mutated():
     X, y = separable_with_noise(seed=4)
     original = X.copy()
     m = train(ModelSpec.knn(1), X, y)
-    permutation_importance(m, X, y, n_repeats=3, seed=2)
+    permutation_importance([m], X, y, n_repeats=3, seed=2)
     assert np.array_equal(X, original)
 
 
 def test_importance_is_deterministic():
     X, y = separable_with_noise(seed=5)
     m = train(ModelSpec.forest(n_trees=8, seed=1), X, y)
-    a = permutation_importance(m, X, y, n_repeats=4, seed=9)
-    b = permutation_importance(m, X, y, n_repeats=4, seed=9)
+    (a,) = permutation_importance([m], X, y, n_repeats=4, seed=9)
+    (b,) = permutation_importance([m], X, y, n_repeats=4, seed=9)
     assert a == b
-    c = permutation_importance(m, X, y, n_repeats=4, seed=10)
+    (c,) = permutation_importance([m], X, y, n_repeats=4, seed=10)
     assert a != c
 
 
@@ -65,7 +65,7 @@ def test_column_ignored_by_tree_has_exactly_zero_drop():
     X, y = separable_with_noise(seed=6)
     m = train(ModelSpec.tree(), X, y)
     assert set(m.feature[m.feature >= 0].tolist()) == {0}  # splits read x0 only
-    res = permutation_importance(m, X, y, n_repeats=5, seed=3)
+    (res,) = permutation_importance([m], X, y, n_repeats=5, seed=3)
     assert res.features["x1"].mean_drop == 0.0
     assert res.features["x1"].std_drop == 0.0
 
@@ -79,8 +79,8 @@ def test_grouped_columns_are_shuffled_jointly(monkeypatch):
     X = np.hstack([signal, onehot])
     y = (signal[:, 0] > 0.5).astype(int)
     m = train(ModelSpec.tree(), X, y)
-    res = permutation_importance(
-        m, X, y, n_repeats=3, seed=4,
+    (res,) = permutation_importance(
+        [m], X, y, n_repeats=3, seed=4,
         column_names=("signal", "a", "b", "c"),
         grouped_columns={"abc (grouped)": (1, 2, 3)},
     )
@@ -92,7 +92,7 @@ def test_grouped_columns_are_shuffled_jointly(monkeypatch):
 def test_baseline_score_and_split_tag():
     X, y = separable_with_noise(seed=8)
     m = train(ModelSpec.tree(), X, y)
-    res = permutation_importance(m, X, y, n_repeats=2, seed=5, split="train")
+    (res,) = permutation_importance([m], X, y, n_repeats=2, seed=5, split="train")
     assert res.split == "train"
     assert res.baseline_score == 1.0
 
@@ -101,8 +101,8 @@ def test_platelet_count_dominates_default_cohort():
     cohort = synthesize_cohort(default_cohort_spec(), 42)
     fm = encode_features(cohort, "unaware")
     m = train(ModelSpec.tree(), fm.rows, fm.labels)
-    res = permutation_importance(m, fm.rows, fm.labels, n_repeats=5, seed=0,
-                                 column_names=fm.column_names)
+    (res,) = permutation_importance([m], fm.rows, fm.labels, n_repeats=5, seed=0,
+                                    column_names=fm.column_names)
     ranked = res.ranked()
     assert ranked[0][0] == "dx_plt_ct"
     assert ranked[0][1].mean_drop > ranked[1][1].mean_drop
@@ -112,9 +112,9 @@ def test_importance_dimension_mismatch():
     X, y = separable_with_noise(seed=9)
     m = train(ModelSpec.tree(), X, y)
     with pytest.raises(DimensionMismatch):
-        permutation_importance(m, X[:, :1], y, n_repeats=1, seed=0)
+        permutation_importance([m], X[:, :1], y, n_repeats=1, seed=0)
     with pytest.raises(DimensionMismatch):
-        permutation_importance(m, X, y, n_repeats=1, seed=0, column_names=("only_one",))
+        permutation_importance([m], X, y, n_repeats=1, seed=0, column_names=("only_one",))
 
 
 def one_copy_at_a_time(model, X, y, n_repeats, seed, grouped_columns=None):
@@ -161,7 +161,48 @@ def test_stacked_copies_equal_one_copy_at_a_time(monkeypatch, spec, grouped, chu
     X_train, y_train = noisy_with_onehot(60, seed=1)
     X, y = noisy_with_onehot(25, seed=2)
     m = train(spec, X_train, y_train)
-    got = permutation_importance(m, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
+    (got,) = permutation_importance([m], X, y, n_repeats=3, seed=7, grouped_columns=grouped)
     want = one_copy_at_a_time(m, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
     assert got == want
     assert any(fi.std_drop > 0 for fi in got.features.values())
+
+
+FAMILIES = (ModelSpec.logr(), ModelSpec.svm("p2"), ModelSpec.knn(1), ModelSpec.knn(4),
+            ModelSpec.tree(), ModelSpec.forest(n_trees=7, seed=3))
+
+
+@pytest.mark.parametrize("chunk_rows", [50, 10])
+@pytest.mark.parametrize("grouped", [None, {"onehot (grouped)": (3, 4, 5)}])
+def test_models_scored_together_equal_each_scored_alone(monkeypatch, grouped, chunk_rows):
+    # the two KNN models share one neighbour order; the rest predict alone
+    monkeypatch.setattr(importance_mod, "CHUNK_ROWS", chunk_rows)
+    X_train, y_train = noisy_with_onehot(60, seed=1)
+    X, y = noisy_with_onehot(25, seed=2)
+    fitted = [train(spec, X_train, y_train) for spec in FAMILIES]
+    together = permutation_importance(fitted, X, y, n_repeats=3, seed=7,
+                                      grouped_columns=grouped)
+    alone = [permutation_importance([m], X, y, n_repeats=3, seed=7,
+                                    grouped_columns=grouped)[0] for m in fitted]
+    assert together == alone
+    given = permutation_importance(fitted, X, y, n_repeats=3, seed=7, grouped_columns=grouped,
+                                   predictions=[m.predict(X) for m in fitted])
+    assert given == together
+
+
+def test_a_split_draws_one_stream_per_target_and_repeat(monkeypatch):
+    calls = []
+    rng_for = importance_mod._rng_for
+
+    def counting(*args):
+        calls.append(args)
+        return rng_for(*args)
+
+    monkeypatch.setattr(importance_mod, "_rng_for", counting)
+    X_train, y_train = noisy_with_onehot(60, seed=1)
+    X, y = noisy_with_onehot(25, seed=2)
+    fitted = [train(spec, X_train, y_train) for spec in FAMILIES]
+    grouped = {"onehot (grouped)": (3, 4, 5)}
+    for models in (fitted[:1], fitted):
+        calls.clear()
+        permutation_importance(models, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
+        assert len(calls) == len(set(calls)) == (6 + 1) * 3  # (6 columns + 1 group) x 3 repeats

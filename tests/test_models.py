@@ -18,6 +18,7 @@ from fairbench.models import (
     ForestModel,
     ModelSpec,
     logistic_loss_grad,
+    predict_many,
     train,
 )
 from fairbench.specfile import default_cohort_spec
@@ -67,6 +68,7 @@ def test_spec_resolves_fields_to_their_effective_values():
     assert (spec.bootstrap, spec.max_features) == (True, 2)
     svm = ModelSpec(family="svm", kernel="p2", C=2)
     assert (type(svm.C), svm.coef0, svm.gamma) == (float, 1.0, None)  # gamma depends on the data
+    assert ModelSpec.svm("rbf").coef0 is None  # the kernel never reads it
     assert ModelSpec.forest().max_features is None
     assert ModelSpec.tree().max_depth is None
 
@@ -81,6 +83,8 @@ def test_spec_resolves_fields_to_their_effective_values():
     {"family": "tree", "max_depth": 1.5},
     {"family": "logr", "C": float("nan")},
     {"family": "svm", "kernel": "rbf", "gamma": 0},
+    {"family": "svm", "kernel": "rbf", "coef0": 2.0},
+    {"family": "svm", "kernel": "ln", "coef0": 1.0},
 ], ids=repr)
 def test_spec_rejects_malformed_values(fields):
     with pytest.raises(ValueError):
@@ -341,21 +345,42 @@ def knn_stable_argsort_reference(model, X):
     return pred
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 8, 12, 40])
-def test_knn_ties_match_stable_argsort(monkeypatch, k):
-    # integer grid points with duplicates: many equal distances, including at
-    # the k-th boundary, and different labels on duplicated points
-    monkeypatch.setattr(models_mod, "KNN_BLOCK_ROWS", 3)
+def tied_grid():
+    """Integer grid points with duplicates: many equal distances, including at
+    every k-th boundary, and different labels on duplicated points."""
     rng = np.random.default_rng(11)
     base = rng.integers(0, 3, size=(10, 2)).astype(float)
     X = np.vstack([base, base, base[:6]])
     y = (np.arange(len(X)) % 3 == 0).astype(int)
-    m = train(ModelSpec.knn(k), X, y)
     Xq = np.vstack([X, rng.integers(0, 3, size=(14, 2)).astype(float), [[1.0, 1.0]]])
+    return X, y, Xq
+
+
+KNN_KS = (1, 2, 4, 8, 12, 40)
+
+
+@pytest.mark.parametrize("k", KNN_KS)
+def test_knn_ties_match_stable_argsort(monkeypatch, k):
+    monkeypatch.setattr(models_mod, "KNN_BLOCK_ROWS", 3)
+    X, y, Xq = tied_grid()
+    m = train(ModelSpec.knn(k), X, y)
     if k < len(y):  # some row shares its k-th distance with a point left out
         d2 = np.sort(((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2), axis=1)
         assert (d2[:, k - 1] == d2[:, k]).any()
     assert np.array_equal(m.predict(Xq), knn_stable_argsort_reference(m, Xq))
+
+
+def test_knn_models_predicted_together_match_stable_argsort(monkeypatch):
+    # every k shares one neighbour order; a KNN model fit to other rows and a
+    # tree are predicted on their own
+    monkeypatch.setattr(models_mod, "KNN_BLOCK_ROWS", 3)
+    X, y, Xq = tied_grid()
+    fitted = [train(ModelSpec.knn(k), X, y) for k in KNN_KS]
+    fitted += [train(ModelSpec.knn(3), X[::-1], y), train(ModelSpec.tree(), X, y)]
+    got = predict_many(fitted, Xq)
+    for m, pred in zip(fitted[:-1], got):
+        assert np.array_equal(pred, knn_stable_argsort_reference(m, Xq))
+    assert np.array_equal(got[-1], fitted[-1].predict(Xq))
 
 
 # ---------------------------------------------------------------------------
