@@ -14,7 +14,6 @@ from .dataset import (
     ClassSpec,
     Cohort,
     CohortSpec,
-    FeatureMatrix,
     Scaler,
     StatBlock,
     age_bin_labels,
@@ -36,7 +35,7 @@ from .experiment import (
     parse_model_name,
     run_experiment,
 )
-from .importance import ImportanceResult, permutation_importance
+from .importance import permutation_importance
 from .metrics import (
     ConfusionCounts,
     GroupRates,
@@ -63,7 +62,6 @@ __all__ = [
     "CohortSpec",
     "ClassSpec",
     "StatBlock",
-    "FeatureMatrix",
     "Scaler",
     "load_cohort_csv",
     "write_cohort_csv",
@@ -84,7 +82,6 @@ __all__ = [
     "macro_f1",
     "group_rates",
     "equalized_odds",
-    "ImportanceResult",
     "permutation_importance",
     "ExperimentConfig",
     "ExperimentReport",

@@ -41,9 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full experiment from a config file")
     run.add_argument("--config", required=True, help="experiment config YAML")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=int, help="override the master seed")
     run.add_argument("--formats", default="md,json", help="comma list of md,json,svg")
-    run.add_argument("--workers", type=int, help="override worker count")
 
     rep = sub.add_parser("report", help="re-render a stored report.json")
     rep.add_argument("--in", dest="input", required=True, help="path to report.json")
@@ -71,14 +69,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from dataclasses import replace
-
     config = load_experiment_config(args.config)
     formats = _parse_formats(args.formats)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, n_workers=args.workers)
 
     started = time.perf_counter()
     report = run_experiment(config)

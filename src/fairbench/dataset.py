@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DimensionMismatch,
@@ -302,6 +301,10 @@ _MAX_REDRAWS = 64
 def _band_score(A, B, MU, CC, mu, t, n, z):
     """Worst sample-moment error predicted at z-sigma: order-statistic band
     around the distribution median, plus mean offset and CLT mean noise."""
+    # imported here, not at the top: scipy more than doubles the time of
+    # `import fairbench`, and only synthesis needs it
+    from scipy import special
+
     delta = min(z * 0.5 / np.sqrt(n), 0.49)
     q_lo = special.betaincinv(A, B, 0.5 - delta)
     q_hi = special.betaincinv(A, B, 0.5 + delta)
@@ -492,23 +495,12 @@ def apply_minmax(scaler: Scaler, matrix: np.ndarray, clamp: bool = True) -> np.n
     return out
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    rows: np.ndarray
-    column_names: tuple[str, ...]
-    protocol: str
-    labels: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return self.rows.shape[1]
-
-
 _CLINICAL_INDEX = [NUMERIC_FIELDS.index(c) for c in CLINICAL_COLUMNS]
 
 
-def encode_features(cohort: Cohort, protocol: str) -> FeatureMatrix:
-    """Build the unscaled design matrix for a protocol, one row per patient."""
+def encode_features(cohort: Cohort, protocol: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The unscaled design matrix for a protocol, one row per patient, and
+    its column names."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     if len(cohort) == 0:
@@ -524,7 +516,7 @@ def encode_features(cohort: Cohort, protocol: str) -> FeatureMatrix:
         age = cohort.column("age_last_seen")[:, None]
         rows = np.hstack([clinical, gender, race, age])
         names = AWARE_COLUMNS
-    return FeatureMatrix(rows=rows, column_names=names, protocol=protocol, labels=cohort.y)
+    return rows, names
 
 
 def bin_age(age, edges: tuple[float, ...] = DEFAULT_AGE_EDGES):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -40,7 +42,7 @@ from .dataset import (
 from .errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
 from .importance import permutation_importance
 from .metrics import equalized_odds, group_rates, macro_f1
-from .models import ModelSpec, _flag, predict_many, train
+from .models import ModelSpec, _flag, _int, _positive_int, predict_many, train
 from .rng import derive_seed
 from .specfile import cohort_spec_to_dict, default_cohort_spec, load_cohort_spec, load_yaml
 
@@ -86,6 +88,11 @@ class ExperimentConfig:
         if self.n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
         edges = self.age_bin_edges
+        if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
+                   for e in edges):
+            raise ConfigError(f"age_bin_edges must be finite numbers, got {list(edges)}")
+        edges = tuple(float(e) for e in edges)
+        object.__setattr__(self, "age_bin_edges", edges)
         if not edges or any(a >= b for a, b in zip(edges, edges[1:])):
             raise ConfigError(f"age_bin_edges must be non-empty and strictly increasing, "
                               f"got {list(edges)}")
@@ -183,18 +190,18 @@ def prepare_folds(cohort: Cohort, config: ExperimentConfig,
     except TooFewSamples as exc:
         raise TooFewSamples(f"(k_folds={config.k_folds}) {exc}") from None
 
-    fm = encode_features(cohort, protocol)
+    rows, column_names = encode_features(cohort, protocol)
     edges = config.age_bin_edges
     age_groups = np.asarray(age_bin_labels(edges))[bin_age(cohort.column("age_last_seen"), edges)]
     out = []
     for train_idx, test_idx in folds:
-        scaler = fit_minmax(fm.rows[train_idx])
+        scaler = fit_minmax(rows[train_idx])
         out.append(_FoldData(
-            X_train=apply_minmax(scaler, fm.rows[train_idx], clamp=config.clamp),
-            y_train=fm.labels[train_idx],
-            X_test=apply_minmax(scaler, fm.rows[test_idx], clamp=config.clamp),
-            y_test=fm.labels[test_idx],
-            column_names=fm.column_names,
+            X_train=apply_minmax(scaler, rows[train_idx], clamp=config.clamp),
+            y_train=cohort.y[train_idx],
+            X_test=apply_minmax(scaler, rows[test_idx], clamp=config.clamp),
+            y_test=cohort.y[test_idx],
+            column_names=column_names,
             test_groups={"gender": cohort.gender[test_idx], "race": cohort.race[test_idx],
                          "age": age_groups[test_idx]},
         ))
@@ -240,8 +247,7 @@ def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _Fol
         importance[split] = permutation_importance(
             fitted, X, y, n_repeats=n_repeats,
             seed=derive_seed(master_seed, "importance", protocol, f, split),
-            column_names=fd.column_names, grouped_columns=grouped, split=split,
-            predictions=predictions,
+            column_names=fd.column_names, grouped_columns=grouped, predictions=predictions,
         )
 
     results = []
@@ -251,15 +257,8 @@ def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _Fol
             "score": macro_f1(fd.y_test, y_hat),
             "eo": {attr: equalized_odds(group_rates(fd.y_test, y_hat, fd.test_groups[attr]))
                    for attr in SENSITIVE_ATTRIBUTES},
-            "importance": {split: {
-                "baseline_score": res[m].baseline_score,
-                "split": split,
-                "features": {
-                    name: {"mean_drop": fi.mean_drop, "std_drop": fi.std_drop,
-                           "repeats": fi.repeats}
-                    for name, fi in res[m].features.items()
-                },
-            } for split, res in importance.items()},
+            "importance": {split: {"split": split, **res[m]}
+                           for split, res in importance.items()},
         })
     return results
 
@@ -409,6 +408,12 @@ def _path(value, key: str) -> str:
     return value
 
 
+def _list(value) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError("expected a list")
+    return tuple(value)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from the YAML document schema (see README)."""
     doc = _mapping(doc, "config", {"cohort", "k_folds", "seed", "models", "protocols",
@@ -427,20 +432,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             kwargs["cohort_spec"] = load_cohort_spec(_path(synth["spec"], "cohort.synthetic.spec"))
         if synth.get("seed") is not None:
             try:
-                kwargs["cohort_seed"] = int(synth["seed"])
-            except (TypeError, ValueError) as exc:
+                kwargs["cohort_seed"] = _int(synth["seed"])
+            except ValueError as exc:
                 raise ConfigError(f"bad value for 'cohort.synthetic.seed': "
                                   f"{synth['seed']!r} ({exc})") from exc
 
     fields = {  # config key -> (ExperimentConfig field, conversion)
-        "k_folds": ("k_folds", int),
-        "seed": ("master_seed", int),
+        "k_folds": ("k_folds", _positive_int),
+        "seed": ("master_seed", _int),
         "models": ("models", lambda v: tuple(_model_from_config(m) for m in v)),
         "protocols": ("protocols", lambda v: tuple(str(p) for p in v)),
-        "n_permutation_repeats": ("n_permutation_repeats", int),
-        "age_bin_edges": ("age_bin_edges", lambda v: tuple(float(e) for e in v)),
+        "n_permutation_repeats": ("n_permutation_repeats", _positive_int),
+        "age_bin_edges": ("age_bin_edges", _list),
         "clamp": ("clamp", _flag),
-        "workers": ("n_workers", int),
+        "workers": ("n_workers", _positive_int),
     }
     for key, (name, convert) in fields.items():
         if key in doc:

@@ -4,7 +4,6 @@ several models at once on one shared set of shuffled copies."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,23 +15,6 @@ from .rng import derive_rng
 # rows of stacked shuffled copies per predict call; a copy with more rows is
 # predicted alone
 CHUNK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class FeatureImportance:
-    mean_drop: float
-    std_drop: float
-    repeats: int
-
-
-@dataclass(frozen=True)
-class ImportanceResult:
-    baseline_score: float
-    features: dict[str, FeatureImportance]
-    split: str  # "train" or "test"
-
-    def ranked(self) -> list[tuple[str, FeatureImportance]]:
-        return sorted(self.features.items(), key=lambda kv: (-kv[1].mean_drop, kv[0]))
 
 
 def _rng_for(seed: int, column_key: int, repeat: int) -> np.random.Generator:
@@ -48,11 +30,11 @@ def permutation_importance(
     seed: int = 0,
     column_names: tuple[str, ...] | None = None,
     grouped_columns: dict[str, tuple[int, ...]] | None = None,
-    split: str = "test",
     predictions: Sequence[np.ndarray] | None = None,
-) -> list[ImportanceResult]:
+) -> list[dict]:
     """Score drop of each model after shuffling each column, averaged over
-    ``n_repeats``; one result per model, in the order given.
+    ``n_repeats``; one record per model, in the order given:
+    ``{"baseline_score", "features": {name: {"mean_drop", "std_drop", "repeats"}}}``.
 
     Each (column, repeat) pair draws its own permutation stream, so results do
     not depend on evaluation order, and every model scores the same shuffled
@@ -110,13 +92,9 @@ def permutation_importance(
     for baseline, model_scores in zip(baselines, scores):
         drops = (baseline - model_scores).reshape(len(targets), n_repeats)
         features = {
-            name: FeatureImportance(
-                mean_drop=float(drops[t].mean()),
-                std_drop=float(drops[t].std()),
-                repeats=n_repeats,
-            )
+            name: {"mean_drop": float(drops[t].mean()), "std_drop": float(drops[t].std()),
+                   "repeats": n_repeats}
             for t, (name, _, _) in enumerate(targets)
         }
-        results.append(ImportanceResult(baseline_score=float(baseline), features=features,
-                                        split=split))
+        results.append({"baseline_score": float(baseline), "features": features})
     return results

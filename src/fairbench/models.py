@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DidNotConverge,
@@ -46,12 +45,20 @@ SVM_MAX_ITER = 200_000
 KNN_BLOCK_ROWS = 256
 
 
-def _positive_int(value) -> int:
+def _int(value) -> int:
+    """An integer; an integral float such as 5.0 reads as one, a bool does not."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _positive_int(value) -> int:
+    value = _int(value)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return value
 
 
 def _positive(value) -> float:
@@ -399,7 +406,7 @@ def logistic_loss_grad(wb: np.ndarray, X: np.ndarray, y: np.ndarray,
     t = 2.0 * y - 1.0
     margins = t * (X @ w + b)
     loss = float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * lam * (w @ w))
-    s = expit(-margins)  # d loss_i / d margin_i = -s
+    s = np.exp(-np.logaddexp(0.0, margins))  # sigmoid(-margin); d loss_i / d margin_i = -s
     coef = -(s * t) / len(y)
     grad_w = X.T @ coef + lam * w
     grad_b = float(np.sum(coef))
@@ -420,7 +427,8 @@ def _train_logr(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> LogisticModel:
             converged = True
             break
         z = Xb @ wb
-        curv = expit(z) * expit(-z)  # p(1 - p), accurate for large |z|
+        # p(1 - p) in log space, accurate for large |z|
+        curv = np.exp(-np.logaddexp(0.0, -z) - np.logaddexp(0.0, z))
         hess = (Xb.T * curv) @ Xb / n + ridge
         direction = np.linalg.solve(hess, grad)
         gd = float(grad @ direction)

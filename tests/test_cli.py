@@ -127,6 +127,15 @@ def test_run_invalid_config_exits_1(tmp_path):
     "k_folds: [1",
     'clamp: "false"',
     "models: [{family: svm, kernel: rbf, coef0: 2}]",
+    "k_folds: 2.5",
+    "workers: 2.5",
+    "seed: true",
+    'seed: "7"',
+    "cohort: {synthetic: {seed: 1.5}}",
+    'n_permutation_repeats: "10"',
+    'age_bin_edges: "45"',
+    "age_bin_edges: [true, 65]",
+    "age_bin_edges: [.nan]",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"

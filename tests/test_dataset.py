@@ -401,16 +401,16 @@ def test_minmax_idempotent_on_fitting_split():
 
 
 def test_encode_unaware_has_seven_clinical_columns():
-    fm = encode_features(make_cohort(3, 3), "unaware")
-    assert fm.column_names == CLINICAL_COLUMNS
-    assert fm.n_features == 7
+    rows, column_names = encode_features(make_cohort(3, 3), "unaware")
+    assert column_names == CLINICAL_COLUMNS
+    assert rows.shape[1] == 7
 
 
 def test_encode_aware_has_thirteen_columns():
-    fm = encode_features(make_cohort(3, 3), "aware")
-    assert fm.n_features == 13
-    assert fm.column_names[7] == "gender"
-    assert fm.column_names[-1] == "age_last_seen"
+    rows, column_names = encode_features(make_cohort(3, 3), "aware")
+    assert rows.shape[1] == 13
+    assert column_names[7] == "gender"
+    assert column_names[-1] == "age_last_seen"
 
 
 def test_encode_one_hot_for_black_female_patient():
@@ -418,18 +418,18 @@ def test_encode_one_hot_for_black_female_patient():
         make_row(gender="F", race="Black"),
         make_row(gender="M", race="White", label="NonITP"),
     )
-    fm = encode_features(c, "aware")
-    row = dict(zip(fm.column_names, fm.rows[0]))
+    rows, column_names = encode_features(c, "aware")
+    row = dict(zip(column_names, rows[0]))
     assert row["gender"] == 0.0
     assert [row[f"race_{r}"] for r in ("white", "black", "asian", "other")] == [0, 1, 0, 0]
 
 
 def test_encode_returns_raw_values_in_column_order():
     c = make_cohort(2, 2)
-    fm = encode_features(c, "aware")
-    assert fm.rows[:, fm.column_names.index("age_last_seen")].tolist() == [60.0] * 4
-    assert fm.rows[:, fm.column_names.index("dx_plt_ct")].tolist() == [5.0, 6.0, 200.0, 201.0]
-    assert fm.labels.tolist() == [1, 1, 0, 0]
+    rows, column_names = encode_features(c, "aware")
+    assert rows[:, column_names.index("age_last_seen")].tolist() == [60.0] * 4
+    assert rows[:, column_names.index("dx_plt_ct")].tolist() == [5.0, 6.0, 200.0, 201.0]
+    assert c.y.tolist() == [1, 1, 0, 0]
 
 
 # ---------------------------------------------------------------------------

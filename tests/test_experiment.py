@@ -116,6 +116,8 @@ def test_config_rejects_bad_values():
         ExperimentConfig(protocols=("aware", "sideways"))
     with pytest.raises(ConfigError):
         ExperimentConfig(models=(ModelSpec.tree(), ModelSpec.tree()))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(age_bin_edges=(float("nan"),))
 
 
 def test_parse_model_name_shorthands():
@@ -213,7 +215,7 @@ def test_fold_scaler_is_fit_on_train_split_only():
     from fairbench.rng import derive_seed
 
     raw_folds = stratified_kfold(cohort, cfg.k_folds, derive_seed(cfg.master_seed, "folds"))
-    raw = encode_features(cohort, UNAWARE).rows
+    raw, _ = encode_features(cohort, UNAWARE)
     for fd, (train_idx, test_idx) in zip(folds, raw_folds):
         raw_train, raw_test = raw[train_idx], raw[test_idx]
         # scaled training columns span exactly [0, 1]: the scaler saw them alone
@@ -412,3 +414,14 @@ def test_mean_importance_sorted_descending(small_report):
     values = [v for _, v in pairs]
     assert values == sorted(values, reverse=True)
     assert pairs[0][0] == "dx_plt_ct"
+
+
+def test_mean_importance_breaks_ties_by_name():
+    # the order of the SVG bars: mean drop descending, then name
+    def fold(drops):
+        return {"features": {name: {"mean_drop": d, "std_drop": 0.0, "repeats": 1}
+                             for name, d in drops.items()}}
+
+    entry = {"importance": {"test": [fold({"b": 0.2, "z": 0.5, "a": 0.1}),
+                                     fold({"b": 0.2, "z": 0.5, "a": 0.3})]}}
+    assert mean_importance(entry, "test") == [("z", 0.5), ("a", 0.2), ("b", 0.2)]

@@ -4,9 +4,10 @@ import pytest
 import fairbench.importance as importance_mod
 from fairbench.dataset import encode_features, synthesize_cohort
 from fairbench.errors import DimensionMismatch
-from fairbench.importance import FeatureImportance, ImportanceResult, permutation_importance
+from fairbench.importance import permutation_importance
 from fairbench.metrics import macro_f1
 from fairbench.models import ModelSpec, train
+from fairbench.report import mean_importance
 from fairbench.specfile import default_cohort_spec
 
 
@@ -25,9 +26,9 @@ def test_noise_column_has_negligible_importance():
         m = train(spec, X, y)
         (res,) = permutation_importance([m], X, y, n_repeats=5, seed=1,
                                         column_names=("signal", "noise"))
-        fi = res.features["noise"]
-        assert abs(fi.mean_drop) <= 2 * fi.std_drop + 1e-12
-        assert res.features["signal"].mean_drop > fi.mean_drop
+        fi = res["features"]["noise"]
+        assert abs(fi["mean_drop"]) <= 2 * fi["std_drop"] + 1e-12
+        assert res["features"]["signal"]["mean_drop"] > fi["mean_drop"]
 
 
 def test_identity_permutation_gives_zero_drops(monkeypatch):
@@ -39,8 +40,8 @@ def test_identity_permutation_gives_zero_drops(monkeypatch):
     X, y = separable_with_noise(seed=3)
     m = train(ModelSpec.tree(), X, y)
     (res,) = permutation_importance([m], X, y, n_repeats=1, seed=0)
-    assert all(fi.mean_drop == 0.0 for fi in res.features.values())
-    assert all(fi.std_drop == 0.0 for fi in res.features.values())
+    assert all(fi["mean_drop"] == 0.0 for fi in res["features"].values())
+    assert all(fi["std_drop"] == 0.0 for fi in res["features"].values())
 
 
 def test_caller_matrix_is_never_mutated():
@@ -66,8 +67,8 @@ def test_column_ignored_by_tree_has_exactly_zero_drop():
     m = train(ModelSpec.tree(), X, y)
     assert set(m.feature[m.feature >= 0].tolist()) == {0}  # splits read x0 only
     (res,) = permutation_importance([m], X, y, n_repeats=5, seed=3)
-    assert res.features["x1"].mean_drop == 0.0
-    assert res.features["x1"].std_drop == 0.0
+    assert res["features"]["x1"]["mean_drop"] == 0.0
+    assert res["features"]["x1"]["std_drop"] == 0.0
 
 
 def test_grouped_columns_are_shuffled_jointly(monkeypatch):
@@ -84,28 +85,27 @@ def test_grouped_columns_are_shuffled_jointly(monkeypatch):
         column_names=("signal", "a", "b", "c"),
         grouped_columns={"abc (grouped)": (1, 2, 3)},
     )
-    assert "abc (grouped)" in res.features
+    assert "abc (grouped)" in res["features"]
     # tree only uses the signal column, so the grouped shuffle changes nothing
-    assert res.features["abc (grouped)"].mean_drop == 0.0
+    assert res["features"]["abc (grouped)"]["mean_drop"] == 0.0
 
 
-def test_baseline_score_and_split_tag():
+def test_baseline_score():
     X, y = separable_with_noise(seed=8)
     m = train(ModelSpec.tree(), X, y)
-    (res,) = permutation_importance([m], X, y, n_repeats=2, seed=5, split="train")
-    assert res.split == "train"
-    assert res.baseline_score == 1.0
+    (res,) = permutation_importance([m], X, y, n_repeats=2, seed=5)
+    assert res["baseline_score"] == 1.0
 
 
 def test_platelet_count_dominates_default_cohort():
     cohort = synthesize_cohort(default_cohort_spec(), 42)
-    fm = encode_features(cohort, "unaware")
-    m = train(ModelSpec.tree(), fm.rows, fm.labels)
-    (res,) = permutation_importance([m], fm.rows, fm.labels, n_repeats=5, seed=0,
-                                    column_names=fm.column_names)
-    ranked = res.ranked()
+    rows, column_names = encode_features(cohort, "unaware")
+    m = train(ModelSpec.tree(), rows, cohort.y)
+    (res,) = permutation_importance([m], rows, cohort.y, n_repeats=5, seed=0,
+                                    column_names=column_names)
+    ranked = mean_importance({"importance": {"test": [res]}}, "test")
     assert ranked[0][0] == "dx_plt_ct"
-    assert ranked[0][1].mean_drop > ranked[1][1].mean_drop
+    assert ranked[0][1] > ranked[1][1]
 
 
 def test_importance_dimension_mismatch():
@@ -133,9 +133,9 @@ def one_copy_at_a_time(model, X, y, n_repeats, seed, grouped_columns=None):
             shuffled = X.copy()
             shuffled[:, cols] = shuffled[np.ix_(perm, cols)]
             drops[r] = baseline - macro_f1(y, model.predict(shuffled))
-        features[name] = FeatureImportance(mean_drop=float(drops.mean()),
-                                           std_drop=float(drops.std()), repeats=n_repeats)
-    return ImportanceResult(baseline_score=float(baseline), features=features, split="test")
+        features[name] = {"mean_drop": float(drops.mean()), "std_drop": float(drops.std()),
+                          "repeats": n_repeats}
+    return {"baseline_score": float(baseline), "features": features}
 
 
 def noisy_with_onehot(n, seed):
@@ -164,7 +164,7 @@ def test_stacked_copies_equal_one_copy_at_a_time(monkeypatch, spec, grouped, chu
     (got,) = permutation_importance([m], X, y, n_repeats=3, seed=7, grouped_columns=grouped)
     want = one_copy_at_a_time(m, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
     assert got == want
-    assert any(fi.std_drop > 0 for fi in got.features.values())
+    assert any(fi["std_drop"] > 0 for fi in got["features"].values())
 
 
 FAMILIES = (ModelSpec.logr(), ModelSpec.svm("p2"), ModelSpec.knn(1), ModelSpec.knn(4),

@@ -240,9 +240,10 @@ def test_logr_reaches_the_regularised_optimum():
     # bias; plain gradient descent needs more than 10,000 iterations here
     spec = default_cohort_spec()
     spec = replace(spec, itp=replace(spec.itp, size=800), non_itp=replace(spec.non_itp, size=400))
-    fm = encode_features(synthesize_cohort(spec, 3), "aware")
-    X = (fm.rows - fm.rows.min(axis=0)) / np.ptp(fm.rows, axis=0)
-    y = fm.labels
+    cohort = synthesize_cohort(spec, 3)
+    rows, _ = encode_features(cohort, "aware")
+    X = (rows - rows.min(axis=0)) / np.ptp(rows, axis=0)
+    y = cohort.y
     lam = 1.0 / len(y)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -413,9 +414,9 @@ def brute_force_best_split(X, y):
 
 def test_tree_root_splits_on_platelet_count():
     cohort = synthesize_cohort(default_cohort_spec(), 42)
-    fm = encode_features(cohort, "unaware")
-    m = train(ModelSpec.tree(), fm.rows, fm.labels)
-    _, oracle_col, _ = brute_force_best_split(fm.rows, fm.labels)
+    rows, _ = encode_features(cohort, "unaware")
+    m = train(ModelSpec.tree(), rows, cohort.y)
+    _, oracle_col, _ = brute_force_best_split(rows, cohort.y)
     assert CLINICAL_COLUMNS[oracle_col] == "dx_plt_ct"
     assert m.feature[m.roots[0]] == oracle_col
 
