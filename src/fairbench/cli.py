@@ -1,8 +1,9 @@
 """Command-line interface: synth (emit a cohort CSV), run (full experiment),
 report (re-render a stored JSON report).
 
-Exit codes: 0 success, 1 validation error, 2 runtime error. The FAIRBENCH_LOG
-environment variable sets the log level (DEBUG, INFO, WARNING, ...).
+Exit codes: 0 success, 1 validation error (a usage error included), 2 runtime
+error. The FAIRBENCH_LOG environment variable sets the log level (DEBUG, INFO,
+WARNING, ...).
 """
 
 from __future__ import annotations
@@ -28,8 +29,17 @@ from .specfile import default_cohort_spec, load_cohort_spec
 log = logging.getLogger("fairbench")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, a validation error like any
+    other; subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fairbench")
+    parser = _Parser(prog="fairbench")
     parser.add_argument("--version", action="version", version=f"fairbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

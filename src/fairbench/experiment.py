@@ -72,12 +72,20 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        integers = {"k_folds": _positive_int, "n_permutation_repeats": _positive_int,
+                    "n_workers": _positive_int, "master_seed": _int, "cohort_seed": _int}
+        for name, convert in integers.items():
+            value = getattr(self, name)
+            if value is None and name == "cohort_seed":  # derived from master_seed
+                continue
+            try:
+                object.__setattr__(self, name, convert(value))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {name}: {exc}") from None
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
         if not self.models:
             raise ConfigError("model grid must not be empty")
-        if self.n_permutation_repeats < 1:
-            raise ConfigError("n_permutation_repeats must be >= 1")
         if any(p not in PROTOCOLS for p in self.protocols) or not self.protocols:
             raise ConfigError(f"protocols must be a non-empty subset of {PROTOCOLS}")
         names = [m.name for m in self.models]
@@ -85,8 +93,6 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate models in grid: {names}")
         if len(set(self.protocols)) != len(self.protocols):
             raise ConfigError(f"duplicate protocols: {list(self.protocols)}")
-        if self.n_workers < 1:
-            raise ConfigError("n_workers must be >= 1")
         edges = self.age_bin_edges
         if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
                    for e in edges):

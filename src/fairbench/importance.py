@@ -12,14 +12,23 @@ from .metrics import macro_f1, macro_f1_rows
 from .models import predict_many
 from .rng import derive_rng
 
-# rows of stacked shuffled copies per predict call; a copy with more rows is
-# predicted alone
-CHUNK_ROWS = 1024
+# most rows passed to one predict_many call
+CHUNK_ROWS = 4096
 
 
 def _rng_for(seed: int, column_key: int, repeat: int) -> np.random.Generator:
     # one independent stream per (column, repeat); tests may monkeypatch this
     return derive_rng(seed, "perm", column_key, repeat)
+
+
+def _predict(models: Sequence, rows: np.ndarray) -> np.ndarray:
+    """Every model's labels for ``rows`` as one (models, rows) int8 array, from
+    predict_many calls of at most ``CHUNK_ROWS`` rows each."""
+    labels = np.empty((len(models), len(rows)), dtype=np.int8)
+    for start in range(0, len(rows), CHUNK_ROWS):
+        for m, pred in enumerate(predict_many(models, rows[start:start + CHUNK_ROWS])):
+            labels[m, start:start + len(pred)] = pred
+    return labels
 
 
 def permutation_importance(
@@ -45,8 +54,11 @@ def permutation_importance(
     for the unshuffled X, which the baselines then reuse. The caller's X is
     never mutated.
 
-    The shuffled copies are stacked ``CHUNK_ROWS`` rows at a time, and each
-    chunk is built once and predicted by every model, so ``predict`` must be
+    Only the changed rows of a shuffled copy are predicted: a row whose
+    shuffled values equal its own keeps its baseline label, and a changed row
+    that recurs in several repeats of a target (same row, same new values) is
+    predicted once. The distinct rows of successive targets are predicted
+    together, at most ``CHUNK_ROWS`` per call, so ``predict`` must be
     row-independent: the label of a row may not depend on the other rows
     passed with it. All five model families are.
     """
@@ -65,32 +77,52 @@ def permutation_importance(
     if len(column_names) != d:
         raise DimensionMismatch(f"{len(column_names)} names for {d} columns")
 
-    if predictions is None:
-        predictions = predict_many(models, X)
-    baselines = [macro_f1(y, pred) for pred in predictions]
+    n = len(y)
+    base = (_predict(models, X) if predictions is None
+            else np.array(predictions, dtype=np.int8).reshape(len(models), n))
+    baselines = [macro_f1(y, pred) for pred in base]
     targets: list[tuple[str, int, tuple[int, ...]]] = [
         (name, j, (j,)) for j, name in enumerate(column_names)
     ]
     for gi, (name, cols) in enumerate(sorted((grouped_columns or {}).items())):
         targets.append((name, d + gi, tuple(int(c) for c in cols)))
 
-    # one copy per (target, repeat), in that order
-    n = len(y)
-    copies = [(cols, _rng_for(seed, stream_key, r).permutation(n))
-              for _, stream_key, cols in targets for r in range(n_repeats)]
-    per_chunk = max(1, CHUNK_ROWS // n)
-    scores = np.empty((len(models), len(copies)))
-    for start in range(0, len(copies), per_chunk):
-        chunk = copies[start:start + per_chunk]
-        stacked = np.tile(X, (len(chunk), 1))
-        for i, (cols, perm) in enumerate(chunk):
-            stacked[i * n:(i + 1) * n, cols] = X[np.ix_(perm, cols)]
-        for m, pred in enumerate(predict_many(models, stacked)):
-            scores[m, start:start + len(chunk)] = macro_f1_rows(y, pred.reshape(len(chunk), n))
+    scores = np.empty((len(models), len(targets), n_repeats))
+    # targets whose distinct changed rows await prediction, as
+    # (target, changed mask, row of each changed entry in ``rows``, rows)
+    pending: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def flush():
+        labels = _predict(models, np.concatenate([rows for *_, rows in pending]))
+        offset = 0
+        for t, changed, inverse, rows in pending:
+            # every copy of the target: the baseline labels, changed rows relabelled
+            block = np.repeat(base[:, None, :], n_repeats, axis=1)
+            block[:, changed] = labels[:, offset + inverse]
+            offset += len(rows)
+            scores[:, t] = macro_f1_rows(y, block.reshape(-1, n)).reshape(-1, n_repeats)
+        pending.clear()
+
+    for t, (_, stream_key, cols) in enumerate(targets):
+        own = X[:, cols]
+        perms = np.stack([_rng_for(seed, stream_key, r).permutation(n)
+                          for r in range(n_repeats)])
+        new = own[perms]  # (repeat, row, column): each copy's values in cols
+        changed = (new != own).any(axis=2)
+        # a changed row is keyed by (row index, new values); none is left by
+        # an identity shuffle or a constant column
+        keys = np.column_stack([np.nonzero(changed)[1], new[changed]])
+        distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+        rows = X[distinct[:, 0].astype(np.intp)]
+        rows[:, cols] = distinct[:, 1:]
+        if pending and sum(len(p[-1]) for p in pending) + len(rows) > CHUNK_ROWS:
+            flush()  # a target larger than CHUNK_ROWS is then split across calls
+        pending.append((t, changed, inverse.ravel(), rows))
+    flush()
 
     results = []
     for baseline, model_scores in zip(baselines, scores):
-        drops = (baseline - model_scores).reshape(len(targets), n_repeats)
+        drops = baseline - model_scores
         features = {
             name: {"mean_drop": float(drops[t].mean()), "std_drop": float(drops[t].std()),
                    "repeats": n_repeats}

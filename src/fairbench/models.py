@@ -40,9 +40,10 @@ LOGR_MAX_ITER = 50  # safety net; Newton needs a handful of steps
 LOGR_GRAD_TOL = 1e-6
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000
-# query rows per KNN distance block; bounds the block's distance matrix and
-# selection temporaries to this many rows times the training size
-KNN_BLOCK_ROWS = 256
+# query rows per distance or kernel block; bounds a KNN block's distance matrix
+# and selection temporaries, and an SVM block's kernel matrix, to this many
+# rows times the training or support-vector count
+BLOCK_ROWS = 256
 
 
 def _int(value) -> int:
@@ -247,8 +248,12 @@ class SvmModel(TrainedModel):
     n_iter: int = 0
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        K = _kernel_matrix(self.spec.kernel, X, self.support_X, self.gamma, self.spec.coef0)
-        return K @ self.support_coef + self.bias
+        out = np.empty(len(X))
+        for start in range(0, len(X), BLOCK_ROWS):
+            K = _kernel_matrix(self.spec.kernel, X[start:start + BLOCK_ROWS], self.support_X,
+                               self.gamma, self.spec.coef0)
+            out[start:start + len(K)] = K @ self.support_coef + self.bias
+        return out
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) >= 0.0).astype(np.int64)
@@ -281,13 +286,13 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
                ks: list[int]) -> list[np.ndarray]:
     """Labels of X by majority vote of the k nearest training rows, for each
     k in ``ks``, from one distance block and one neighbour order per
-    ``KNN_BLOCK_ROWS`` query rows. Equal distances resolve to the lowest
+    ``BLOCK_ROWS`` query rows. Equal distances resolve to the lowest
     training index; an even-k vote tie takes the nearest neighbour's label."""
     ks = [min(k, len(train_y)) for k in ks]
     sq_train = np.sum(train_X * train_X, axis=1)
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
-    for start in range(0, len(X), KNN_BLOCK_ROWS):
-        B = X[start:start + KNN_BLOCK_ROWS]
+    for start in range(0, len(X), BLOCK_ROWS):
+        B = X[start:start + BLOCK_ROWS]
         d2 = np.sum(B * B, axis=1)[:, None] - 2.0 * (B @ train_X.T) + sq_train[None, :]
         votes = train_y[_nearest(d2, max(ks))]
         pos = np.cumsum(votes, axis=1)

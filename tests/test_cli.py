@@ -195,3 +195,25 @@ def test_synth_spec_that_is_not_utf8_yaml_exits_1(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(spec) in err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "configs/quick.yaml", "--out", "o", "--seed", "5"],
+     "fairbench: error: unrecognized arguments: --seed 5"),
+    (["run", "--config", "configs/quick.yaml"],
+     "fairbench run: error: the following arguments are required: --out"),
+], ids=["unknown-option", "missing-out"])
+def test_usage_error_exits_1_with_the_argparse_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fairbench")
+    assert err.endswith(message + "\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out

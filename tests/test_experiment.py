@@ -120,6 +120,27 @@ def test_config_rejects_bad_values():
         ExperimentConfig(age_bin_edges=(float("nan"),))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"k_folds": 2.5},
+    {"n_permutation_repeats": 1.5},
+    {"n_workers": True},
+    {"master_seed": "7"},
+    {"cohort_seed": 1.5},
+], ids=lambda kw: next(iter(kw)))
+def test_config_rejects_non_integers(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        ExperimentConfig(**kwargs)
+
+
+def test_integral_values_keep_the_config_hash():
+    plain = ExperimentConfig(k_folds=5, n_permutation_repeats=10, master_seed=42, cohort_seed=3)
+    spelled = ExperimentConfig(k_folds=5.0, n_permutation_repeats=np.int64(10),
+                               master_seed=42.0, cohort_seed=np.int32(3))
+    assert spelled == plain
+    assert spelled.config_hash() == plain.config_hash()
+    assert ExperimentConfig().config_hash() == ExperimentConfig(n_workers=2).config_hash()
+
+
 def test_parse_model_name_shorthands():
     assert parse_model_name("svm-p4").kernel == "p4"
     assert parse_model_name("knn-12").k_neighbors == 12

@@ -206,3 +206,90 @@ def test_a_split_draws_one_stream_per_target_and_repeat(monkeypatch):
         calls.clear()
         permutation_importance(models, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
         assert len(calls) == len(set(calls)) == (6 + 1) * 3  # (6 columns + 1 group) x 3 repeats
+
+
+def distinct_changed_rows(X, n_repeats, seed, grouped_columns=None):
+    """Reference count of the rows a split must predict beyond its baseline:
+    the distinct (target, row, new values) over every repeat whose new values
+    differ from the row's own."""
+    d = X.shape[1]
+    targets = [(j, (j,)) for j in range(d)]
+    groups = sorted((grouped_columns or {}).items())
+    targets += [(d + gi, cols) for gi, (_, cols) in enumerate(groups)]
+    seen = set()
+    for stream_key, cols in targets:
+        for r in range(n_repeats):
+            perm = importance_mod._rng_for(seed, stream_key, r).permutation(len(X))
+            for i, p in enumerate(perm):
+                new = tuple(X[p, c] for c in cols)
+                if new != tuple(X[i, c] for c in cols):
+                    seen.add((stream_key, i, new))
+    return len(seen)
+
+
+def spy_on_predict_many(monkeypatch):
+    """Record the row count of every predict_many call importance makes."""
+    rows = []
+    predict_many = importance_mod.predict_many
+
+    def spy(models, X):
+        rows.append(len(X))
+        return predict_many(models, X)
+
+    monkeypatch.setattr(importance_mod, "predict_many", spy)
+    return rows
+
+
+@pytest.mark.parametrize("chunk_rows", [4096, 100, 30])
+@pytest.mark.parametrize("grouped", [None, {"onehot (grouped)": (3, 4, 5)}])
+def test_each_distinct_changed_row_is_predicted_once(monkeypatch, grouped, chunk_rows):
+    monkeypatch.setattr(importance_mod, "CHUNK_ROWS", chunk_rows)
+    rows = spy_on_predict_many(monkeypatch)
+    X_train, y_train = noisy_with_onehot(60, seed=1)
+    X, y = noisy_with_onehot(25, seed=2)
+    fitted = [train(spec, X_train, y_train) for spec in FAMILIES]
+    permutation_importance(fitted, X, y, n_repeats=10, seed=7, grouped_columns=grouped)
+    assert max(rows) <= chunk_rows
+    assert rows[0] == len(y)  # the baseline
+    assert sum(rows[1:]) == distinct_changed_rows(X, 10, 7, grouped)
+    # repeats of the one-hot columns recur, and some shuffled rows keep their values
+    assert sum(rows[1:]) < 10 * len(y) * (6 + (grouped is not None))
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.svm("rbf"), ModelSpec.knn(4),
+                                  ModelSpec.forest(n_trees=7, seed=3)], ids=lambda s: s.name)
+def test_a_target_larger_than_a_chunk_is_split_across_calls(monkeypatch, spec):
+    monkeypatch.setattr(importance_mod, "CHUNK_ROWS", 7)
+    rows = spy_on_predict_many(monkeypatch)
+    X_train, y_train = noisy_with_onehot(60, seed=1)
+    X, y = noisy_with_onehot(25, seed=2)
+    m = train(spec, X_train, y_train)
+    grouped = {"onehot (grouped)": (3, 4, 5)}
+    (got,) = permutation_importance([m], X, y, n_repeats=3, seed=7, grouped_columns=grouped,
+                                    predictions=[m.predict(X)])
+    assert max(rows) == 7 and sum(rows) == distinct_changed_rows(X, 3, 7, grouped)
+    assert got == one_copy_at_a_time(m, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
+
+
+def test_unchanged_copies_send_no_rows_to_the_models(monkeypatch):
+    rows = spy_on_predict_many(monkeypatch)
+    X_train, y_train = separable_with_noise(seed=3)
+    m = train(ModelSpec.tree(), X_train, y_train)
+    X = np.full((20, 2), 0.5)  # every column constant: no shuffle changes a row
+    y = np.arange(20) % 2
+    (res,) = permutation_importance([m], X, y, n_repeats=4, seed=0, predictions=[m.predict(X)])
+    assert rows == []
+    assert all(fi["mean_drop"] == fi["std_drop"] == 0.0 for fi in res["features"].values())
+
+
+def test_the_identity_permutation_sends_only_the_baseline(monkeypatch):
+    class _IdentityRng:
+        def permutation(self, n):
+            return np.arange(n)
+
+    monkeypatch.setattr(importance_mod, "_rng_for", lambda *a: _IdentityRng())
+    rows = spy_on_predict_many(monkeypatch)
+    X, y = separable_with_noise(seed=3)
+    m = train(ModelSpec.tree(), X, y)
+    permutation_importance([m], X, y, n_repeats=3, seed=0)
+    assert rows == [len(y)]

@@ -293,6 +293,14 @@ def test_svm_exit_satisfies_kkt(toy_svm_fits):
             assert m.n_iter <= 30_000  # maximal-violating-pair selection needed up to 84,099
 
 
+def test_svm_labels_do_not_depend_on_the_kernel_block(monkeypatch, toy_svm_fits):
+    Xq = np.random.default_rng(9).random((50, 4))
+    want = [m.predict(Xq) for _, m in toy_svm_fits]
+    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 3)
+    for (_, m), labels in zip(toy_svm_fits, want):
+        assert np.array_equal(m.predict(Xq), labels)
+
+
 def test_svm_separates_clean_threshold():
     X, y = toy_problem(n=100, seed=2, noise=0.0)
     for kernel in ("ln", "rbf", "p2"):
@@ -362,7 +370,7 @@ KNN_KS = (1, 2, 4, 8, 12, 40)
 
 @pytest.mark.parametrize("k", KNN_KS)
 def test_knn_ties_match_stable_argsort(monkeypatch, k):
-    monkeypatch.setattr(models_mod, "KNN_BLOCK_ROWS", 3)
+    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 3)
     X, y, Xq = tied_grid()
     m = train(ModelSpec.knn(k), X, y)
     if k < len(y):  # some row shares its k-th distance with a point left out
@@ -374,7 +382,7 @@ def test_knn_ties_match_stable_argsort(monkeypatch, k):
 def test_knn_models_predicted_together_match_stable_argsort(monkeypatch):
     # every k shares one neighbour order; a KNN model fit to other rows and a
     # tree are predicted on their own
-    monkeypatch.setattr(models_mod, "KNN_BLOCK_ROWS", 3)
+    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 3)
     X, y, Xq = tied_grid()
     fitted = [train(ModelSpec.knn(k), X, y) for k in KNN_KS]
     fitted += [train(ModelSpec.knn(3), X[::-1], y), train(ModelSpec.tree(), X, y)]
