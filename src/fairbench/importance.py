@@ -112,12 +112,18 @@ def permutation_importance(
         # a changed row is keyed by (row index, new values); none is left by
         # an identity shuffle or a constant column
         keys = np.column_stack([np.nonzero(changed)[1], new[changed]])
-        distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+        order = np.lexsort(keys.T[::-1])  # by row index, then by the new values
+        sorted_keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)  # first of each run of equal keys
+        first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        distinct = sorted_keys[first]
         rows = X[distinct[:, 0].astype(np.intp)]
         rows[:, cols] = distinct[:, 1:]
         if pending and sum(len(p[-1]) for p in pending) + len(rows) > CHUNK_ROWS:
             flush()  # a target larger than CHUNK_ROWS is then split across calls
-        pending.append((t, changed, inverse.ravel(), rows))
+        pending.append((t, changed, inverse, rows))
     flush()
 
     results = []

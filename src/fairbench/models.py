@@ -3,16 +3,20 @@
 Logistic regression (damped Newton: a closed-form Hessian solve per step and
 Armijo backtracking, so every step lowers the regularised loss), kernel SVM
 (two-coordinate dual descent; the maximal violator i in the up set is paired
-with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005),
-k-nearest neighbours (one neighbour order per block of query rows serves every
-k fit to the same rows, see predict_many), and CART trees (Gini, midpoint thresholds; each node
-scores all its candidate columns in one sorted pass). Both solvers stop on a
-tolerance; their iteration caps are safety nets that warn with DidNotConverge.
-Trees are stored as flat preorder node arrays in a ForestModel: a decision
-tree is a one-tree forest over every row and column, a random forest bags rows
-and samples columns per node. All models are deterministic given their
-ModelSpec, including the per-tree RNG streams of the forest; a ModelSpec
-resolves every field of its family to its effective value on construction.
+with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005; the
+solver keeps -t * gradient and the up and low sets, updating only the two
+changed points' set membership), k-nearest neighbours (one neighbour order per
+block of query rows serves every k fit to the same rows, see predict_many; the
+order is taken by k rounds of argmin, which like a stable sort resolves equal
+distances to the lowest index), and CART trees (Gini, midpoint thresholds;
+each fit rank-codes its columns once, and each node scores all its candidate
+columns in one stable sort of the ranks). Both solvers stop on a tolerance;
+their iteration caps are safety nets that warn with DidNotConverge. Trees are
+stored as flat preorder node arrays in a ForestModel: a decision tree is a
+one-tree forest over every row and column, a random forest bags rows and
+samples columns per node. All models are deterministic given their ModelSpec,
+including the per-tree RNG streams of the forest; a ModelSpec resolves every
+field of its family to its effective value on construction.
 """
 
 from __future__ import annotations
@@ -270,15 +274,21 @@ class KnnModel(TrainedModel):
 
 def _nearest(d2: np.ndarray, kmax: int) -> np.ndarray:
     """Each row's first ``kmax`` column indices in (distance, index) order,
-    the order a stable argsort of the row gives."""
-    cand = np.sort(np.argpartition(d2, kmax - 1, axis=1)[:, :kmax], axis=1)
-    dist = np.take_along_axis(d2, cand, axis=1)
-    idx = np.take_along_axis(cand, np.argsort(dist, axis=1, kind="stable"), axis=1)
-    # the candidates are the kmax nearest unless a point left out ties the
-    # kmax-th distance; only such rows need a stable sort of the whole row
-    within = np.count_nonzero(d2 <= dist.max(axis=1, keepdims=True), axis=1)
-    tied = np.flatnonzero(within > kmax)
-    idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :kmax]
+    the order a stable argsort of the row gives. Overwrites ``d2``."""
+    rows = np.arange(len(d2))
+    idx = np.empty((len(d2), kmax), dtype=np.intp)
+    dist = np.empty((len(d2), kmax))
+    for r in range(kmax):  # argmin takes the lowest index among equal minima
+        idx[:, r] = np.argmin(d2, axis=1)
+        dist[:, r] = d2[rows, idx[:, r]]
+        d2[rows, idx[:, r]] = np.inf
+    # a pick of inf or nan (overflow on huge finite inputs) can repeat an
+    # index; such a row gets its distances back and a stable sort instead
+    bad = np.flatnonzero(~np.isfinite(dist).all(axis=1))
+    if bad.size:
+        for r in reversed(range(kmax)):  # the first pick of an index wins
+            d2[bad, idx[bad, r]] = dist[bad, r]
+        idx[bad] = np.argsort(d2[bad], axis=1, kind="stable")[:, :kmax]
     return idx
 
 
@@ -293,7 +303,10 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
     for start in range(0, len(X), BLOCK_ROWS):
         B = X[start:start + BLOCK_ROWS]
-        d2 = np.sum(B * B, axis=1)[:, None] - 2.0 * (B @ train_X.T) + sq_train[None, :]
+        d2 = B @ train_X.T  # |b|^2 - 2 b.x + |x|^2, in place
+        d2 *= -2.0
+        d2 += np.sum(B * B, axis=1)[:, None]
+        d2 += sq_train
         votes = train_y[_nearest(d2, max(ks))]
         pos = np.cumsum(votes, axis=1)
         for pred, k in zip(preds, ks):
@@ -471,20 +484,18 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     K_diag = np.diag(K).copy()
 
     alpha = np.zeros(n)
-    G = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    tG = t.copy()  # -t * G, G the gradient of the dual objective; G = -1 at alpha = 0
+    up, low = t > 0, t < 0  # the points whose alpha * t may still rise, fall
     m_val = M_val = 0.0
     converged = False
     it = 0
     for it in range(1, SVM_MAX_ITER + 1):
-        tG = -t * G
-        up = ((t > 0) & (alpha < C)) | ((t < 0) & (alpha > 0))
-        low = ((t < 0) & (alpha < C)) | ((t > 0) & (alpha > 0))
         if not up.any() or not low.any():
             converged = True
             break
         i = int(np.argmax(np.where(up, tG, -np.inf)))
         m_val = float(tG[i])
-        M_val = float(np.min(tG[low]))
+        M_val = float(np.where(low, tG, np.inf).min())
         if m_val - M_val <= SVM_KKT_TOL:
             converged = True
             break
@@ -508,7 +519,11 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
                 alpha[idx] = 0.0
             elif alpha[idx] > C - 1e-12:
                 alpha[idx] = C
-        G += t * delta * (K_i - K[j])  # rows: K is symmetric up to rounding
+            below, above = alpha[idx] < C, alpha[idx] > 0
+            up[idx], low[idx] = (below, above) if t[idx] > 0 else (above, below)
+        # -t times the gradient step G += t * delta * (K_i - K[j]), exact as t
+        # is +-1; rows, as K is symmetric up to rounding
+        tG -= delta * (K_i - K[j])
 
     if not converged:
         warnings.warn(
@@ -534,46 +549,60 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     )
 
 
-def _gini_best_split(X: np.ndarray, y: np.ndarray, cols: np.ndarray) -> tuple[int, float] | None:
-    """Exhaustive midpoint search over the columns ``cols`` of one node, all
-    columns in one pass; ties resolve to the lowest column then the lowest
-    threshold. None when every candidate column is constant."""
+def _rank_code(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """X as dense per-column ranks R, uint16 when they fit, and each column's
+    sorted distinct values: ``vals[c][R[:, c]] == X[:, c]``."""
+    vals, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.T))
+    dtype = np.uint16 if max(len(v) for v in vals) <= 1 << 16 else np.intp
+    return np.column_stack(ranks).astype(dtype), list(vals)
+
+
+def _gini_best_split(R: np.ndarray, y: np.ndarray, cols: np.ndarray,
+                     vals: list[np.ndarray]) -> tuple[int, float] | None:
+    """Exhaustive midpoint search over the columns ``cols`` of one node's
+    rank-coded rows R (see _rank_code), all columns in one pass; ties resolve
+    to the lowest column then the lowest threshold. None when every candidate
+    column is constant."""
     n = len(y)
-    Xc = X[:, cols]
-    order = np.argsort(Xc, axis=0, kind="stable")
-    sv = np.take_along_axis(Xc, order, axis=0)
+    Rc = R[:, cols]
+    order = np.argsort(Rc, axis=0, kind="stable")  # ranks: the same order as the values
+    sr = Rc[order, np.arange(len(cols))]
     cpos = np.cumsum(y[order], axis=0)  # row r: positives among the r + 1 smallest
     nl = np.arange(1.0, n)[:, None]  # left size of the cut after sorted row r
     nr = n - nl
     pl = cpos[:-1] / nl
     pr = (cpos[-1] - cpos[:-1]) / nr
     weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
-    weighted[sv[1:] <= sv[:-1]] = np.inf  # no cut between equal values
+    weighted[sr[1:] <= sr[:-1]] = np.inf  # no cut between equal values
     flat = int(np.argmin(weighted.T))  # column-major: lowest column, then threshold
     c, r = divmod(flat, n - 1)
     if weighted[r, c] == np.inf:
         return None
-    return int(cols[c]), float(0.5 * (sv[r, c] + sv[r + 1, c]))
+    f = int(cols[c])
+    return f, float(0.5 * (vals[f][sr[r, c]] + vals[f][sr[r + 1, c]]))
 
 
-def _grow_tree(nodes: list, X: np.ndarray, y: np.ndarray, depth: int,
+def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray], depth: int,
                max_depth: int | None, max_features: int, rng: np.random.Generator) -> int:
-    """Append the tree fitted to (X, y) to ``nodes`` in preorder, one
-    [feature, threshold, left, right, value] row per node; returns its root."""
+    """Append the tree fitted to the rank-coded rows (R, y) to ``nodes`` in
+    preorder, one [feature, threshold, left, right, value] row per node;
+    returns its root."""
     node, pos = len(nodes), int(y.sum())
     nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(y))])  # majority label; a tie is 0
     if pos in (0, len(y)) or (max_depth is not None and depth >= max_depth):  # pure or deep
         return node
-    d = X.shape[1]
+    d = R.shape[1]
     cols = np.arange(d) if max_features >= d else np.sort(
         rng.choice(d, size=max_features, replace=False))
-    split = _gini_best_split(X, y, cols)
+    split = _gini_best_split(R, y, cols, vals)
     if split is None:
         return node
     feature, threshold = split
-    mask = X[:, feature] <= threshold
-    left = _grow_tree(nodes, X[mask], y[mask], depth + 1, max_depth, max_features, rng)
-    right = _grow_tree(nodes, X[~mask], y[~mask], depth + 1, max_depth, max_features, rng)
+    # compared as floats, as predict does: a midpoint of adjacent values can
+    # round onto the upper one, which then goes left too
+    mask = vals[feature][R[:, feature]] <= threshold
+    left = _grow_tree(nodes, R[mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
+    right = _grow_tree(nodes, R[~mask], y[~mask], vals, depth + 1, max_depth, max_features, rng)
     nodes[node][:4] = feature, threshold, left, right
     return node
 
@@ -581,12 +610,14 @@ def _grow_tree(nodes: list, X: np.ndarray, y: np.ndarray, depth: int,
 def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
                   bootstrap: bool, max_features: int) -> ForestModel:
     n = len(y)
+    R, vals = _rank_code(X)
     nodes: list = []
     roots = []
     for tree_idx in range(n_trees):
         rng = derive_rng(spec.seed, "tree", tree_idx)
         rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
-        roots.append(_grow_tree(nodes, X[rows], y[rows], 0, spec.max_depth, max_features, rng))
+        roots.append(_grow_tree(nodes, R[rows], y[rows], vals, 0, spec.max_depth,
+                                max_features, rng))
     feature, threshold, left, right, value = (np.array(col) for col in zip(*nodes))
     return ForestModel(spec=spec, n_features=X.shape[1], feature=feature, threshold=threshold,
                        left=left, right=right, value=value, roots=np.array(roots))

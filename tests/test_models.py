@@ -234,16 +234,19 @@ def test_logr_warns_when_iteration_cap_hit(monkeypatch):
     assert m.predict(X).shape == y.shape  # partial model still usable
 
 
-def test_logr_reaches_the_regularised_optimum():
-    # a 1200 x 13 aware-protocol fold like those of a 1500-patient cohort:
-    # separable on platelet count, one-hot race columns collinear with the
-    # bias; plain gradient descent needs more than 10,000 iterations here
+def aware_fold():
+    """A 1200 x 13 aware-protocol fold like those of a 1500-patient cohort:
+    separable on platelet count, one-hot race columns collinear with the bias."""
     spec = default_cohort_spec()
     spec = replace(spec, itp=replace(spec.itp, size=800), non_itp=replace(spec.non_itp, size=400))
     cohort = synthesize_cohort(spec, 3)
     rows, _ = encode_features(cohort, "aware")
-    X = (rows - rows.min(axis=0)) / np.ptp(rows, axis=0)
-    y = cohort.y
+    return (rows - rows.min(axis=0)) / np.ptp(rows, axis=0), cohort.y
+
+
+def test_logr_reaches_the_regularised_optimum():
+    # plain gradient descent needs more than 10,000 iterations here
+    X, y = aware_fold()
     lam = 1.0 / len(y)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -299,6 +302,68 @@ def test_svm_labels_do_not_depend_on_the_kernel_block(monkeypatch, toy_svm_fits)
     monkeypatch.setattr(models_mod, "BLOCK_ROWS", 3)
     for (_, m), labels in zip(toy_svm_fits, want):
         assert np.array_equal(m.predict(Xq), labels)
+
+
+def svm_reference(spec, X, y):
+    """(alpha, bias, n_iter) of the dual solver as first written: the
+    gradient G kept as is, and tG and the up and low sets rebuilt from it
+    and alpha on every iteration."""
+    n, C = len(y), spec.C
+    gamma = spec.gamma if spec.gamma is not None else models_mod._default_gamma(X)
+    t = np.where(y == 1, 1.0, -1.0)
+    K = models_mod._kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
+    K_diag = np.diag(K).copy()
+    alpha = np.zeros(n)
+    G = -np.ones(n)
+    m_val = M_val = 0.0
+    it = 0
+    for it in range(1, models_mod.SVM_MAX_ITER + 1):
+        tG = -t * G
+        up = ((t > 0) & (alpha < C)) | ((t < 0) & (alpha > 0))
+        low = ((t < 0) & (alpha < C)) | ((t > 0) & (alpha > 0))
+        if not up.any() or not low.any():
+            break
+        i = int(np.argmax(np.where(up, tG, -np.inf)))
+        m_val = float(tG[i])
+        M_val = float(np.min(tG[low]))
+        if m_val - M_val <= SVM_KKT_TOL:
+            break
+        K_i = K[i]
+        b = m_val - tG
+        a = np.maximum(K_diag[i] + K_diag - 2.0 * K_i, 1e-12)
+        j = int(np.argmin(np.where(low & (b > 0), -(b * b) / a, np.inf)))
+        cap_i = (C - alpha[i]) if t[i] > 0 else alpha[i]
+        cap_j = (C - alpha[j]) if t[j] < 0 else alpha[j]
+        delta = min(b[j] / a[j], cap_i, cap_j)
+        alpha[i] += t[i] * delta
+        alpha[j] -= t[j] * delta
+        for idx in (i, j):
+            if alpha[idx] < 1e-12:
+                alpha[idx] = 0.0
+            elif alpha[idx] > C - 1e-12:
+                alpha[idx] = C
+        G += t * delta * (K_i - K[j])
+    return alpha, (m_val + M_val) / 2.0, it
+
+
+def same_svm(model, ref):
+    alpha, bias, n_iter = ref
+    return (model.alpha.tobytes() == alpha.tobytes() and model.bias == bias
+            and model.n_iter == n_iter)
+
+
+def test_svm_solver_equals_the_reference_loop(toy_svm_fits):
+    for X, m in toy_svm_fits:
+        assert same_svm(m, svm_reference(m.spec, X, (m.train_t > 0).astype(int)))
+
+
+def test_svm_solver_equals_the_reference_loop_on_an_aware_fold():
+    X, y = aware_fold()
+    spec = ModelSpec.svm("p4")
+    m = train(spec, X, y)
+    assert m.n_iter > 500  # many iterations, some alphas at the bound C
+    assert (m.alpha == spec.C).any()
+    assert same_svm(m, svm_reference(spec, X, y))
 
 
 def test_svm_separates_clean_threshold():
@@ -377,6 +442,24 @@ def test_knn_ties_match_stable_argsort(monkeypatch, k):
         d2 = np.sort(((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2), axis=1)
         assert (d2[:, k - 1] == d2[:, k]).any()
     assert np.array_equal(m.predict(Xq), knn_stable_argsort_reference(m, Xq))
+
+
+@pytest.mark.parametrize("k", KNN_KS)
+def test_knn_overflowing_distances_match_stable_argsort(monkeypatch, k):
+    # finite inputs near 1e200 square to inf, so some distances are inf and
+    # some nan (inf - inf); rows of both kinds reach them among their k nearest
+    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 4)
+    rng = np.random.default_rng(21)
+    X = rng.random((30, 2))
+    X[::4] *= 1e200
+    y = rng.integers(0, 2, len(X))
+    Xq = np.vstack([rng.random((8, 2)), rng.random((4, 2)) * 1e200, X[:6]])
+    m = train(ModelSpec.knn(k), X, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (np.sum(Xq * Xq, axis=1)[:, None] - 2.0 * (Xq @ X.T)
+              + np.sum(X * X, axis=1)[None, :])
+        assert np.isinf(d2).any() and np.isnan(d2).any()
+        assert np.array_equal(m.predict(Xq), knn_stable_argsort_reference(m, Xq))
 
 
 def test_knn_models_predicted_together_match_stable_argsort(monkeypatch):
@@ -489,6 +572,40 @@ def per_column_best_split(X, y, cols):
     return best[1], best[2]
 
 
+def rank_coded_split(X, y, cols):
+    R, vals = models_mod._rank_code(X)
+    return models_mod._gini_best_split(R, y, cols, vals)
+
+
+def float_tree_reference(X, y, max_depth=None):
+    """The nodes of a decision tree grown on float X with per_column_best_split,
+    in the [feature, threshold, left, right, value] preorder of ForestModel."""
+    nodes = []
+
+    def grow(rows, depth):
+        node, pos = len(nodes), int(y[rows].sum())
+        nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(rows))])
+        if pos in (0, len(rows)) or (max_depth is not None and depth >= max_depth):
+            return node
+        split = per_column_best_split(X[rows], y[rows], range(X.shape[1]))
+        if split is None:
+            return node
+        f, thr = split
+        mask = X[rows, f] <= thr
+        left = grow(rows[mask], depth + 1)
+        right = grow(rows[~mask], depth + 1)
+        nodes[node][:4] = f, thr, left, right
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return [list(col) for col in zip(*nodes)]
+
+
+def tree_nodes(m):
+    return [m.feature.tolist(), m.threshold.tolist(), m.left.tolist(), m.right.tolist(),
+            m.value.tolist()]
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_batched_gini_split_equals_the_per_column_loop(seed):
     # small integer values: equal values inside a column, equal Gini at
@@ -502,7 +619,7 @@ def test_batched_gini_split_equals_the_per_column_loop(seed):
     y = rng.integers(0, 2, n)
     subset = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
     for cols in (np.arange(d), subset, np.array([0, 1])):
-        got = models_mod._gini_best_split(X, y, cols)
+        got = rank_coded_split(X, y, cols)
         assert got == per_column_best_split(X, y, cols)
         assert got is None or type(got[1]) is float
 
@@ -510,10 +627,53 @@ def test_batched_gini_split_equals_the_per_column_loop(seed):
 def test_batched_gini_split_is_none_without_a_cut():
     X = np.hstack([np.full((6, 1), 3.0), np.zeros((6, 2))])
     y = np.array([0, 1, 0, 1, 1, 0])
-    assert models_mod._gini_best_split(X, y, np.arange(3)) is None
+    assert rank_coded_split(X, y, np.arange(3)) is None
     assert per_column_best_split(X, y, np.arange(3)) is None
     X[:, 1] = np.arange(6)
-    assert models_mod._gini_best_split(X, y, np.array([0, 2])) is None  # cuts exist outside cols
+    assert rank_coded_split(X, y, np.array([0, 2])) is None  # cuts exist outside cols
+
+
+def test_signed_zeros_are_one_value_to_the_split():
+    # -0.0 == 0.0: no cut between them, though the labels would favour one
+    X = np.array([[-1.0], [-0.0], [0.0], [-0.0], [0.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 0, 1, 1, 1])
+    R, vals = models_mod._rank_code(X)
+    assert len(vals[0]) == 4 and R[1, 0] == R[2, 0]
+    assert rank_coded_split(X, y, np.arange(1)) == per_column_best_split(X, y, np.arange(1))
+    assert tree_nodes(train(ModelSpec.tree(), X, y)) == float_tree_reference(X, y)
+
+
+def test_a_midpoint_that_rounds_onto_the_upper_value_sends_it_left():
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert 0.5 * (a + b) == b  # the midpoint of these adjacent floats rounds up
+    X = np.array([[0.0, 0.0], [a, 1.0], [b, 0.0], [b, 1.0], [3.0, 1.0]])
+    y = np.array([0, 0, 1, 1, 1])
+    assert rank_coded_split(X, y, np.arange(2)) == per_column_best_split(X, y, np.arange(2))
+    assert rank_coded_split(X, y, np.arange(2)) == (0, b)
+    m = train(ModelSpec.tree(max_depth=3), X, y)
+    assert tree_nodes(m) == float_tree_reference(X, y, max_depth=3)
+    assert m.predict(np.array([[b, 0.0]]))[0] == m.predict(np.array([[a, 0.0]]))[0]
+
+
+def test_more_than_65536_distinct_values_take_wide_ranks():
+    rng = np.random.default_rng(22)
+    n = 70_000
+    X = np.column_stack([rng.permutation(n) / n, rng.integers(0, 3, n)])
+    y = (X[:, 0] + 0.1 * X[:, 1] > 0.5).astype(int)
+    R, vals = models_mod._rank_code(X)
+    assert R.dtype != np.uint16 and int(R[:, 0].max()) == n - 1
+    assert models_mod._rank_code(X[:65_536])[0].dtype == np.uint16
+    assert rank_coded_split(X, y, np.arange(2)) == per_column_best_split(X, y, np.arange(2))
+    m = train(ModelSpec.tree(max_depth=2), X, y)
+    assert tree_nodes(m) == float_tree_reference(X, y, max_depth=2)
+
+
+def test_tree_equals_the_float_reference():
+    for seed in range(5):
+        X, y = toy_problem(n=60, seed=30 + seed, noise=0.5)
+        X[:, 1] = np.round(X[:, 1], 1)  # repeated values
+        assert tree_nodes(train(ModelSpec.tree(), X, y)) == float_tree_reference(X, y)
 
 
 def test_tree_arrays_are_preorder():
