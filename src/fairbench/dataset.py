@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import functools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -298,71 +299,169 @@ _RETRY_FRACTION = 0.9  # redraw while sample stats exceed this fraction of toler
 _MAX_REDRAWS = 64
 
 
-def _band_score(A, B, MU, CC, mu, t, n, z):
-    """Worst sample-moment error predicted at z-sigma: order-statistic band
-    around the distribution median, plus mean offset and CLT mean noise."""
-    # imported here, not at the top: scipy more than doubles the time of
-    # `import fairbench`, and only synthesis needs it
-    from scipy import special
-
-    delta = min(z * 0.5 / np.sqrt(n), 0.49)
-    q_lo = special.betaincinv(A, B, 0.5 - delta)
-    q_hi = special.betaincinv(A, B, 0.5 + delta)
-    med_err = np.maximum(np.abs(q_lo - t), np.abs(q_hi - t))
-    mean_err = np.abs(MU - mu) + z * np.sqrt(MU * (1.0 - MU) / (CC + 1.0)) / np.sqrt(n)
-    return np.maximum(med_err, mean_err)
+# Candidate shapes: mean offsets (the tolerance budget may be spent on the
+# mean to reach an otherwise unreachable median) times concentrations a + b.
+_MU_OFFSETS = np.linspace(-0.8, 0.8, 17) * MOMENT_TOLERANCE
+_CONCENTRATIONS = np.logspace(np.log10(0.5), np.log10(128.0), 64)
+_Z = np.array([1.0, 3.0])[:, None, None, None]  # sigmas: feasibility, ranking
+_FEASIBLE = 0.95 * MOMENT_TOLERANCE  # a spec needs a 1-sigma score this low
+_NEAR_OPTIMAL = 0.004  # 3-sigma scores this close to the best are candidates
+_TINY = 1e-300
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
-@functools.lru_cache(maxsize=512)
-def _match_beta_shapes(lo: float, hi: float, median: float | None, mean: float | None, n: int):
-    """Pick Beta(a, b) on [lo, hi] whose samples honor the moment tolerance.
+def _beta_guess(a, b, p):
+    """First guess at the root of I_x(a, b) = p (Numerical Recipes, 3rd ed., 6.14)."""
+    t = np.sqrt(-2.0 * np.log(np.minimum(p, 1.0 - p)))
+    x = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+    x = np.where(p < 0.5, -x, x)
+    al = (x * x - 3.0) / 6.0
+    ra, rb = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+    h = 2.0 / (ra + rb)
+    w = x * np.sqrt(al + h) / h - (rb - ra) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
+    x_big = a / (a + b * np.exp(2.0 * w))
+    ta, tb = np.exp(a * np.log(a / (a + b))) / a, np.exp(b * np.log(b / (a + b))) / b
+    w = ta + tb
+    x_small = np.where(p < ta / w, (a * w * p) ** (1.0 / a), 1.0 - (b * w * (1.0 - p)) ** (1.0 / b))
+    return np.where((a >= 1.0) & (b >= 1.0), x_big, x_small)
 
-    The search runs over a small grid of mean offsets (the tolerance budget may
-    be spent on the mean to reach an otherwise unreachable median) times a
-    log-spaced concentration grid. Shapes are ranked by the 3-sigma band score;
+
+def _nonzero(v):
+    v[np.abs(v) < _TINY] = _TINY
+    return v
+
+
+def _beta_cf(a, b, x):
+    """The continued fraction of I_x(a, b) by modified Lentz (NR 6.4), which
+    converges fast for x < (a + 1) / (a + b + 2)."""
+    c = np.ones_like(x)
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))  # positive below that bound
+    h = d.copy()
+    for m in range(1, 301):
+        s = a + 2.0 * m
+        for aa in (m * (b - m) * x / ((s - 1.0) * s), -(a + m) * (a + b + m) * x / (s * (s + 1.0))):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            h *= d * c
+        if np.abs(d * c - 1.0).max() <= 1e-15:
+            break
+    return h
+
+
+def _beta_inc(a, b, x, lnbeta):
+    """I_x(a, b) from the continued fraction of the faster-converging side."""
+    front = np.exp(a * np.log(x) + b * np.log1p(-x) - lnbeta)
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    cf = _beta_cf(np.where(lower, a, b), np.where(lower, b, a), np.where(lower, x, 1.0 - x))
+    return np.where(lower, front * cf / a, 1.0 - front * cf / b)
+
+
+def betaincinv(a, b, p) -> np.ndarray:
+    """The x with I_x(a, b) = p, elementwise, for a, b > 0 and 0 < p < 1 (as
+    scipy.special.betaincinv). Halley steps from the NR 6.14 guess solve for
+    whichever of x and 1 - x is the smaller tail, so a root that rounds to
+    1.0 keeps its digits in 1 - x; each element stops once its step falls
+    below 1e-8 of it."""
+    a, b, p = np.broadcast_arrays(a, b, p)
+    shape = a.shape
+    a, b, p = (np.array(v, dtype=float).ravel() for v in (a, b, p))
+    with np.errstate(all="ignore"):  # the guess branch not taken may divide by 0 or overflow
+        swap = _beta_guess(a, b, p) > 0.5
+        a[swap], b[swap], p[swap] = b[swap], a[swap], 1.0 - p[swap]
+        x = _beta_guess(a, b, p)
+        lnbeta = (_lgamma(a) + _lgamma(b) - _lgamma(a + b)).astype(float)
+        live = np.flatnonzero((x > _TINY) & (x < 1.0))
+        for halley in range(10):
+            al, bl, xl, ln = a[live], b[live], x[live], lnbeta[live]
+            density = np.exp((al - 1.0) * np.log(xl) + (bl - 1.0) * np.log1p(-xl) - ln)
+            u = (_beta_inc(al, bl, xl, ln) - p[live]) / density
+            step = u / (1.0 - 0.5 * np.minimum(1.0, u * ((al - 1.0) / xl - (bl - 1.0) / (1.0 - xl))))
+            new = xl - step
+            x[live] = new = np.where(new <= 0.0, 0.5 * xl,
+                                     np.where(new >= 1.0, 0.5 * (xl + 1.0), new))
+            done = (new <= _TINY) | (new >= 1.0) | (halley > 0) & (np.abs(step) < 1e-8 * new)
+            live = live[~done]
+            if not live.size:
+                break
+        x[swap] = 1.0 - x[swap]
+    return x.reshape(shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _match_beta_shapes(blocks: tuple) -> tuple:
+    """Pick Beta(a, b) on [lo, hi] for each (lo, hi, median, mean, n) block so
+    that its samples honor the moment tolerance. Gives per block (a, b), None
+    for a constant variable, or the message of the InfeasibleSpec that
+    drawing the block raises.
+
+    Shapes are ranked by the 3-sigma band score (the order-statistic band
+    around the distribution median, plus mean offset and CLT mean noise);
     near-optimal candidates prefer an exact mean, then the widest spread.
     Feasibility is judged at 1 sigma: a spec whose *typical* draw cannot land
     within tolerance is rejected (the bounded resample in _sample_variable
     absorbs unlucky draws for feasible specs).
+
+    Every block is scored in two batched quantile calls. A score is never
+    below its mean error, which needs no quantile, so the first call scores
+    each mean offset's lowest-mean-error cell, and the second only the cells
+    whose mean error could still reach the best of those (at 3 sigma, within
+    the candidate margin) or settle feasibility (at 1 sigma).
     """
-    span = hi - lo
-    if span == 0:
-        return None  # constant variable
-    if mean is None and median is None:
-        return (1.0, 1.0)  # nothing to match: uniform
-    if mean is None:
-        mean = median
-    if median is None:
-        median = mean
-    if not (lo < mean < hi):
-        raise InfeasibleSpec(f"mean {mean} must lie strictly inside ({lo}, {hi})")
+    out, grid = [], []
+    for lo, hi, median, mean, n in blocks:
+        span = hi - lo
+        if span == 0:
+            out.append(None)
+            continue
+        if mean is None and median is None:
+            out.append((1.0, 1.0))  # nothing to match: uniform
+            continue
+        mean = median if mean is None else mean
+        median = mean if median is None else median
+        if not (lo < mean < hi):
+            out.append(f"mean {mean} must lie strictly inside ({lo}, {hi})")
+            continue
+        grid.append((len(out), (mean - lo) / span, (median - lo) / span, n))
+        out.append(f"cannot place sample median near {median} and mean near {mean} "
+                   f"on [{lo}, {hi}] with {n} samples")
+    if not grid:
+        return tuple(out)
+    at, mu, t, n = (np.array(v)[:, None, None] for v in zip(*grid))
+    MU = np.clip(mu + _MU_OFFSETS[:, None], 0.005, 0.995)
+    A, B = _CONCENTRATIONS * MU, _CONCENTRATIONS * (1.0 - MU)  # (block, offset, concentration)
+    mean_err = np.abs(MU - mu) + _Z * np.sqrt(MU * (1.0 - MU) / (_CONCENTRATIONS + 1.0)) / np.sqrt(n)
+    delta = np.minimum(_Z * 0.5 / np.sqrt(n), 0.49)
 
-    mu = (mean - lo) / span
-    t = (median - lo) / span
-    mu_grid = np.clip(mu + np.linspace(-0.8, 0.8, 17) * MOMENT_TOLERANCE, 0.005, 0.995)
-    cs = np.logspace(np.log10(0.5), np.log10(128.0), 64)
-    MU, CC = np.meshgrid(mu_grid, cs, indexing="ij")
-    A = CC * MU
-    B = CC * (1.0 - MU)
+    def band_score(cells):
+        """max(median error, mean error) at z sigma on the given cells, inf elsewhere."""
+        z, g, i, j = np.nonzero(cells)
+        d = delta[z, g, 0, 0]
+        q = betaincinv(np.tile(A[g, i, j], 2), np.tile(B[g, i, j], 2),
+                       np.concatenate([0.5 - d, 0.5 + d]))
+        score = np.full(cells.shape, np.inf)
+        score[z, g, i, j] = np.maximum(np.abs(q.reshape(2, -1) - t[g, 0, 0]).max(axis=0),
+                                       mean_err[z, g, i, j])
+        return score
 
-    feasible = _band_score(A, B, MU, CC, mu, t, n, z=1.0)
-    if float(feasible.min()) > 0.95 * MOMENT_TOLERANCE:
-        raise InfeasibleSpec(
-            f"cannot place sample median near {median} and mean near {mean} "
-            f"on [{lo}, {hi}] with {n} samples"
-        )
-    score = _band_score(A, B, MU, CC, mu, t, n, z=3.0)
-    smin = float(score.min())
-    candidates = sorted(
-        map(tuple, np.argwhere(score <= smin + 0.004)),
-        key=lambda ij: (abs(mu_grid[ij[0]] - mu), ij[1]),
-    )
-    i, j = candidates[0]
-    return (float(A[i, j]), float(B[i, j]))
+    first = np.zeros(mean_err.shape, dtype=bool)
+    np.put_along_axis(first, mean_err.argmin(axis=3)[..., None], True, axis=3)
+    bound = band_score(first).min(axis=(2, 3))
+    limit = np.stack([np.where(bound[0] > _FEASIBLE, _FEASIBLE, -np.inf), bound[1] + _NEAR_OPTIMAL])
+    score = band_score(mean_err <= limit[..., None, None])
+    for g, (k, mu_g) in enumerate(zip(at.ravel().tolist(), mu.ravel())):
+        if min(bound[0, g], score[0, g].min()) > _FEASIBLE:
+            continue
+        smin = float(score[1, g].min())
+        i, j = min(map(tuple, np.argwhere(score[1, g] <= smin + _NEAR_OPTIMAL)),
+                   key=lambda ij: (abs(MU[g, ij[0], 0] - mu_g), ij[1]))
+        out[k] = (float(A[g, i, j]), float(B[g, i, j]))
+    return tuple(out)
 
 
-def _sample_variable(block: StatBlock, n: int, rng: np.random.Generator) -> np.ndarray:
-    shapes = _match_beta_shapes(float(block.lo), float(block.hi), block.median, block.mean, n)
+def _sample_variable(block: StatBlock, n: int, rng: np.random.Generator, shapes) -> np.ndarray:
+    """n draws for a block, given its _match_beta_shapes result."""
+    if isinstance(shapes, str):
+        raise InfeasibleSpec(shapes)
     if shapes is None:
         return np.full(n, float(block.lo))
     a, b = shapes
@@ -404,11 +503,15 @@ def synthesize_cohort(spec: CohortSpec, seed: int) -> Cohort:
     first) in canonical field order, then gender and race are allocated.
     """
     rng = np.random.default_rng(int(seed) % (2**64))
+    classes = ((1, spec.itp), (0, spec.non_itp))
+    shapes = iter(_match_beta_shapes(tuple(
+        (float(b.lo), float(b.hi), b.median, b.mean, cls.size)
+        for _, cls in classes for b in map(cls.variables.get, NUMERIC_FIELDS))))
     numeric, genders, races, ys = [], [], [], []
-    for y, cls in ((1, spec.itp), (0, spec.non_itp)):
+    for y, cls in classes:
         columns = []
         for name in NUMERIC_FIELDS:
-            x = _sample_variable(cls.variables[name], cls.size, rng)
+            x = _sample_variable(cls.variables[name], cls.size, rng, next(shapes))
             columns.append(np.rint(x) if name == "diagnosis_year" else x)
         numeric.append(np.column_stack(columns))
         genders.append(_allocate_categories(cls.gender, GENDERS, cls.size, rng))

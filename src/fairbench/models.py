@@ -179,17 +179,21 @@ class ModelSpec:
 
 def _kernel_matrix(kernel: str, A: np.ndarray, B: np.ndarray, gamma: float,
                    coef0: float) -> np.ndarray:
-    if kernel == "ln":
-        return A @ B.T
+    """exp(-gamma * max(|a|^2 - 2 a.b + |b|^2, 0)) or (gamma * a.b + coef0) ** degree,
+    built in place in the one matrix A @ B.T."""
+    K = A @ B.T
     if kernel == "rbf":
-        sq = (
-            np.sum(A * A, axis=1)[:, None]
-            - 2.0 * (A @ B.T)
-            + np.sum(B * B, axis=1)[None, :]
-        )
-        return np.exp(-gamma * np.maximum(sq, 0.0))
-    degree = int(kernel[1])
-    return (gamma * (A @ B.T) + coef0) ** degree
+        K *= -2.0
+        K += np.sum(A * A, axis=1)[:, None]
+        K += np.sum(B * B, axis=1)
+        np.maximum(K, 0.0, out=K)
+        K *= -gamma
+        np.exp(K, out=K)
+    elif kernel != "ln":
+        K *= gamma
+        K += coef0
+        K **= int(kernel[1])  # degree 2 keeps the square path of **
+    return K
 
 
 def _default_gamma(X: np.ndarray) -> float:
@@ -579,7 +583,9 @@ def _gini_best_split(R: np.ndarray, y: np.ndarray, cols: np.ndarray,
     if weighted[r, c] == np.inf:
         return None
     f = int(cols[c])
-    return f, float(0.5 * (vals[f][sr[r, c]] + vals[f][sr[r + 1, c]]))
+    lo, hi = vals[f][sr[r, c]], vals[f][sr[r + 1, c]]
+    mid = 0.5 * (lo + hi)
+    return f, float(mid if mid < hi else lo)  # a midpoint rounded onto hi would send hi left
 
 
 def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray], depth: int,
@@ -598,8 +604,6 @@ def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray]
     if split is None:
         return node
     feature, threshold = split
-    # compared as floats, as predict does: a midpoint of adjacent values can
-    # round onto the upper one, which then goes left too
     mask = vals[feature][R[:, feature]] <= threshold
     left = _grow_tree(nodes, R[mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
     right = _grow_tree(nodes, R[~mask], y[~mask], vals, depth + 1, max_depth, max_features, rng)

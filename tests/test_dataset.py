@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairbench import dataset
 from fairbench.dataset import (
     CLINICAL_COLUMNS,
     CSV_HEADER,
@@ -290,6 +291,82 @@ def test_synthesize_spends_mean_budget_to_reach_median():
         alts = class_column(cohort, "ITP", "alt")
         assert abs(alts.mean() - 5.0) <= 0.8
         assert abs(np.median(alts) - 4.0) <= 0.8
+
+
+def test_an_infeasible_block_raises_only_when_its_turn_to_draw_comes():
+    # NonITP alt is infeasible; its message is raised, not an earlier block's
+    doc = _spec_dict_with(non_over={"alt": {"min": 0.0, "max": 10.0, "median": 9.5, "mean": 2.0}})
+    with pytest.raises(InfeasibleSpec, match="median near 9.5 and mean near 2.0"):
+        synthesize_cohort(cohort_spec_from_dict(doc), 5)
+
+
+def beta_grids(mus):
+    """The 17x64 candidate (a, b) grid of _match_beta_shapes around each mean."""
+    MU = np.clip(np.asarray(mus)[:, None] + dataset._MU_OFFSETS, 0.005, 0.995)[:, :, None]
+    return dataset._CONCENTRATIONS * MU, dataset._CONCENTRATIONS * (1.0 - MU)
+
+
+def test_betaincinv_matches_scipy_on_the_shape_grids():
+    special = pytest.importorskip("scipy.special")
+    A, B = beta_grids(np.linspace(0.0, 1.0, 9))  # the ends give a << 1 and b << 1 cells
+    assert A.min() == pytest.approx(0.0025) and B.min() == pytest.approx(0.0025)
+    n = np.array([2, 5, 40, 1500])
+    delta = np.minimum(np.array([[1.0], [3.0]]) * 0.5 / np.sqrt(n), 0.49).ravel()
+    p = np.concatenate([0.5 - delta, 0.5 + delta])[:, None, None, None]
+    got = dataset.betaincinv(A, B, p)
+    assert got.shape == (16, 9, 17, 64) and not np.isnan(got).any()
+    assert np.abs(got - special.betaincinv(A, B, p)).max() <= 1e-12
+
+
+def scipy_match_beta_shapes(lo, hi, median, mean, n):
+    """The shape search as it was with scipy quantiles on the full grids: the
+    result of _match_beta_shapes for one block."""
+    special = pytest.importorskip("scipy.special")
+    if hi == lo:
+        return None
+    if mean is None and median is None:
+        return (1.0, 1.0)
+    mean = median if mean is None else mean
+    median = mean if median is None else median
+    if not (lo < mean < hi):
+        return f"mean {mean} must lie strictly inside ({lo}, {hi})"
+    mu, t = (mean - lo) / (hi - lo), (median - lo) / (hi - lo)
+    mu_grid = np.clip(mu + np.linspace(-0.8, 0.8, 17) * MOMENT_TOLERANCE, 0.005, 0.995)
+    MU, CC = np.meshgrid(mu_grid, np.logspace(np.log10(0.5), np.log10(128.0), 64), indexing="ij")
+    A, B = CC * MU, CC * (1.0 - MU)
+
+    def band_score(z):
+        delta = min(z * 0.5 / np.sqrt(n), 0.49)
+        q_lo, q_hi = special.betaincinv(A, B, 0.5 - delta), special.betaincinv(A, B, 0.5 + delta)
+        med_err = np.maximum(np.abs(q_lo - t), np.abs(q_hi - t))
+        return np.maximum(med_err, np.abs(MU - mu) + z * np.sqrt(MU * (1.0 - MU) / (CC + 1.0)) / np.sqrt(n))
+
+    if float(band_score(1.0).min()) > 0.95 * MOMENT_TOLERANCE:
+        return (f"cannot place sample median near {median} and mean near {mean} "
+                f"on [{lo}, {hi}] with {n} samples")
+    score = band_score(3.0)
+    candidates = sorted(map(tuple, np.argwhere(score <= float(score.min()) + 0.004)),
+                        key=lambda ij: (abs(mu_grid[ij[0]] - mu), ij[1]))
+    i, j = candidates[0]
+    return (float(A[i, j]), float(B[i, j]))
+
+
+def test_pruned_shape_search_decides_as_the_scipy_search():
+    rng = np.random.default_rng(11)
+    blocks = []
+    for _ in range(300):
+        lo = float(rng.uniform(-5.0, 5.0))
+        hi = lo + float(rng.choice([rng.uniform(0.1, 10.0), rng.uniform(0.5, 2000.0)]))
+        median, mean = (float(rng.uniform(lo, hi)) if rng.random() > 0.15 else None
+                        for _ in range(2))
+        if median is not None and mean is not None and rng.random() < 0.5:
+            mean = float(np.clip(median + (hi - lo) * rng.normal(0.0, 0.05), lo, hi))
+        n = int(rng.choice([2, 3, 10, 50, 100, int(rng.integers(2, 1500))]))
+        blocks.append((lo, hi, median, mean, n))
+    got = dataset._match_beta_shapes.__wrapped__(tuple(blocks))
+    want = [scipy_match_beta_shapes(*block) for block in blocks]
+    assert sum(isinstance(w, str) and w.startswith("cannot") for w in want) >= 30
+    assert list(got) == want
 
 
 def test_stat_block_rejects_moment_outside_range():

@@ -135,6 +135,26 @@ def test_kernel_symmetry():
             )
 
 
+def kernel_formula(kernel, A, B, gamma, coef0):
+    """The kernel matrix written out of place, one expression per kernel."""
+    if kernel == "ln":
+        return A @ B.T
+    if kernel == "rbf":
+        sq = np.sum(A * A, axis=1)[:, None] - 2.0 * (A @ B.T) + np.sum(B * B, axis=1)[None, :]
+        return np.exp(-gamma * np.maximum(sq, 0.0))
+    return (gamma * (A @ B.T) + coef0) ** int(kernel[1])
+
+
+@pytest.mark.parametrize("kernel", ["ln", "rbf", "p2", "p3", "p4"])
+def test_kernel_matrix_is_bit_equal_to_the_formula(kernel):
+    rng = np.random.default_rng(9)
+    A, B = rng.random((40, 13)), rng.random((25, 13))
+    A[:5] = B[:5]  # zero distances, where rounding can make the squared distance negative
+    for X, Y in ((A, A), (A, B), (B, A)):
+        got = models_mod._kernel_matrix(kernel, X, Y, 0.37, 1.3)
+        assert got.tobytes() == kernel_formula(kernel, X, Y, 0.37, 1.3).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training contract
 # ---------------------------------------------------------------------------
@@ -565,8 +585,9 @@ def per_column_best_split(X, y, cols):
         weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
         k = int(np.argmin(weighted))
         if best is None or weighted[k] < best[0]:
-            thr = 0.5 * (sv[cut[k]] + sv[cut[k] + 1])
-            best = (float(weighted[k]), int(c), float(thr))
+            lo, hi = sv[cut[k]], sv[cut[k] + 1]
+            thr = 0.5 * (lo + hi)
+            best = (float(weighted[k]), int(c), float(thr if thr < hi else lo))
     if best is None:
         return None
     return best[1], best[2]
@@ -643,17 +664,25 @@ def test_signed_zeros_are_one_value_to_the_split():
     assert tree_nodes(train(ModelSpec.tree(), X, y)) == float_tree_reference(X, y)
 
 
-def test_a_midpoint_that_rounds_onto_the_upper_value_sends_it_left():
-    a = np.nextafter(1.0, 2.0)
-    b = np.nextafter(a, 2.0)
+ROUNDS_UP = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+
+
+def test_a_midpoint_that_rounds_onto_the_upper_value_takes_the_lower():
+    a, b = ROUNDS_UP
     assert 0.5 * (a + b) == b  # the midpoint of these adjacent floats rounds up
     X = np.array([[0.0, 0.0], [a, 1.0], [b, 0.0], [b, 1.0], [3.0, 1.0]])
     y = np.array([0, 0, 1, 1, 1])
     assert rank_coded_split(X, y, np.arange(2)) == per_column_best_split(X, y, np.arange(2))
-    assert rank_coded_split(X, y, np.arange(2)) == (0, b)
-    m = train(ModelSpec.tree(max_depth=3), X, y)
-    assert tree_nodes(m) == float_tree_reference(X, y, max_depth=3)
-    assert m.predict(np.array([[b, 0.0]]))[0] == m.predict(np.array([[a, 0.0]]))[0]
+    assert rank_coded_split(X, y, np.arange(2)) == (0, a)
+    m = train(ModelSpec.tree(), X, y)
+    assert tree_nodes(m) == float_tree_reference(X, y)
+    assert m.predict(np.array([[a, 0.0], [b, 0.0]])).tolist() == [0, 1]
+
+
+def test_a_cut_between_two_adjacent_floats_ends_in_two_leaves():
+    a, b = ROUNDS_UP
+    m = train(ModelSpec.tree(), [[a], [a], [b], [b]], [0, 0, 1, 1])
+    assert tree_nodes(m) == [[0, -1, -1], [a, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0, 0, 1]]
 
 
 def test_more_than_65536_distinct_values_take_wide_ranks():
