@@ -446,8 +446,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     fields = {  # config key -> (ExperimentConfig field, conversion)
         "k_folds": ("k_folds", _positive_int),
         "seed": ("master_seed", _int),
-        "models": ("models", lambda v: tuple(_model_from_config(m) for m in v)),
-        "protocols": ("protocols", lambda v: tuple(str(p) for p in v)),
+        "models": ("models", lambda v: tuple(_model_from_config(m) for m in _list(v))),
+        "protocols": ("protocols", lambda v: tuple(str(p) for p in _list(v))),
         "n_permutation_repeats": ("n_permutation_repeats", _positive_int),
         "age_bin_edges": ("age_bin_edges", _list),
         "clamp": ("clamp", _flag),

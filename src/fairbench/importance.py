@@ -126,13 +126,11 @@ def permutation_importance(
         pending.append((t, changed, inverse, rows))
     flush()
 
-    results = []
-    for baseline, model_scores in zip(baselines, scores):
-        drops = baseline - model_scores
-        features = {
-            name: {"mean_drop": float(drops[t].mean()), "std_drop": float(drops[t].std()),
-                   "repeats": n_repeats}
-            for t, (name, _, _) in enumerate(targets)
-        }
-        results.append({"baseline_score": float(baseline), "features": features})
-    return results
+    drops = np.array(baselines)[:, None, None] - scores
+    means, stds = drops.mean(axis=-1).tolist(), drops.std(axis=-1).tolist()
+    return [
+        {"baseline_score": float(baseline),
+         "features": {name: {"mean_drop": mean[t], "std_drop": std[t], "repeats": n_repeats}
+                      for t, (name, _, _) in enumerate(targets)}}
+        for baseline, mean, std in zip(baselines, means, stds)
+    ]

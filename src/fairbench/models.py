@@ -4,16 +4,18 @@ Logistic regression (damped Newton: a closed-form Hessian solve per step and
 Armijo backtracking, so every step lowers the regularised loss), kernel SVM
 (two-coordinate dual descent; the maximal violator i in the up set is paired
 with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005; the
-solver keeps -t * gradient and the up and low sets, updating only the two
-changed points' set membership), k-nearest neighbours (one neighbour order per
-block of query rows serves every k fit to the same rows, see predict_many; the
-order is taken by k rounds of argmin, which like a stable sort resolves equal
-distances to the lowest index), and CART trees (Gini, midpoint thresholds;
-each fit rank-codes its columns once, and each node scores all its candidate
-columns in one stable sort of the ranks). Both solvers stop on a tolerance;
-their iteration caps are safety nets that warn with DidNotConverge. Trees are
-stored as flat preorder node arrays in a ForestModel: a decision tree is a
-one-tree forest over every row and column, a random forest bags rows and
+solver keeps -t * gradient as two masked copies, -inf outside the up set and
++inf outside the low set, and updates only the two changed points' set
+membership), k-nearest neighbours (one neighbour order per block of query rows
+serves every k fit to the same rows, see predict_many; the -2 of the distance
+is folded into the training rows once per call; the order is taken by k rounds
+of argmin, which like a stable sort resolves equal distances to the lowest
+index), and CART trees (Gini, midpoint thresholds; each fit rank-codes its
+columns once, one contiguous row per column, and each node scores all its
+candidate columns in one stable sort of the ranks). Both solvers stop on a
+tolerance; their iteration caps are safety nets that warn with DidNotConverge.
+Trees are stored as flat preorder node arrays in a ForestModel: a decision tree
+is a one-tree forest over every row and column, a random forest bags rows and
 samples columns per node. All models are deterministic given their ModelSpec,
 including the per-tree RNG streams of the forest; a ModelSpec resolves every
 field of its family to its effective value on construction.
@@ -304,11 +306,13 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
     training index; an even-k vote tie takes the nearest neighbour's label."""
     ks = [min(k, len(train_y)) for k in ks]
     sq_train = np.sum(train_X * train_X, axis=1)
+    # -2 x^T: a power of two commutes with rounding, so B @ (-2 x^T) equals
+    # -2 (B @ x^T) bit for bit, barring overflow and subnormals
+    minus_2xt = -2.0 * train_X.T
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
     for start in range(0, len(X), BLOCK_ROWS):
         B = X[start:start + BLOCK_ROWS]
-        d2 = B @ train_X.T  # |b|^2 - 2 b.x + |x|^2, in place
-        d2 *= -2.0
+        d2 = B @ minus_2xt  # |b|^2 - 2 b.x + |x|^2, in place
         d2 += np.sum(B * B, axis=1)[:, None]
         d2 += sq_train
         votes = train_y[_nearest(d2, max(ks))]
@@ -365,21 +369,26 @@ class ForestModel(TrainedModel):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        # each column a split reads, copied once to contiguous memory
+        columns = {f: np.ascontiguousarray(X[:, f]) for f in set(feature) - {-1}}
         left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
         votes = np.zeros(len(X), dtype=np.int64)
         out = np.empty(len(X), dtype=np.int64)  # one tree's labels; every row reaches a leaf
-        for root in self.roots.tolist():  # one tree at a time, routing row subsets
-            stack = [(root, np.arange(len(X)))]
+        every = np.arange(len(X))
+        for root in self.roots.tolist():  # one tree at a time, routing non-empty row subsets
+            stack = [(root, every)]
             while stack:
                 node, idx = stack.pop()
-                if idx.size == 0:
-                    continue
-                if feature[node] < 0:
+                f = feature[node]
+                if f < 0:
                     out[idx] = value[node]
                     continue
-                mask = X[idx, feature[node]] <= threshold[node]
-                stack.append((left[node], idx[mask]))
-                stack.append((right[node], idx[~mask]))
+                mask = columns[f].take(idx) <= threshold[node]
+                left_idx, right_idx = idx[mask], idx[~mask]
+                if left_idx.size:
+                    stack.append((left[node], left_idx))
+                if right_idx.size:
+                    stack.append((right[node], right_idx))
             votes += out
         # majority vote; an exact tie resolves to label 0
         return (2 * votes > len(self.roots)).astype(np.int64)
@@ -488,46 +497,67 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     K_diag = np.diag(K).copy()
 
     alpha = np.zeros(n)
-    tG = t.copy()  # -t * G, G the gradient of the dual objective; G = -1 at alpha = 0
     up, low = t > 0, t < 0  # the points whose alpha * t may still rise, fall
+    n_up, n_low = int(up.sum()), int(low.sum())
+    # -t * G, G the gradient of the dual objective (G = -1 at alpha = 0), kept
+    # as two masked copies: on the up set and -inf elsewhere, on the low set and
+    # +inf elsewhere. Every point is in one set at least
+    tG_up, tG_low = np.where(up, t, -np.inf), np.where(low, t, np.inf)
+    a, v, step = np.empty(n), np.empty(n), np.empty(n)
     m_val = M_val = 0.0
     converged = False
     it = 0
     for it in range(1, SVM_MAX_ITER + 1):
-        if not up.any() or not low.any():
+        if not n_up or not n_low:
             converged = True
             break
-        i = int(np.argmax(np.where(up, tG, -np.inf)))
-        m_val = float(tG[i])
-        M_val = float(np.where(low, tG, np.inf).min())
+        i = int(tG_up.argmax())
+        m_val = float(tG_up[i])
+        M_val = float(tG_low.min())
         if m_val - M_val <= SVM_KKT_TOL:
             converged = True
             break
 
         # second-order choice of j (Fan, Chen & Lin 2005, WSS 2): among the
-        # low-set points that violate with i, the one whose two-coordinate
-        # step lowers the dual objective most, -b^2 / a
+        # low-set points that violate with i (b = m - tG > 0), the one whose
+        # two-coordinate step lowers the dual objective most, by b^2 / a. The
+        # clamp gives every other point 0, below the winner's b^2 / a, as
+        # b >= m - M > SVM_KKT_TOL there
         K_i = K[i]
-        b = m_val - tG
-        a = np.maximum(K_diag[i] + K_diag - 2.0 * K_i, 1e-12)
-        j = int(np.argmin(np.where(low & (b > 0), -(b * b) / a, np.inf)))
+        np.add(K_diag, K_diag[i], out=a)
+        np.multiply(K_i, 2.0, out=step)
+        np.subtract(a, step, out=a)
+        np.maximum(a, 1e-12, out=a)
+        np.subtract(m_val, tG_low, out=v)
+        np.maximum(v, 0.0, out=v)
+        np.multiply(v, v, out=v)
+        np.divide(v, a, out=v)
+        j = int(v.argmax())
 
         cap_i = (C - alpha[i]) if t[i] > 0 else alpha[i]
         cap_j = (C - alpha[j]) if t[j] < 0 else alpha[j]
-        delta = min(b[j] / a[j], cap_i, cap_j)
+        delta = min((m_val - tG_low[j]) / a[j], cap_i, cap_j)
 
         alpha[i] += t[i] * delta
         alpha[j] -= t[j] * delta
+        # -t times the gradient step G += t * delta * (K_i - K[j]), exact as t
+        # is +-1; rows, as K is symmetric up to rounding
+        np.subtract(K_i, K[j], out=step)
+        np.multiply(step, delta, out=step)
+        np.subtract(tG_up, step, out=tG_up)
+        np.subtract(tG_low, step, out=tG_low)
         for idx in (i, j):  # snap eliminates float residue at the box bounds
             if alpha[idx] < 1e-12:
                 alpha[idx] = 0.0
             elif alpha[idx] > C - 1e-12:
                 alpha[idx] = C
             below, above = alpha[idx] < C, alpha[idx] > 0
-            up[idx], low[idx] = (below, above) if t[idx] > 0 else (above, below)
-        # -t times the gradient step G += t * delta * (K_i - K[j]), exact as t
-        # is +-1; rows, as K is symmetric up to rounding
-        tG -= delta * (K_i - K[j])
+            in_up, in_low = (below, above) if t[idx] > 0 else (above, below)
+            g = tG_up[idx] if up[idx] else tG_low[idx]
+            n_up += int(in_up) - int(up[idx])
+            n_low += int(in_low) - int(low[idx])
+            up[idx], low[idx] = in_up, in_low
+            tG_up[idx], tG_low[idx] = (g if in_up else -np.inf), (g if in_low else np.inf)
 
     if not converged:
         warnings.warn(
@@ -554,11 +584,11 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
 
 
 def _rank_code(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """X as dense per-column ranks R, uint16 when they fit, and each column's
-    sorted distinct values: ``vals[c][R[:, c]] == X[:, c]``."""
+    """X as dense ranks R, one contiguous row per column of X (uint16 when they
+    fit), and each column's sorted distinct values: ``vals[c][R[c]] == X[:, c]``."""
     vals, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.T))
     dtype = np.uint16 if max(len(v) for v in vals) <= 1 << 16 else np.intp
-    return np.column_stack(ranks).astype(dtype), list(vals)
+    return np.vstack(ranks).astype(dtype), list(vals)
 
 
 def _gini_best_split(R: np.ndarray, y: np.ndarray, cols: np.ndarray,
@@ -568,22 +598,21 @@ def _gini_best_split(R: np.ndarray, y: np.ndarray, cols: np.ndarray,
     to the lowest column then the lowest threshold. None when every candidate
     column is constant."""
     n = len(y)
-    Rc = R[:, cols]
-    order = np.argsort(Rc, axis=0, kind="stable")  # ranks: the same order as the values
-    sr = Rc[order, np.arange(len(cols))]
-    cpos = np.cumsum(y[order], axis=0)  # row r: positives among the r + 1 smallest
-    nl = np.arange(1.0, n)[:, None]  # left size of the cut after sorted row r
+    Rc = R[cols]
+    order = np.argsort(Rc, axis=1, kind="stable")  # ranks: the same order as the values
+    sr = np.sort(Rc, axis=1, kind="stable")
+    cpos = np.cumsum(y[order], axis=1)  # [c, r]: positives among the r + 1 smallest
+    nl = np.arange(1.0, n)  # left size of the cut after sorted row r
     nr = n - nl
-    pl = cpos[:-1] / nl
-    pr = (cpos[-1] - cpos[:-1]) / nr
+    pl = cpos[:, :-1] / nl
+    pr = (cpos[:, -1:] - cpos[:, :-1]) / nr
     weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
-    weighted[sr[1:] <= sr[:-1]] = np.inf  # no cut between equal values
-    flat = int(np.argmin(weighted.T))  # column-major: lowest column, then threshold
-    c, r = divmod(flat, n - 1)
-    if weighted[r, c] == np.inf:
+    weighted[sr[:, 1:] <= sr[:, :-1]] = np.inf  # no cut between equal values
+    c, r = divmod(int(np.argmin(weighted)), n - 1)  # lowest column, then threshold
+    if weighted[c, r] == np.inf:
         return None
     f = int(cols[c])
-    lo, hi = vals[f][sr[r, c]], vals[f][sr[r + 1, c]]
+    lo, hi = vals[f][sr[c, r]], vals[f][sr[c, r + 1]]
     mid = 0.5 * (lo + hi)
     return f, float(mid if mid < hi else lo)  # a midpoint rounded onto hi would send hi left
 
@@ -597,16 +626,16 @@ def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray]
     nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(y))])  # majority label; a tie is 0
     if pos in (0, len(y)) or (max_depth is not None and depth >= max_depth):  # pure or deep
         return node
-    d = R.shape[1]
+    d = len(R)
     cols = np.arange(d) if max_features >= d else np.sort(
         rng.choice(d, size=max_features, replace=False))
     split = _gini_best_split(R, y, cols, vals)
     if split is None:
         return node
     feature, threshold = split
-    mask = vals[feature][R[:, feature]] <= threshold
-    left = _grow_tree(nodes, R[mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
-    right = _grow_tree(nodes, R[~mask], y[~mask], vals, depth + 1, max_depth, max_features, rng)
+    mask = vals[feature][R[feature]] <= threshold
+    left = _grow_tree(nodes, R[:, mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
+    right = _grow_tree(nodes, R[:, ~mask], y[~mask], vals, depth + 1, max_depth, max_features, rng)
     nodes[node][:4] = feature, threshold, left, right
     return node
 
@@ -620,7 +649,7 @@ def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
     for tree_idx in range(n_trees):
         rng = derive_rng(spec.seed, "tree", tree_idx)
         rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
-        roots.append(_grow_tree(nodes, R[rows], y[rows], vals, 0, spec.max_depth,
+        roots.append(_grow_tree(nodes, R[:, rows], y[rows], vals, 0, spec.max_depth,
                                 max_features, rng))
     feature, threshold, left, right, value = (np.array(col) for col in zip(*nodes))
     return ForestModel(spec=spec, n_features=X.shape[1], feature=feature, threshold=threshold,

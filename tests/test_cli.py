@@ -114,6 +114,9 @@ def test_run_invalid_config_exits_1(tmp_path):
     "n_permutation_repeats: [1]",
     "models: null",
     "protocols: null",
+    "models: logr",
+    "models: {a: 1}",
+    "protocols: aware",
     "cohort: {synthetic: {seed: abc}}",
     "cohort: 5",
     "cohort: {synthetic: [1]}",

@@ -176,6 +176,18 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"cohort": {"csv": "a.csv", "synthetic": {}}})
 
 
+@pytest.mark.parametrize("doc", [
+    {"models": "logr"},
+    {"models": {"a": 1}},
+    {"protocols": "aware"},
+    {"protocols": {"aware": 1}},
+], ids=repr)
+def test_list_keys_reject_strings_and_mappings(doc):
+    # iterating these would read a name's characters or a mapping's keys
+    with pytest.raises(ConfigError, match=f"bad value for '{next(iter(doc))}'.*expected a list"):
+        config_from_dict(doc)
+
+
 def test_cohort_spec_to_dict_inverts_parsing(tmp_path):
     path = tmp_path / "spec.yaml"
     path.write_text(CUSTOM_SPEC)

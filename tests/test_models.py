@@ -467,13 +467,18 @@ def test_knn_ties_match_stable_argsort(monkeypatch, k):
 @pytest.mark.parametrize("k", KNN_KS)
 def test_knn_overflowing_distances_match_stable_argsort(monkeypatch, k):
     # finite inputs near 1e200 square to inf, so some distances are inf and
-    # some nan (inf - inf); rows of both kinds reach them among their k nearest
+    # some nan (inf - inf); rows of both kinds reach them among their k nearest.
+    # Near 1.7e308 the doubled training values overflow too, and near 1e-160
+    # the products are subnormal, where doubling need not commute with rounding
     monkeypatch.setattr(models_mod, "BLOCK_ROWS", 4)
     rng = np.random.default_rng(21)
-    X = rng.random((30, 2))
+    X = rng.random((40, 2))
     X[::4] *= 1e200
+    X[1::8] *= 1.7e308
+    X[2::4] *= 1e-160
     y = rng.integers(0, 2, len(X))
-    Xq = np.vstack([rng.random((8, 2)), rng.random((4, 2)) * 1e200, X[:6]])
+    Xq = np.vstack([rng.random((8, 2)), rng.random((4, 2)) * 1e200,
+                    rng.random((4, 2)) * 1.7e308, rng.random((4, 2)) * 1e-160, X[:6]])
     m = train(ModelSpec.knn(k), X, y)
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = (np.sum(Xq * Xq, axis=1)[:, None] - 2.0 * (Xq @ X.T)
@@ -654,12 +659,64 @@ def test_batched_gini_split_is_none_without_a_cut():
     assert rank_coded_split(X, y, np.array([0, 2])) is None  # cuts exist outside cols
 
 
+def gini_split_reference(R, y, cols, vals):
+    """_gini_best_split on one row per sample (R of _rank_code transposed),
+    kept verbatim from before the split took one contiguous row per column."""
+    n = len(y)
+    Rc = R[:, cols]
+    order = np.argsort(Rc, axis=0, kind="stable")  # ranks: the same order as the values
+    sr = Rc[order, np.arange(len(cols))]
+    cpos = np.cumsum(y[order], axis=0)  # row r: positives among the r + 1 smallest
+    nl = np.arange(1.0, n)[:, None]  # left size of the cut after sorted row r
+    nr = n - nl
+    pl = cpos[:-1] / nl
+    pr = (cpos[-1] - cpos[:-1]) / nr
+    weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
+    weighted[sr[1:] <= sr[:-1]] = np.inf  # no cut between equal values
+    flat = int(np.argmin(weighted.T))  # column-major: lowest column, then threshold
+    c, r = divmod(flat, n - 1)
+    if weighted[r, c] == np.inf:
+        return None
+    f = int(cols[c])
+    lo, hi = vals[f][sr[r, c]], vals[f][sr[r + 1, c]]
+    mid = 0.5 * (lo + hi)
+    return f, float(mid if mid < hi else lo)  # a midpoint rounded onto hi would send hi left
+
+
+GINI_CASES = ("two rows", "binary", "constant", "all tied", "mixed")
+
+
+@pytest.mark.parametrize("case", GINI_CASES)
+def test_gini_split_equals_the_row_layout_reference(case):
+    rng = np.random.default_rng(GINI_CASES.index(case))
+    for _ in range(40):
+        n = 2 if case == "two rows" else int(rng.integers(2, 60))
+        d = int(rng.integers(1, 7))
+        if case == "binary":
+            X = rng.integers(0, 2, size=(n, d)).astype(float)
+        elif case == "constant":  # every column constant, or all but one
+            X = np.tile(rng.random(d), (n, 1))
+            if rng.random() < 0.5:
+                X[:, int(rng.integers(d))] = rng.integers(0, 3, n)
+        elif case == "all tied":  # equal columns: every candidate column ties
+            X = np.tile(rng.integers(0, 4, size=(n, 1)).astype(float), (1, d))
+        else:
+            X = np.round(rng.random((n, d)), int(rng.integers(0, 3)))
+        y = rng.integers(0, 2, n)
+        R, vals = models_mod._rank_code(X)
+        subset = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        for cols in (np.arange(d), subset):
+            got = models_mod._gini_best_split(R, y, cols, vals)
+            assert got == gini_split_reference(R.T, y, cols, vals)
+            assert got is None or type(got[1]) is float
+
+
 def test_signed_zeros_are_one_value_to_the_split():
     # -0.0 == 0.0: no cut between them, though the labels would favour one
     X = np.array([[-1.0], [-0.0], [0.0], [-0.0], [0.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 0, 1, 1, 1])
     R, vals = models_mod._rank_code(X)
-    assert len(vals[0]) == 4 and R[1, 0] == R[2, 0]
+    assert len(vals[0]) == 4 and R[0, 1] == R[0, 2]
     assert rank_coded_split(X, y, np.arange(1)) == per_column_best_split(X, y, np.arange(1))
     assert tree_nodes(train(ModelSpec.tree(), X, y)) == float_tree_reference(X, y)
 
@@ -691,7 +748,7 @@ def test_more_than_65536_distinct_values_take_wide_ranks():
     X = np.column_stack([rng.permutation(n) / n, rng.integers(0, 3, n)])
     y = (X[:, 0] + 0.1 * X[:, 1] > 0.5).astype(int)
     R, vals = models_mod._rank_code(X)
-    assert R.dtype != np.uint16 and int(R[:, 0].max()) == n - 1
+    assert R.dtype != np.uint16 and int(R[0].max()) == n - 1
     assert models_mod._rank_code(X[:65_536])[0].dtype == np.uint16
     assert rank_coded_split(X, y, np.arange(2)) == per_column_best_split(X, y, np.arange(2))
     m = train(ModelSpec.tree(max_depth=2), X, y)
@@ -746,6 +803,37 @@ def test_forest_vote_tie_resolves_to_zero():
                     threshold=np.zeros(2), left=leaves, right=leaves, value=np.array([1, 0]),
                     roots=np.array([0, 1]))
     assert m.predict(np.zeros((3, 1))).tolist() == [0, 0, 0]
+
+
+def forest_walk_reference(m, X):
+    """Majority vote of a ForestModel's trees, walking one row at a time."""
+    votes = []
+    for x in X:
+        labels = []
+        for node in m.roots.tolist():
+            while m.feature[node] >= 0:
+                node = m.left[node] if x[m.feature[node]] <= m.threshold[node] else m.right[node]
+            labels.append(int(m.value[node]))
+        votes.append(int(2 * sum(labels) > len(labels)))
+    return np.array(votes)
+
+
+def test_forest_walk_sends_values_on_a_threshold_left():
+    X, y = toy_problem(n=80, seed=23, noise=0.5)
+    X[:, 2] = np.round(X[:, 2], 1)
+    m = train(ModelSpec.forest(n_trees=7, seed=4), X, y)
+    split = np.flatnonzero(m.feature >= 0)
+    # per split node: rows whose split column sits on its threshold, or one
+    # float above it, with the other columns taken from the training rows
+    Xq = np.repeat(X[np.arange(len(split)) % len(X)], 2, axis=0)
+    for r, node in enumerate(split):
+        thr = m.threshold[node]
+        Xq[2 * r, m.feature[node]] = thr
+        Xq[2 * r + 1, m.feature[node]] = np.nextafter(thr, np.inf)
+    got = m.predict(Xq)
+    assert np.array_equal(got, forest_walk_reference(m, Xq))
+    assert np.array_equal(m.predict(Xq[::-1]), got[::-1])
+    assert m.predict(np.empty((0, 4))).shape == (0,)
 
 
 def test_forest_seed_changes_trees_deterministically():
