@@ -36,15 +36,7 @@ from .experiment import (
     run_experiment,
 )
 from .importance import permutation_importance
-from .metrics import (
-    ConfusionCounts,
-    GroupRates,
-    confusion,
-    equalized_odds,
-    f1_score,
-    group_rates,
-    macro_f1,
-)
+from .metrics import equalized_odds, group_rates, macro_f1
 from .models import (
     ModelSpec,
     TrainedModel,
@@ -75,10 +67,6 @@ __all__ = [
     "ModelSpec",
     "TrainedModel",
     "train",
-    "ConfusionCounts",
-    "GroupRates",
-    "confusion",
-    "f1_score",
     "macro_f1",
     "group_rates",
     "equalized_odds",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import functools
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyCohort,
+    FairbenchError,
     InfeasibleSpec,
     InvariantViolation,
     MissingColumn,
@@ -160,27 +162,30 @@ _GENDER_ALIASES = {"M": "M", "F": "F", "Male": "M", "Female": "F"}
 
 
 def load_cohort_csv(path: str | Path) -> Cohort:
-    """Read a cohort CSV (see CSV_HEADER) into a validated cohort, order preserved."""
+    """Read a UTF-8 cohort CSV (see CSV_HEADER) into a validated cohort, order preserved."""
     path = Path(path)
     source = f"csv:{path}"
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = set(CSV_HEADER) - set(header)
-        if missing:
-            raise MissingColumn(missing)
-        extra = set(header) - set(CSV_HEADER)
-        if extra:
-            raise UnexpectedColumn(extra)
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise FairbenchError(f"{path}: not a UTF-8 CSV: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    missing = set(CSV_HEADER) - set(header)
+    if missing:
+        raise MissingColumn(missing)
+    extra = set(header) - set(CSV_HEADER)
+    if extra:
+        raise UnexpectedColumn(extra)
 
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            try:
-                rows.append(_parse_row(i, row))
-            except UnparsableValue:
-                if rows:  # an invalid earlier row is reported first
-                    _cohort_from_rows(rows, source)
-                raise
+    rows = []
+    for i, row in enumerate(reader, start=1):
+        try:
+            rows.append(_parse_row(i, row))
+        except UnparsableValue:
+            if rows:  # an invalid earlier row is reported first
+                _cohort_from_rows(rows, source)
+            raise
     if not rows:
         raise EmptyCohort(f"{path} has a header but no data rows")
     return _require_two_per_class(_cohort_from_rows(rows, source))

@@ -72,9 +72,10 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        integers = {"k_folds": _positive_int, "n_permutation_repeats": _positive_int,
-                    "n_workers": _positive_int, "master_seed": _int, "cohort_seed": _int}
-        for name, convert in integers.items():
+        conversions = {"k_folds": _positive_int, "n_permutation_repeats": _positive_int,
+                       "n_workers": _positive_int, "master_seed": _int, "cohort_seed": _int,
+                       "clamp": _flag}
+        for name, convert in conversions.items():
             value = getattr(self, name)
             if value is None and name == "cohort_seed":  # derived from master_seed
                 continue
@@ -86,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("k_folds must be >= 2")
         if not self.models:
             raise ConfigError("model grid must not be empty")
+        if not all(isinstance(m, ModelSpec) for m in self.models):
+            raise ConfigError(f"models must be ModelSpec entries, got {list(self.models)}")
         if any(p not in PROTOCOLS for p in self.protocols) or not self.protocols:
             raise ConfigError(f"protocols must be a non-empty subset of {PROTOCOLS}")
         names = [m.name for m in self.models]

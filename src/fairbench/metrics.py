@@ -1,37 +1,13 @@
-"""Confusion counts, per-class and macro F1, per-group rates, equalized odds."""
+"""Macro F1 of 0/1 label rows, per-group TPR/FPR and equalized odds, on one
+array path: ``macro_f1_rows`` counts class 1's confusion cells per prediction
+row and derives class 0's from them; ``group_rates`` counts all groups at once.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, NoEvaluableGroups
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class GroupRates:
-    """Per-group empirical TPR/FPR; a rate is None when its class is absent."""
-
-    rates: dict[str, tuple[float | None, float | None, int, int]]  # tpr, fpr, n_pos, n_neg
-
-    def tprs(self) -> list[float]:
-        return [tpr for tpr, _, _, _ in self.rates.values() if tpr is not None]
-
-    def fprs(self) -> list[float]:
-        return [fpr for _, fpr, _, _ in self.rates.values() if fpr is not None]
 
 
 def _as_binary(name: str, y) -> np.ndarray:
@@ -41,85 +17,52 @@ def _as_binary(name: str, y) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def confusion(y_true, y_pred, positive_label: int = 1) -> ConfusionCounts:
-    yt = _as_binary("y_true", y_true)
-    yp = _as_binary("y_pred", y_pred)
-    if len(yt) != len(yp):
-        raise LengthMismatch(f"y_true has {len(yt)} samples, y_pred has {len(yp)}")
-    if len(yt) == 0:
-        raise EmptyInput("cannot count an empty prediction vector")
-    pos_t = yt == positive_label
-    pos_p = yp == positive_label
-    return ConfusionCounts(
-        tp=int(np.sum(pos_t & pos_p)),
-        fp=int(np.sum(~pos_t & pos_p)),
-        tn=int(np.sum(~pos_t & ~pos_p)),
-        fn=int(np.sum(pos_t & ~pos_p)),
-    )
-
-
-def f1_score(c: ConfusionCounts) -> float:
-    """2PR/(P+R); the tp = 0 case (undefined precision or recall) scores 0."""
-    if c.tp == 0:
-        return 0.0
-    precision = c.tp / (c.tp + c.fp)
-    recall = c.tp / (c.tp + c.fn)
-    return 2.0 * precision * recall / (precision + recall)
+def _f1(tp, fp, fn) -> np.ndarray:
+    """2PR/(P+R) of arrays of counts; tp = 0 (undefined precision or recall) scores 0."""
+    precision = tp / np.maximum(tp + fp, 1)
+    recall = tp / np.maximum(tp + fn, 1)
+    return 2.0 * precision * recall / np.where(tp > 0, precision + recall, 1.0)
 
 
 def macro_f1(y_true, y_pred) -> float:
     """Unweighted mean of F1 with each of the two classes treated as positive."""
-    return 0.5 * (
-        f1_score(confusion(y_true, y_pred, positive_label=1))
-        + f1_score(confusion(y_true, y_pred, positive_label=0))
-    )
+    return float(macro_f1_rows(y_true, _as_binary("y_pred", y_pred)[None])[0])
 
 
 def macro_f1_rows(y_true, y_pred) -> np.ndarray:
-    """``macro_f1(y_true, row)`` for every row of the 2-D ``y_pred`` at once.
-
-    Applies the formula of ``f1_score`` to arrays of confusion counts, in the
-    same order of operations, so each value equals the scalar one exactly.
-    """
+    """``macro_f1(y_true, row)`` for every row of the 2-D ``y_pred`` at once."""
     yt = _as_binary("y_true", y_true)
     yp = np.asarray(y_pred).astype(np.int64)
     if yp.ndim != 2 or yp.shape[1] != len(yt):
         raise LengthMismatch(f"y_pred must have shape (m, {len(yt)}), got {yp.shape}")
     if len(yt) == 0:
         raise EmptyInput("cannot count an empty prediction vector")
-    f1 = []
-    for label in (1, 0):
-        pos_t = yt == label
-        pos_p = yp == label
-        tp = np.count_nonzero(pos_t & pos_p, axis=1)
-        fp = np.count_nonzero(~pos_t & pos_p, axis=1)
-        fn = np.count_nonzero(pos_t & ~pos_p, axis=1)
-        precision = tp / np.maximum(tp + fp, 1)
-        recall = tp / np.maximum(tp + fn, 1)
-        # tp = 0 makes precision and recall 0, so F1 is 0 as in f1_score
-        f1.append(2.0 * precision * recall / np.where(tp > 0, precision + recall, 1.0))
-    return 0.5 * (f1[0] + f1[1])
+    pos_t, pos_p = yt == 1, yp == 1
+    tp = np.count_nonzero(pos_t & pos_p, axis=1)
+    fp = np.count_nonzero(~pos_t & pos_p, axis=1)
+    fn = np.count_nonzero(pos_t & ~pos_p, axis=1)
+    # with class 0 as positive, tp is the true negatives and fp, fn swap
+    tn = len(yt) - tp - fp - fn
+    return 0.5 * (_f1(tp, fp, fn) + _f1(tn, fn, fp))
 
 
-def group_rates(y_true, y_pred, groups) -> GroupRates:
+def group_rates(y_true, y_pred, groups) -> dict[str, tuple[float | None, float | None, int, int]]:
+    """``{str(group): (tpr, fpr, n_pos, n_neg)}`` in sorted order; a rate is
+    None when its class is absent from the group."""
     yt = _as_binary("y_true", y_true)
     yp = _as_binary("y_pred", y_pred)
-    g = np.asarray([str(v) for v in np.asarray(groups).ravel()])
+    g = np.asarray(groups).ravel().astype(str)
     if not (len(yt) == len(yp) == len(g)):
         raise LengthMismatch(
             f"lengths differ: y_true={len(yt)}, y_pred={len(yp)}, groups={len(g)}"
         )
-    rates = {}
-    for value in sorted(set(g)):
-        mask = g == value
-        pos = mask & (yt == 1)
-        neg = mask & (yt == 0)
-        n_pos = int(pos.sum())
-        n_neg = int(neg.sum())
-        tpr = float(np.sum(pos & (yp == 1)) / n_pos) if n_pos else None
-        fpr = float(np.sum(neg & (yp == 1)) / n_neg) if n_neg else None
-        rates[value] = (tpr, fpr, n_pos, n_neg)
-    return GroupRates(rates=rates)
+    keys, inverse = np.unique(g, return_inverse=True)
+    pos, neg, hit = yt == 1, yt == 0, yp == 1
+    n_pos, n_neg, tp, fp = (np.bincount(inverse[m], minlength=len(keys)).tolist()
+                            for m in (pos, neg, pos & hit, neg & hit))
+    return {key: (tp[i] / n_pos[i] if n_pos[i] else None,
+                  fp[i] / n_neg[i] if n_neg[i] else None, n_pos[i], n_neg[i])
+            for i, key in enumerate(keys.tolist())}
 
 
 def _ratio(values: list[float]) -> float:
@@ -131,10 +74,10 @@ def _ratio(values: list[float]) -> float:
     return min(values) / hi
 
 
-def equalized_odds(rates: GroupRates) -> float:
-    """min(TPR ratio, FPR ratio), each ratio = smallest/largest defined group rate."""
-    tprs = rates.tprs()
-    fprs = rates.fprs()
+def equalized_odds(rates: dict) -> float:
+    """min(TPR ratio, FPR ratio) of ``group_rates``, each the smallest over the largest rate."""
+    tprs = [tpr for tpr, _, _, _ in rates.values() if tpr is not None]
+    fprs = [fpr for _, fpr, _, _ in rates.values() if fpr is not None]
     if not tprs or not fprs:
         raise NoEvaluableGroups(
             "equalized odds needs at least one group with a defined TPR and one with a defined FPR"

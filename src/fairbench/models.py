@@ -68,10 +68,18 @@ def _positive_int(value) -> int:
     return value
 
 
-def _positive(value) -> float:
-    if not float(value) > 0:
-        raise ValueError(f"expected a positive number, got {value!r}")
+def _finite(value) -> float:
+    """A finite real number as a float; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(value) -> float:
+    value = _finite(value)
+    if not value > 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return value
 
 
 def _flag(value) -> bool:
@@ -87,7 +95,7 @@ def _flag(value) -> bool:
 _FAMILY_FIELDS = {
     "logr": {"C": (_positive, 1.0)},
     "svm": {"kernel": (str, None), "C": (_positive, 1.0), "gamma": (_positive, None),
-            "coef0": (float, 1.0)},
+            "coef0": (_finite, 1.0)},
     "knn": {"k_neighbors": (_positive_int, None)},
     "tree": {"max_depth": (_positive_int, None)},
     "forest": {"n_trees": (_positive_int, 100), "max_depth": (_positive_int, None),

@@ -139,6 +139,12 @@ def test_run_invalid_config_exits_1(tmp_path):
     'age_bin_edges: "45"',
     "age_bin_edges: [true, 65]",
     "age_bin_edges: [.nan]",
+    "models: [{family: logr, C: .inf}]",
+    "models: [{family: svm, kernel: rbf, C: .inf}]",
+    "models: [{family: svm, kernel: rbf, gamma: .inf}]",
+    "models: [{family: svm, kernel: p2, coef0: .inf}]",
+    "models: [{family: svm, kernel: p3, coef0: .nan}]",
+    "models: [{family: logr, C: true}]",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"
@@ -198,6 +204,16 @@ def test_synth_spec_that_is_not_utf8_yaml_exits_1(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(spec) in err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_run_cohort_csv_that_is_not_utf8_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(b"diagnosis_year,race\n2010,Bl\xe9ck\n")
+    config = tmp_path / "config.yaml"
+    config.write_text(f"cohort: {{csv: {csv_path}}}\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(csv_path) in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -170,6 +170,14 @@ def test_load_rejects_empty_file(tmp_path):
         load_cohort_csv(path)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    cohort = synthesize_cohort(default_cohort_spec(), seed=42)
+    plain = write_cohort_csv(cohort, tmp_path / "cohort.csv")
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert_same_rows(load_cohort_csv(path), cohort)
+
+
 def test_load_accepts_spelled_out_gender(tmp_path):
     path = tmp_path / "ok.csv"
     rows = [",".join(CSV_HEADER)]

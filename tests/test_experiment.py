@@ -118,6 +118,10 @@ def test_config_rejects_bad_values():
         ExperimentConfig(models=(ModelSpec.tree(), ModelSpec.tree()))
     with pytest.raises(ConfigError):
         ExperimentConfig(age_bin_edges=(float("nan"),))
+    with pytest.raises(ConfigError, match="clamp"):
+        ExperimentConfig(clamp="false")
+    with pytest.raises(ConfigError, match="ModelSpec"):
+        ExperimentConfig(models=("logr",))
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,16 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fairbench.errors import EmptyInput, LengthMismatch, NoEvaluableGroups
-from fairbench.metrics import (
-    ConfusionCounts,
-    confusion,
-    equalized_odds,
-    f1_score,
-    group_rates,
-    macro_f1,
-    macro_f1_rows,
-)
+from fairbench.metrics import equalized_odds, group_rates, macro_f1, macro_f1_rows
 
 # ---------------------------------------------------------------------------
 # Independent oracle: per-sample recount with pure-python loops. Kept separate
@@ -68,6 +62,12 @@ def oracle_group_rates(y_true, y_pred, groups):
     return out
 
 
+def evaluable(rates):
+    """Whether some group has a defined TPR and some group a defined FPR."""
+    return (any(tpr is not None for tpr, _, _, _ in rates.values())
+            and any(fpr is not None for _, fpr, _, _ in rates.values()))
+
+
 def oracle_eo(rates):
     def ratio(vals):
         vals = [v for v in vals if v is not None]
@@ -80,54 +80,57 @@ def oracle_eo(rates):
 
 
 # ---------------------------------------------------------------------------
-# confusion
-# ---------------------------------------------------------------------------
-
-
-def test_confusion_direct_count():
-    c = confusion([1, 1, 0, 0], [1, 0, 1, 0], positive_label=1)
-    assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
-    assert c.total == 4
-
-
-def test_confusion_perfect_predictions():
-    c = confusion([1, 0, 1], [1, 0, 1])
-    assert c.fp == 0 and c.fn == 0
-
-
-def test_confusion_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        confusion([1, 0], [1])
-
-
-def test_confusion_empty_input():
-    with pytest.raises(EmptyInput):
-        confusion([], [])
-
-
-# ---------------------------------------------------------------------------
 # f1 / macro f1
 # ---------------------------------------------------------------------------
 
 
+def test_macro_f1_length_mismatch():
+    with pytest.raises(LengthMismatch):
+        macro_f1([1, 0], [1])
+    with pytest.raises(LengthMismatch):
+        macro_f1([1, 0], [[1, 0]])
+
+
+def test_macro_f1_empty_input():
+    with pytest.raises(EmptyInput):
+        macro_f1([], [])
+
+
+def test_macro_f1_one_of_each_cell():
+    # tp = fp = tn = fn = 1: P = R = 1/2 for both classes
+    assert macro_f1([1, 1, 0, 0], [1, 0, 1, 0]) == 0.5
+
+
 def test_f1_perfect():
-    assert f1_score(ConfusionCounts(tp=3, fp=0, tn=2, fn=0)) == 1.0
+    # tp = 3, tn = 2: F1 = 1 for both classes
+    assert macro_f1([1, 1, 1, 0, 0], [1, 1, 1, 0, 0]) == 1.0
+    assert macro_f1_rows([1, 1, 1, 0, 0], [[1, 1, 1, 0, 0]]).tolist() == [1.0]
 
 
 def test_f1_hand_value():
-    # P = R = 2/3 -> F1 = 2/3
-    assert f1_score(ConfusionCounts(tp=2, fp=1, tn=0, fn=1)) == pytest.approx(2 / 3)
+    # tp = 2, fp = 1, fn = 1, tn = 0: class 1 has P = R = 2/3 -> F1 = 2/3;
+    # class 0 has no true positive -> F1 = 0
+    assert macro_f1([1, 1, 1, 0], [1, 1, 0, 1]) == pytest.approx(1 / 3)
 
 
 def test_f1_zero_tp_convention():
-    assert f1_score(ConfusionCounts(tp=0, fp=0, tn=0, fn=3)) == 0.0
-    assert f1_score(ConfusionCounts(tp=0, fp=2, tn=1, fn=0)) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 on the way
+        assert macro_f1([1, 1, 1], [0, 0, 0]) == 0.0  # tp = 0 for both classes
+        assert macro_f1([1, 1, 0], [0, 0, 1]) == 0.0  # every label flipped
+        # class 1: tp = 0 scores 0; class 0: P = 1, R = 1/3 -> F1 = 1/2
+        assert macro_f1([0, 0, 0], [1, 1, 0]) == pytest.approx(0.25)
+        # class 1 never occurs nor is predicted: F1 = 0, class 0 is perfect
+        assert macro_f1_rows([0, 0], [[0, 0]]).tolist() == [0.5]
 
 
 def test_f1_monotone_in_tp():
+    # fp = 2, fn = 3 and tn = 0 throughout; class 0 scores 0, so the macro
+    # value is half of class 1's F1
     prev = -1.0
     for tp in range(0, 8):
-        cur = f1_score(ConfusionCounts(tp=tp, fp=2, tn=0, fn=3))
+        cur = macro_f1([1] * tp + [0, 0] + [1] * 3, [1] * tp + [1, 1] + [0] * 3)
+        assert cur == 0.5 * oracle_f1(tp, 2, 3)
         assert cur >= prev
         prev = cur
 
@@ -161,11 +164,19 @@ def test_macro_f1_rows_equals_macro_f1_row_by_row():
     ])
     rng = np.random.default_rng(3)
     rows = np.vstack([rows, rng.integers(0, 2, (40, 6))])
-    got = macro_f1_rows(yt, rows)
-    assert got.tolist() == [macro_f1(yt, row) for row in rows]
+    for pred in (rows, rows.astype(np.int8)):  # importance passes int8 rows
+        got = macro_f1_rows(yt, pred)
+        assert got.tolist() == [oracle_macro_f1(yt, row) for row in rows]
+        assert got.tolist() == [macro_f1(yt, row) for row in rows]
     for label in (0, 1):  # single-class truth
         same = np.full(6, label)
-        assert macro_f1_rows(same, rows).tolist() == [macro_f1(same, row) for row in rows]
+        assert macro_f1_rows(same, rows).tolist() == [oracle_macro_f1(same, row) for row in rows]
+    for n in (120, 1200):
+        yt = rng.integers(0, 2, n)
+        rows = rng.integers(0, 2, (12, n)).astype(np.int8)
+        rows[0] = yt
+        rows[1] = 1 - yt
+        assert macro_f1_rows(yt, rows).tolist() == [oracle_macro_f1(yt, row) for row in rows]
 
 
 def test_macro_f1_rows_shape_checks():
@@ -198,20 +209,37 @@ def test_group_rates_perfect_predictions():
     yt = [1, 0, 1, 0]
     g = ["a", "a", "b", "b"]
     rates = group_rates(yt, yt, g)
-    for tpr, fpr, _, _ in rates.rates.values():
+    for tpr, fpr, _, _ in rates.values():
         assert tpr == 1.0 and fpr == 0.0
 
 
 def test_group_rates_half_tpr():
     rates = group_rates([1, 1], [1, 0], ["A", "A"])
-    tpr, fpr, n_pos, n_neg = rates.rates["A"]
+    tpr, fpr, n_pos, n_neg = rates["A"]
     assert tpr == 0.5 and fpr is None and (n_pos, n_neg) == (2, 0)
 
 
 def test_group_rates_negative_only_group():
     rates = group_rates([0, 0, 1], [0, 1, 1], ["x", "x", "y"])
-    tpr_x, fpr_x, _, _ = rates.rates["x"]
+    tpr_x, fpr_x, _, _ = rates["x"]
     assert tpr_x is None and fpr_x == 0.5
+
+
+def test_group_rates_keys_are_the_string_of_each_label():
+    # labels are read as one array, so a list of ints and floats gives float keys
+    yt, yp = [1, 0, 0, 1], [1, 0, 1, 0]
+    for groups, keys in (([3, 10, 3, 10], ["10", "3"]),
+                         ([1, 2.5, 1, 2.5], ["1.0", "2.5"]),
+                         (np.array([0.1, 1e20, 0.1, 1e20]), ["0.1", "1e+20"])):
+        rates = group_rates(yt, yp, groups)
+        assert list(rates) == keys
+        assert rates == oracle_group_rates(yt, yp, np.asarray(groups))
+    assert [type(v) for v in group_rates(yt, yp, [3, 10, 3, 10])["3"]] == [float, float, int, int]
+
+
+def test_group_rates_length_mismatch():
+    with pytest.raises(LengthMismatch):
+        group_rates([1, 0], [1, 0], ["a"])
 
 
 def test_equalized_odds_perfect_classifier():
@@ -222,12 +250,10 @@ def test_equalized_odds_perfect_classifier():
 
 def test_equalized_odds_hand_value():
     # tprs {0.8, 1.0} -> 0.8 ; fprs {0.1, 0.2} -> 0.5 ; min = 0.5
-    from fairbench.metrics import GroupRates
-
-    rates = GroupRates(rates={
+    rates = {
         "g1": (0.8, 0.1, 10, 10),
         "g2": (1.0, 0.2, 10, 10),
-    })
+    }
     assert equalized_odds(rates) == pytest.approx(0.5)
 
 
@@ -237,10 +263,8 @@ def test_equalized_odds_single_group():
 
 
 def test_equalized_odds_needs_evaluable_groups():
-    from fairbench.metrics import GroupRates
-
     with pytest.raises(NoEvaluableGroups):
-        equalized_odds(GroupRates(rates={"a": (None, 0.5, 0, 2)}))
+        equalized_odds({"a": (None, 0.5, 0, 2)})
 
 
 def test_equalized_odds_group_independent_predictions():
@@ -262,14 +286,9 @@ def test_metrics_match_exhaustive_recount_oracle():
         yp = rng.integers(0, 2, n)
         g = rng.choice(["a", "b", "c"], n)
 
-        tp, fp, tn, fn = oracle_counts(yt, yp, 1)
-        c = confusion(yt, yp, 1)
-        assert (c.tp, c.fp, c.tn, c.fn) == (tp, fp, tn, fn)
-        assert abs(f1_score(c) - oracle_f1(tp, fp, fn)) <= 1e-12
-        assert abs(macro_f1(yt, yp) - oracle_macro_f1(yt, yp)) <= 1e-12
-
+        assert macro_f1(yt, yp) == oracle_macro_f1(yt, yp)
         rates = group_rates(yt, yp, g)
         expected = oracle_group_rates(yt, yp, g)
-        assert rates.rates == expected
-        if rates.tprs() and rates.fprs():
-            assert abs(equalized_odds(rates) - oracle_eo(expected)) <= 1e-12
+        assert rates == expected
+        if evaluable(rates):
+            assert equalized_odds(rates) == oracle_eo(expected)

@@ -85,6 +85,14 @@ def test_spec_resolves_fields_to_their_effective_values():
     {"family": "svm", "kernel": "rbf", "gamma": 0},
     {"family": "svm", "kernel": "rbf", "coef0": 2.0},
     {"family": "svm", "kernel": "ln", "coef0": 1.0},
+    {"family": "logr", "C": float("inf")},
+    {"family": "svm", "kernel": "rbf", "C": float("inf")},
+    {"family": "svm", "kernel": "rbf", "gamma": float("inf")},
+    {"family": "svm", "kernel": "p2", "coef0": float("inf")},
+    {"family": "svm", "kernel": "p3", "coef0": float("-inf")},
+    {"family": "svm", "kernel": "p4", "coef0": float("nan")},
+    {"family": "logr", "C": True},
+    {"family": "svm", "kernel": "p2", "coef0": "1"},
 ], ids=repr)
 def test_spec_rejects_malformed_values(fields):
     with pytest.raises(ValueError):
