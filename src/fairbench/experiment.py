@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,11 +40,20 @@ from .dataset import (
 from .errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
 from .importance import permutation_importance
 from .metrics import equalized_odds, group_rates, macro_f1
-from .models import ModelSpec, _flag, _int, _positive_int, predict_many, train
+from .models import ModelSpec, _finite, _flag, _int, _positive_int, predict_many, train
 from .rng import derive_seed
-from .specfile import cohort_spec_to_dict, default_cohort_spec, load_cohort_spec, load_yaml
+from .specfile import (
+    _mapping,
+    cohort_spec_to_dict,
+    default_cohort_spec,
+    load_cohort_spec,
+    load_yaml,
+)
 
 SENSITIVE_ATTRIBUTES = ("gender", "race", "age")
+# ExperimentConfig field -> its key in a config file, where the two differ
+_CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers",
+                "cohort_seed": "cohort.synthetic.seed"}
 
 
 def default_model_grid() -> tuple[ModelSpec, ...]:
@@ -74,15 +81,17 @@ class ExperimentConfig:
     def __post_init__(self):
         conversions = {"k_folds": _positive_int, "n_permutation_repeats": _positive_int,
                        "n_workers": _positive_int, "master_seed": _int, "cohort_seed": _int,
-                       "clamp": _flag}
+                       "clamp": _flag, "models": tuple, "protocols": tuple,
+                       "age_bin_edges": lambda edges: tuple(_finite(e) for e in edges)}
         for name, convert in conversions.items():
             value = getattr(self, name)
             if value is None and name == "cohort_seed":  # derived from master_seed
                 continue
             try:
                 object.__setattr__(self, name, convert(value))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {name}: {exc}") from None
+            except (TypeError, ValueError) as exc:
+                key = f" (config key {_CONFIG_KEYS[name]!r})" if name in _CONFIG_KEYS else ""
+                raise ConfigError(f"bad value for {name}{key}: {exc}") from None
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
         if not self.models:
@@ -97,11 +106,6 @@ class ExperimentConfig:
         if len(set(self.protocols)) != len(self.protocols):
             raise ConfigError(f"duplicate protocols: {list(self.protocols)}")
         edges = self.age_bin_edges
-        if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
-                   for e in edges):
-            raise ConfigError(f"age_bin_edges must be finite numbers, got {list(edges)}")
-        edges = tuple(float(e) for e in edges)
-        object.__setattr__(self, "age_bin_edges", edges)
         if not edges or any(a >= b for a, b in zip(edges, edges[1:])):
             raise ConfigError(f"age_bin_edges must be non-empty and strictly increasing, "
                               f"got {list(edges)}")
@@ -114,7 +118,7 @@ class ExperimentConfig:
             "cohort_seed": self.cohort_seed,
             "k_folds": self.k_folds,
             "master_seed": self.master_seed,
-            "models": [_canonical_model(m) for m in self.models],
+            "models": [m.name for m in self.models],
             "protocols": list(self.protocols),
             "n_permutation_repeats": self.n_permutation_repeats,
             "age_bin_edges": list(self.age_bin_edges),
@@ -124,16 +128,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _canonical_model(spec: ModelSpec):
-    """Grid shorthand for a spec the name alone gives, else its set fields.
-    Spec seeds are left out: the study derives every model seed from the
-    master seed."""
-    spec = replace(spec, seed=0)
-    if spec == parse_model_name(spec.name):
-        return spec.name
-    return {k: v for k, v in asdict(spec).items() if v is not None and k != "seed"}
 
 
 @dataclass
@@ -375,13 +369,13 @@ def parse_model_name(name: str) -> ModelSpec:
         return ModelSpec.tree()
     if name == "rf":
         return ModelSpec.forest()
-    if name.startswith("svm-"):
-        return ModelSpec.svm(name[4:])
-    if name.startswith("knn-"):
-        try:
+    try:
+        if name.startswith("svm-"):
+            return ModelSpec.svm(name[4:])
+        if name.startswith("knn-"):
             return ModelSpec.knn(int(name[4:]))
-        except ValueError:
-            pass
+    except ValueError as exc:
+        raise ConfigError(f"unknown model name {name!r}: {exc}") from None
     raise ConfigError(f"unknown model name {name!r}")
 
 
@@ -399,37 +393,26 @@ def _model_from_config(entry) -> ModelSpec:
     raise ConfigError(f"model entries must be names or mappings, got {entry!r}")
 
 
-def _mapping(value, key: str, known: set[str]) -> dict:
-    """A config section; None reads as empty, keys outside known are errors."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a mapping, got {value!r}")
-    unknown = set(value) - known
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {key!r}: {sorted(unknown)}")
-    return value
-
-
 def _path(value, key: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key!r} must be a path string, got {value!r}")
     return value
 
 
-def _list(value) -> tuple:
-    if not isinstance(value, list):
-        raise ValueError("expected a list")
-    return tuple(value)
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from the YAML document schema (see README)."""
+    """Build a config from the YAML document schema (see README); every value
+    is converted by ExperimentConfig itself."""
     doc = _mapping(doc, "config", {"cohort", "k_folds", "seed", "models", "protocols",
                                    "n_permutation_repeats", "age_bin_edges", "clamp",
                                    "workers"})
+    fields = {key: name for name, key in _CONFIG_KEYS.items()}
+    kwargs = {fields.get(key, key): value for key, value in doc.items() if key != "cohort"}
+    for key in ("models", "protocols", "age_bin_edges"):
+        if key in doc and not isinstance(doc[key], list):
+            raise ConfigError(f"bad value for {key!r}: {doc[key]!r} (expected a list)")
+    if "models" in doc:
+        kwargs["models"] = tuple(_model_from_config(m) for m in doc["models"])
 
-    kwargs: dict = {}
     cohort = _mapping(doc.get("cohort"), "cohort", {"csv", "synthetic"})
     if "csv" in cohort and "synthetic" in cohort:
         raise ConfigError("cohort must give either 'csv' or 'synthetic', not both")
@@ -439,33 +422,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         synth = _mapping(cohort["synthetic"], "cohort.synthetic", {"spec", "seed"})
         if synth.get("spec") is not None:
             kwargs["cohort_spec"] = load_cohort_spec(_path(synth["spec"], "cohort.synthetic.spec"))
-        if synth.get("seed") is not None:
-            try:
-                kwargs["cohort_seed"] = _int(synth["seed"])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for 'cohort.synthetic.seed': "
-                                  f"{synth['seed']!r} ({exc})") from exc
-
-    fields = {  # config key -> (ExperimentConfig field, conversion)
-        "k_folds": ("k_folds", _positive_int),
-        "seed": ("master_seed", _int),
-        "models": ("models", lambda v: tuple(_model_from_config(m) for m in _list(v))),
-        "protocols": ("protocols", lambda v: tuple(str(p) for p in _list(v))),
-        "n_permutation_repeats": ("n_permutation_repeats", _positive_int),
-        "age_bin_edges": ("age_bin_edges", _list),
-        "clamp": ("clamp", _flag),
-        "workers": ("n_workers", _positive_int),
-    }
-    for key, (name, convert) in fields.items():
-        if key in doc:
-            try:
-                kwargs[name] = convert(doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {doc[key]!r} ({exc})") from exc
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        kwargs["cohort_seed"] = synth.get("seed")
+    return ExperimentConfig(**kwargs)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

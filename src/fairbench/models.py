@@ -139,23 +139,24 @@ class ModelSpec:
 
     @property
     def name(self) -> str:
-        if self.family == "logr":
-            return "logr"
-        if self.family == "svm":
-            return f"svm-{self.kernel}"
-        if self.family == "knn":
-            return f"knn-{self.k_neighbors}"
-        return "dt" if self.family == "tree" else "rf"
+        return {"logr": "logr", "svm": f"svm-{self.kernel}", "knn": f"knn-{self.k_neighbors}",
+                "tree": "dt", "forest": "rf"}[self.family] + self._suffix()
 
     @property
     def label(self) -> str:
-        if self.family == "logr":
-            return "LogR"
-        if self.family == "svm":
-            return f"SVM-{self.kernel.upper()}"
-        if self.family == "knn":
-            return f"{self.k_neighbors}-NN"
-        return "DT" if self.family == "tree" else "RF"
+        base = {"logr": "LogR", "svm": f"SVM-{self.kernel}".upper(),
+                "knn": f"{self.k_neighbors}-NN", "tree": "DT", "forest": "RF"}[self.family]
+        return base + self._suffix()
+
+    def _suffix(self) -> str:
+        """[field=value,...], values as their repr, for each field away from its
+        family default; kernel and k_neighbors are in the name already. Empty for
+        a spec the shorthand name gives."""
+        changed = [f"{k}={getattr(self, k)!r}"
+                   for k, (_, default) in _FAMILY_FIELDS[self.family].items()
+                   if k not in ("kernel", "k_neighbors")
+                   and getattr(self, k) not in (None, default)]
+        return f"[{','.join(changed)}]" if changed else ""
 
     @classmethod
     def logr(cls, C: float | None = None, seed: int = 0) -> "ModelSpec":

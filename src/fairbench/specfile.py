@@ -1,4 +1,5 @@
-"""Parsing of the human-editable cohort-spec document (YAML key-value)."""
+"""The reader shared by the two human-edited YAML documents (the experiment
+config and the cohort spec), and the cohort-spec parser built on it."""
 
 from __future__ import annotations
 
@@ -10,43 +11,65 @@ import yaml
 
 from .dataset import GENDERS, NUMERIC_FIELDS, RACES, ClassSpec, CohortSpec, StatBlock
 from .errors import ConfigError
+from .models import _finite, _positive_int
+
+
+def _mapping(value, key: str, known) -> dict:
+    """A document section; None reads as empty, keys outside known are errors."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a mapping, got {value!r}")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {key!r}: {sorted(unknown, key=str)}")
+    return value
+
+
+def _number(convert, section: dict, key: str, where: str):
+    """section[key] through convert; a missing or malformed value is a
+    ConfigError naming its key."""
+    if key not in section:
+        raise ConfigError(f"{where!r} is missing {key!r}")
+    try:
+        return convert(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for '{where}.{key}': {exc}") from None
 
 
 def cohort_spec_from_dict(doc: dict) -> CohortSpec:
-    if not isinstance(doc, dict) or "classes" not in doc:
-        raise ConfigError("cohort spec must be a mapping with a top-level 'classes' key")
-    classes = doc["classes"]
+    doc = _mapping(doc, "cohort spec", {"classes"})
+    classes = _mapping(doc.get("classes"), "classes", {"ITP", "NonITP"})
     for required in ("ITP", "NonITP"):
         if required not in classes:
             raise ConfigError(f"cohort spec must define class {required!r}")
-    return CohortSpec(
-        itp=_class_spec(classes["ITP"], "ITP"),
-        non_itp=_class_spec(classes["NonITP"], "NonITP"),
+    return CohortSpec(itp=_class_spec(classes["ITP"], "classes.ITP"),
+                      non_itp=_class_spec(classes["NonITP"], "classes.NonITP"))
+
+
+def _class_spec(doc, where: str) -> ClassSpec:
+    doc = _mapping(doc, where, {"size", "gender", "race", "variables"})
+
+    def proportions(key: str, known) -> dict[str, float]:
+        section = _mapping(doc.get(key), f"{where}.{key}", known)
+        return {k: _number(_finite, section, k, f"{where}.{key}") for k in section}
+
+    variables = _mapping(doc.get("variables"), f"{where}.variables", NUMERIC_FIELDS)
+    return ClassSpec(
+        size=_number(_positive_int, doc, "size", where),
+        gender=proportions("gender", GENDERS),
+        race=proportions("race", RACES),
+        variables={var: _stat_block(block, f"{where}.variables.{var}")
+                   for var, block in variables.items()},
     )
 
 
-def _class_spec(doc: dict, name: str) -> ClassSpec:
-    try:
-        size = int(doc["size"])
-        gender = {str(k): float(v) for k, v in doc["gender"].items()}
-        race = {str(k): float(v) for k, v in doc["race"].items()}
-        variables = {}
-        for var, block in doc["variables"].items():
-            variables[str(var)] = StatBlock(
-                lo=float(block["min"]),
-                hi=float(block["max"]),
-                median=None if block.get("median") is None else float(block["median"]),
-                mean=None if block.get("mean") is None else float(block["mean"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed cohort spec for class {name}: {exc}") from exc
-    if set(gender) - set(GENDERS):
-        raise ConfigError(f"class {name}: gender keys must be in {GENDERS}")
-    if set(race) - set(RACES):
-        raise ConfigError(f"class {name}: race keys must be in {RACES}")
-    if set(variables) != set(NUMERIC_FIELDS):
-        raise ConfigError(f"class {name}: variables must be exactly {sorted(NUMERIC_FIELDS)}")
-    return ClassSpec(size=size, gender=gender, race=race, variables=variables)
+def _stat_block(doc, where: str) -> StatBlock:
+    doc = _mapping(doc, where, {"min", "max", "median", "mean"})
+    optional = {k: None if doc.get(k) is None else _number(_finite, doc, k, where)
+                for k in ("median", "mean")}
+    return StatBlock(lo=_number(_finite, doc, "min", where),
+                     hi=_number(_finite, doc, "max", where), **optional)
 
 
 def cohort_spec_to_dict(spec: CohortSpec) -> dict:

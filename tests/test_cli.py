@@ -1,6 +1,8 @@
 import json
+from importlib import resources
 
 import pytest
+import yaml
 
 from fairbench import cli
 from fairbench.cli import main
@@ -145,6 +147,7 @@ def test_run_invalid_config_exits_1(tmp_path):
     "models: [{family: svm, kernel: p2, coef0: .inf}]",
     "models: [{family: svm, kernel: p3, coef0: .nan}]",
     "models: [{family: logr, C: true}]",
+    "models: [svm-xyz]",
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"
@@ -188,11 +191,51 @@ def test_run_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_synth_invalid_spec_exits_1(tmp_path):
+def _itp(doc: dict) -> dict:
+    return doc["classes"]["ITP"]
+
+
+# one-key edits of the shipped calibration
+SPEC_EDITS = {
+    "no-classes": lambda doc: doc.update(classes={}),
+    "classes-not-a-mapping": lambda doc: doc.update(classes=5),
+    "gender-list": lambda doc: _itp(doc).update(gender=["F", "M"]),
+    "variables-list": lambda doc: _itp(doc).update(variables=[1]),
+    "fractional-size": lambda doc: _itp(doc).update(size=100.7),
+    "string-size": lambda doc: _itp(doc).update(size="100"),
+    "string-proportion": lambda doc: _itp(doc)["gender"].update(F="0.47"),
+    "block-key-typo": lambda doc: _itp(doc)["variables"]["alt"].update(
+        meen=_itp(doc)["variables"]["alt"].pop("mean")),
+    "class-key-typo": lambda doc: _itp(doc).update(szie=100),
+    "extra-class": lambda doc: doc["classes"].update(Other=doc["classes"]["NonITP"]),
+}
+
+
+def write_edited_spec(path, edit) -> None:
+    text = resources.files("fairbench").joinpath("data/default_cohort.yaml").read_text("utf-8")
+    doc = yaml.safe_load(text)
+    edit(doc)
+    path.write_text(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("edit", SPEC_EDITS.values(), ids=SPEC_EDITS.keys())
+def test_synth_invalid_spec_exits_1(tmp_path, capsys, edit):
     spec = tmp_path / "spec.yaml"
-    spec.write_text("classes: {}\n")
+    write_edited_spec(spec, edit)
     assert main(["synth", "--spec", str(spec), "--seed", "1",
                  "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_run_with_an_invalid_spec_exits_1(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    write_edited_spec(spec, SPEC_EDITS["fractional-size"])
+    config = tmp_path / "config.yaml"
+    config.write_text(f"cohort: {{synthetic: {{spec: {spec}}}}}\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "classes.ITP.size" in err
 
 
 @pytest.mark.parametrize("content", [b"k_folds: [1\n", b"classes: \xff\n"], ids=["syntax", "bytes"])

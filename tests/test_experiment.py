@@ -122,6 +122,10 @@ def test_config_rejects_bad_values():
         ExperimentConfig(clamp="false")
     with pytest.raises(ConfigError, match="ModelSpec"):
         ExperimentConfig(models=("logr",))
+    with pytest.raises(ConfigError, match="age_bin_edges"):
+        ExperimentConfig(age_bin_edges=45)
+    with pytest.raises(ConfigError, match="models"):
+        ExperimentConfig(models=ModelSpec.tree())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -151,6 +155,8 @@ def test_parse_model_name_shorthands():
     assert parse_model_name("dt").family == "tree"
     with pytest.raises(ConfigError):
         parse_model_name("boosted-stumps")
+    with pytest.raises(ConfigError, match="svm-xyz"):
+        parse_model_name("svm-xyz")
 
 
 def test_config_from_dict_full_document():
@@ -229,6 +235,15 @@ def test_config_hash_does_not_depend_on_spelling():
     assert config_hash([{"family": "forest"}]) == config_hash(["rf"])
     assert (config_hash([{"family": "forest", "n_trees": 5}])
             == config_hash([{"family": "forest", "n_trees": 5.0, "bootstrap": True}]))
+
+
+def test_models_that_differ_only_in_hyperparameters_are_distinct():
+    models = config_from_dict({"models": ["svm-rbf", {"family": "svm", "kernel": "rbf",
+                                                      "C": 10}]}).models
+    report = run_experiment(small_config(models=models, protocols=(AWARE,)))
+    assert [e["model"] for e in report.entries] == ["svm-rbf", "svm-rbf[C=10.0]"]
+    assert [e["label"] for e in report.entries] == ["SVM-RBF", "SVM-RBF[C=10.0]"]
+    assert report.provenance["config"]["models"] == ["svm-rbf", "svm-rbf[C=10.0]"]
 
 
 def test_config_hash_tracks_content():
@@ -424,7 +439,7 @@ def test_emit_markdown_tables(tmp_path, small_report):
     assert "| DT |" in perf and "| 2-NN |" in perf
     assert "Demographic-aware" in perf and "Demographic-unaware" in perf
     # the separable cohort makes the tree models perfect: every cell renders 100
-    for label in ("DT", "RF"):
+    for label in ("DT", "RF[n_trees=30]"):
         row = next(line for line in perf.splitlines() if line.startswith(f"| {label} |"))
         cells = [c.strip() for c in row.split("|")[2:-1]]
         assert all(c == "100" for c in cells)

@@ -154,7 +154,7 @@ def noisy_with_onehot(n, seed):
     ModelSpec.knn(4),
     ModelSpec.tree(),
     ModelSpec.forest(n_trees=7, seed=3),
-], ids=lambda s: s.name)
+], ids=lambda s: s.name.partition("[")[0])
 def test_stacked_copies_equal_one_copy_at_a_time(monkeypatch, spec, grouped, chunk_rows):
     # 25 rows and 3 repeats: with 2 copies per chunk, chunks straddle targets
     monkeypatch.setattr(importance_mod, "CHUNK_ROWS", chunk_rows)
@@ -257,7 +257,8 @@ def test_each_distinct_changed_row_is_predicted_once(monkeypatch, grouped, chunk
 
 
 @pytest.mark.parametrize("spec", [ModelSpec.svm("rbf"), ModelSpec.knn(4),
-                                  ModelSpec.forest(n_trees=7, seed=3)], ids=lambda s: s.name)
+                                  ModelSpec.forest(n_trees=7, seed=3)],
+                         ids=lambda s: s.name.partition("[")[0])
 def test_a_target_larger_than_a_chunk_is_split_across_calls(monkeypatch, spec):
     monkeypatch.setattr(importance_mod, "CHUNK_ROWS", 7)
     rows = spy_on_predict_many(monkeypatch)

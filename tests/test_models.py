@@ -108,6 +108,20 @@ def test_spec_names_and_labels():
     assert ModelSpec.forest().label == "RF"
 
 
+def test_spec_names_and_labels_suffix_each_field_away_from_its_default():
+    spec = ModelSpec(family="forest", n_trees=50)
+    assert (spec.name, spec.label) == ("rf[n_trees=50]", "RF[n_trees=50]")
+    assert ModelSpec.svm("rbf", C=10).name == "svm-rbf[C=10.0]"
+    assert ModelSpec.tree(max_depth=3).name == "dt[max_depth=3]"
+    # gamma and max_features have no fixed default: they show whenever set
+    assert ModelSpec.svm("p2", gamma=0.5, coef0=0).label == "SVM-P2[gamma=0.5,coef0=0.0]"
+    assert (ModelSpec.forest(n_trees=100, bootstrap=False, max_features=2).name
+            == "rf[bootstrap=False,max_features=2]")
+    # a field spelled at its default leaves the shorthand name
+    assert ModelSpec.svm("rbf", C=1).name == "svm-rbf"
+    assert ModelSpec.forest(n_trees=100.0, bootstrap=True).name == "rf"
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -191,7 +205,7 @@ def test_non_finite_input_rejected():
     ModelSpec.knn(3),
     ModelSpec.tree(),
     ModelSpec.forest(n_trees=3),
-], ids=lambda s: s.name)
+], ids=lambda s: s.name.partition("[")[0])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_prediction_input_rejected(spec, bad):
     X, y = toy_problem()
