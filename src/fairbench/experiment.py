@@ -11,11 +11,12 @@ order regardless of worker count.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 
 import numpy as np
 
@@ -361,22 +362,52 @@ def _fold_flags(cohort: Cohort, folds: list[_FoldData]) -> list[dict]:
     return flags
 
 
+_SHORTHANDS = {"logr": ModelSpec.logr, "dt": ModelSpec.tree, "rf": ModelSpec.forest}
+
+
 def parse_model_name(name: str) -> ModelSpec:
-    """Grid shorthand: logr, svm-<kernel>, knn-<k>, dt, rf."""
-    if name == "logr":
-        return ModelSpec.logr()
-    if name == "dt":
-        return ModelSpec.tree()
-    if name == "rf":
-        return ModelSpec.forest()
+    """A model name as ModelSpec.name writes it: the grid shorthand (logr,
+    svm-<kernel>, knn-<k>, dt, rf), then for a spec with other hyperparameters
+    a [field=value,...] suffix, each value a Python literal."""
+    base, bracket, suffix = name.partition("[")
     try:
-        if name.startswith("svm-"):
-            return ModelSpec.svm(name[4:])
-        if name.startswith("knn-"):
-            return ModelSpec.knn(int(name[4:]))
+        if base in _SHORTHANDS:
+            spec = _SHORTHANDS[base]()
+        elif base.startswith("svm-"):
+            spec = ModelSpec.svm(base[4:])
+        elif base.startswith("knn-"):
+            spec = ModelSpec.knn(int(base[4:]))
+        else:
+            raise ConfigError(f"unknown model name {name!r}")
+        if bracket:
+            spec = replace(spec, **_name_suffix_fields(suffix))
     except ValueError as exc:
         raise ConfigError(f"unknown model name {name!r}: {exc}") from None
-    raise ConfigError(f"unknown model name {name!r}")
+    return spec
+
+
+# the fields a name's [field=value,...] suffix may set: family, kernel and
+# k_neighbors are in the name before it, and model seeds derive from the study
+_SUFFIX_FIELDS = ({f.name for f in dataclass_fields(ModelSpec)}
+                  - {"family", "kernel", "k_neighbors", "seed"})
+
+
+def _name_suffix_fields(suffix: str) -> dict:
+    """{field: value} of the part of a model name after its '['."""
+    if not suffix.endswith("]"):
+        raise ValueError("the field list must end with ']'")
+    out = {}
+    for item in suffix[:-1].split(","):
+        key, _, text = item.partition("=")
+        if key not in _SUFFIX_FIELDS:
+            raise ValueError(f"{key!r} is not a field a model name sets")
+        if key in out:
+            raise ValueError(f"{key} is given twice")
+        try:
+            out[key] = ast.literal_eval(text)
+        except (ValueError, SyntaxError):
+            raise ValueError(f"bad value {text!r} for {key}") from None
+    return out
 
 
 def _model_from_config(entry) -> ModelSpec:

@@ -11,8 +11,12 @@ serves every k fit to the same rows, see predict_many; the -2 of the distance
 is folded into the training rows once per call; the order is taken by k rounds
 of argmin, which like a stable sort resolves equal distances to the lowest
 index), and CART trees (Gini, midpoint thresholds; each fit rank-codes its
-columns once, one contiguous row per column, and each node scores all its
-candidate columns in one stable sort of the ranks). Both solvers stop on a
+columns once, one contiguous row per column, and grows every tree of the forest
+in lockstep preorder without recursion: each step takes the next node that
+needs a split from every unfinished tree, each node sorts its own ranks, and the
+Gini of the cuts between distinct values of a step's nodes is computed in
+batches of at most SPLIT_BATCH sorted values). KNN and SVM prediction work in
+blocks of query rows sized to BLOCK_ELEMENTS values. Both solvers stop on a
 tolerance; their iteration caps are safety nets that warn with DidNotConverge.
 Trees are stored as flat preorder node arrays in a ForestModel: a decision tree
 is a one-tree forest over every row and column, a random forest bags rows and
@@ -46,10 +50,14 @@ LOGR_MAX_ITER = 50  # safety net; Newton needs a handful of steps
 LOGR_GRAD_TOL = 1e-6
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000
-# query rows per distance or kernel block; bounds a KNN block's distance matrix
-# and selection temporaries, and an SVM block's kernel matrix, to this many
-# rows times the training or support-vector count
-BLOCK_ROWS = 256
+# values per distance or kernel block: a KNN block takes as many query rows as
+# keep its distances to every training row (and the selection temporaries of
+# that shape) within this many, an SVM block its kernel values against every
+# support vector
+BLOCK_ELEMENTS = 1 << 17
+# rank-coded elements (node rows x candidate columns) whose cuts one pass of
+# _score_cuts scores; bounds its working arrays, whatever the forest's width
+SPLIT_BATCH = 1 << 14
 
 
 def _int(value) -> int:
@@ -268,8 +276,9 @@ class SvmModel(TrainedModel):
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
-        for start in range(0, len(X), BLOCK_ROWS):
-            K = _kernel_matrix(self.spec.kernel, X[start:start + BLOCK_ROWS], self.support_X,
+        step = _block_rows(len(self.support_X))
+        for start in range(0, len(X), step):
+            K = _kernel_matrix(self.spec.kernel, X[start:start + step], self.support_X,
                                self.gamma, self.spec.coef0)
             out[start:start + len(K)] = K @ self.support_coef + self.bias
         return out
@@ -285,6 +294,11 @@ class KnnModel(TrainedModel):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return _knn_votes(self.train_X, self.train_y, X, [self.spec.k_neighbors])[0]
+
+
+def _block_rows(columns: int) -> int:
+    """Query rows per block of a matrix with ``columns`` columns."""
+    return max(1, BLOCK_ELEMENTS // max(1, columns))
 
 
 def _nearest(d2: np.ndarray, kmax: int) -> np.ndarray:
@@ -310,8 +324,8 @@ def _nearest(d2: np.ndarray, kmax: int) -> np.ndarray:
 def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
                ks: list[int]) -> list[np.ndarray]:
     """Labels of X by majority vote of the k nearest training rows, for each
-    k in ``ks``, from one distance block and one neighbour order per
-    ``BLOCK_ROWS`` query rows. Equal distances resolve to the lowest
+    k in ``ks``, from one distance block and one neighbour order per block of
+    query rows (see BLOCK_ELEMENTS). Equal distances resolve to the lowest
     training index; an even-k vote tie takes the nearest neighbour's label."""
     ks = [min(k, len(train_y)) for k in ks]
     sq_train = np.sum(train_X * train_X, axis=1)
@@ -319,8 +333,9 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
     # -2 (B @ x^T) bit for bit, barring overflow and subnormals
     minus_2xt = -2.0 * train_X.T
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
-    for start in range(0, len(X), BLOCK_ROWS):
-        B = X[start:start + BLOCK_ROWS]
+    step = _block_rows(len(train_y))
+    for start in range(0, len(X), step):
+        B = X[start:start + step]
         d2 = B @ minus_2xt  # |b|^2 - 2 b.x + |x|^2, in place
         d2 += np.sum(B * B, axis=1)[:, None]
         d2 += sq_train
@@ -600,66 +615,125 @@ def _rank_code(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.vstack(ranks).astype(dtype), list(vals)
 
 
-def _gini_best_split(R: np.ndarray, y: np.ndarray, cols: np.ndarray,
-                     vals: list[np.ndarray]) -> tuple[int, float] | None:
-    """Exhaustive midpoint search over the columns ``cols`` of one node's
-    rank-coded rows R (see _rank_code), all columns in one pass; ties resolve
-    to the lowest column then the lowest threshold. None when every candidate
-    column is constant."""
-    n = len(y)
-    Rc = R[cols]
-    order = np.argsort(Rc, axis=1, kind="stable")  # ranks: the same order as the values
-    sr = np.sort(Rc, axis=1, kind="stable")
-    cpos = np.cumsum(y[order], axis=1)  # [c, r]: positives among the r + 1 smallest
-    nl = np.arange(1.0, n)  # left size of the cut after sorted row r
-    nr = n - nl
-    pl = cpos[:, :-1] / nl
-    pr = (cpos[:, -1:] - cpos[:, :-1]) / nr
+def _best_splits(R: np.ndarray, y: np.ndarray, vals: list[np.ndarray],
+                 nodes: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[tuple | None]:
+    """The best Gini cut of each node (rows, cols) over rank-coded rows (see
+    _rank_code): rows index the columns of R and y, with repeats for a bootstrap
+    bag, and cols are the node's sorted candidate columns. Each node sorts its
+    own ranks; the sorted elements of consecutive nodes are scored together,
+    SPLIT_BATCH at a time (see _score_cuts). Per node, None when every candidate
+    column is constant on its rows, else (feature, threshold, left rows, right
+    rows, positives among the left rows)."""
+    out: list = []
+    batch, size = [], 0
+    for rows, cols in nodes:
+        Rc = R[cols].take(rows, axis=1)
+        order = Rc.argsort(axis=1, kind="stable")  # ranks: the same order as the values
+        Rc.sort(axis=1, kind="stable")
+        batch.append((cols, Rc, rows[order]))
+        size += Rc.size
+        if size >= SPLIT_BATCH:  # score now, so the sorted copies of all nodes never coexist
+            out += _score_cuts(batch, y, vals)
+            batch, size = [], 0
+    return out + _score_cuts(batch, y, vals) if batch else out
+
+
+def _score_cuts(batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]], y: np.ndarray,
+                vals: list[np.ndarray]) -> list[tuple | None]:
+    """_best_splits of nodes given as (cols, sorted ranks, rows in that order),
+    one row per column: the weighted Gini of every cut between distinct values
+    in one pass over the nodes' concatenated columns, then per node its first
+    minimum, so ties go to the lowest column, then the lowest threshold."""
+    sr = np.concatenate([s.ravel() for _, s, _ in batch])
+    width = np.repeat([s.shape[1] for _, s, _ in batch], [len(cols) for cols, _, _ in batch])
+    end = width.cumsum()  # one segment of sorted elements per (node, column)
+    cy = np.zeros(len(sr) + 1, dtype=np.int64)  # cy[p]: positives among the first p
+    np.cumsum(y[np.concatenate([o.ravel() for _, _, o in batch])], out=cy[1:])
+    cut = sr[1:] > sr[:-1]  # cut[p]: a cut after element p
+    cut[end[:-1] - 1] = False  # none between segments
+    at = cut.nonzero()[0]
+    upto = at.searchsorted(end)  # cuts up to the end of each segment
+    per_seg = upto.copy()
+    per_seg[1:] -= upto[:-1]
+    start = end - width
+    base = cy[start].repeat(per_seg)
+    nl = (at - (start - 1).repeat(per_seg)).astype(float)  # left size of each cut
+    nr = ((end - 1).repeat(per_seg) - at).astype(float)
+    n = nl + nr
+    lpos = cy[at + 1] - base
+    pl = lpos / nl
+    pr = (cy[end].repeat(per_seg) - base - lpos) / nr
     weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
-    weighted[sr[:, 1:] <= sr[:, :-1]] = np.inf  # no cut between equal values
-    c, r = divmod(int(np.argmin(weighted)), n - 1)  # lowest column, then threshold
-    if weighted[c, r] == np.inf:
-        return None
-    f = int(cols[c])
-    lo, hi = vals[f][sr[c, r]], vals[f][sr[c, r + 1]]
-    mid = 0.5 * (lo + hi)
-    return f, float(mid if mid < hi else lo)  # a midpoint rounded onto hi would send hi left
-
-
-def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray], depth: int,
-               max_depth: int | None, max_features: int, rng: np.random.Generator) -> int:
-    """Append the tree fitted to the rank-coded rows (R, y) to ``nodes`` in
-    preorder, one [feature, threshold, left, right, value] row per node;
-    returns its root."""
-    node, pos = len(nodes), int(y.sum())
-    nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(y))])  # majority label; a tie is 0
-    if pos in (0, len(y)) or (max_depth is not None and depth >= max_depth):  # pure or deep
-        return node
-    d = len(R)
-    cols = np.arange(d) if max_features >= d else np.sort(
-        rng.choice(d, size=max_features, replace=False))
-    split = _gini_best_split(R, y, cols, vals)
-    if split is None:
-        return node
-    feature, threshold = split
-    mask = vals[feature][R[feature]] <= threshold
-    left = _grow_tree(nodes, R[:, mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
-    right = _grow_tree(nodes, R[:, ~mask], y[~mask], vals, depth + 1, max_depth, max_features, rng)
-    nodes[node][:4] = feature, threshold, left, right
-    return node
+    out: list = []
+    upto = upto.tolist()
+    lo = seg = first = 0  # a node's first cut, segment and element
+    for cols, s, o in batch:
+        seg += len(cols)
+        hi = upto[seg - 1]
+        if hi == lo:
+            out.append(None)
+        else:
+            w = lo + int(weighted[lo:hi].argmin())  # the first minimum
+            c, r = divmod(int(at[w]) - first, s.shape[1])
+            f = int(cols[c])
+            lo_val, hi_val = float(vals[f][s[c, r]]), float(vals[f][s[c, r + 1]])
+            mid = 0.5 * (lo_val + hi_val)  # a midpoint rounded onto hi would send hi left
+            threshold = mid if mid < hi_val else lo_val
+            # the children: rank <= rank(lo) exactly when value <= threshold,
+            # as lo <= threshold < hi; copies, so a pending child does not
+            # keep the node's sorted rows alive
+            out.append((f, threshold, o[c, :r + 1].copy(), o[c, r + 1:].copy(), int(lpos[w])))
+        lo = hi
+        first += s.size
+    return out
 
 
 def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
                   bootstrap: bool, max_features: int) -> ForestModel:
-    n = len(y)
+    """Every tree grown in lockstep, without recursion: each step takes from
+    each unfinished tree the next node in its preorder that needs a split, and
+    scores those nodes together. Tree t draws its bag and then each such node's
+    candidate columns from its own stream as it takes the node, so every stream
+    is read in its tree's preorder, as when trees grow one at a time."""
+    n, d = X.shape
     R, vals = _rank_code(X)
-    nodes: list = []
-    roots = []
-    for tree_idx in range(n_trees):
-        rng = derive_rng(spec.seed, "tree", tree_idx)
-        rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
-        roots.append(_grow_tree(nodes, R[:, rows], y[rows], vals, 0, spec.max_depth,
-                                max_features, rng))
-    feature, threshold, left, right, value = (np.array(col) for col in zip(*nodes))
-    return ForestModel(spec=spec, n_features=X.shape[1], feature=feature, threshold=threshold,
-                       left=left, right=right, value=value, roots=np.array(roots))
+    every = np.arange(d)
+    rngs = [derive_rng(spec.seed, "tree", tree_idx) for tree_idx in range(n_trees)]
+    bags = (rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs)
+    # per tree, the nodes still to grow, the next in preorder on top: (rows,
+    # positives, depth, the parent whose right child this is, or -1)
+    stacks = [[(bag, int(y[bag].sum()), 0, -1)] for bag in bags]
+    trees: list[list] = [[] for _ in rngs]  # [feature, threshold, left, right, value] rows
+    live = list(range(n_trees))
+    while live:
+        step, todo = [], []
+        for t in live:
+            nodes, stack = trees[t], stacks[t]
+            while stack:
+                rows, pos, depth, parent = stack.pop()
+                node = len(nodes)
+                if parent >= 0:
+                    nodes[parent][3] = node
+                nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(rows))])  # majority; a tie is 0
+                if 0 < pos < len(rows) and (spec.max_depth is None or depth < spec.max_depth):
+                    cols = every if max_features >= d else np.sort(
+                        rngs[t].choice(d, size=max_features, replace=False))
+                    step.append((t, node, pos, depth))
+                    todo.append((rows, cols))
+                    break
+        for (t, node, pos, depth), split in zip(step, _best_splits(R, y, vals, todo)):
+            if split is not None:
+                feature, threshold, left, right, left_pos = split
+                trees[t][node][:3] = feature, threshold, node + 1
+                stacks[t] += [(right, pos - left_pos, depth + 1, node),
+                              (left, left_pos, depth + 1, -1)]
+        live = [t for t in live if stacks[t]]
+
+    sizes = [len(nodes) for nodes in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, value = (
+        np.array(col) for col in zip(*(node for nodes in trees for node in nodes)))
+    shift = np.repeat(roots, sizes)  # tree-local child indices to global ones
+    return ForestModel(spec=spec, n_features=d, feature=feature, threshold=threshold,
+                       left=np.where(left < 0, left, left + shift),
+                       right=np.where(right < 0, right, right + shift), value=value, roots=roots)

@@ -148,6 +148,10 @@ def test_run_invalid_config_exits_1(tmp_path):
     "models: [{family: svm, kernel: p3, coef0: .nan}]",
     "models: [{family: logr, C: true}]",
     "models: [svm-xyz]",
+    'models: ["rf[n_trees=]"]',
+    'models: ["rf[bogus=1]"]',
+    'models: ["rf[n_trees=30"]',
+    'models: ["dt[max_depth=2.5]"]',
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"

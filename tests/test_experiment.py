@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +158,37 @@ def test_parse_model_name_shorthands():
         parse_model_name("boosted-stumps")
     with pytest.raises(ConfigError, match="svm-xyz"):
         parse_model_name("svm-xyz")
+
+
+# every spec of this file whose name carries a [field=value,...] suffix, and
+# some that set every field a suffix can
+SUFFIXED_SPECS = (
+    ModelSpec.forest(n_trees=30),
+    ModelSpec.svm("p2", C=2.0),
+    ModelSpec.svm("rbf", C=50.0),
+    ModelSpec.forest(n_trees=5),
+    ModelSpec.svm("rbf", C=10),
+    ModelSpec.tree(max_depth=3),
+    ModelSpec.forest(n_trees=7, max_depth=2, bootstrap=False, max_features=1),
+    ModelSpec.svm("p3", C=0.5, gamma=0.25, coef0=-1.5),
+    ModelSpec.logr(C=1e-05),
+)
+
+
+def test_a_model_name_parses_back_to_its_spec():
+    for spec in SUFFIXED_SPECS:
+        assert "[" in spec.name
+        assert parse_model_name(spec.name) == spec
+    assert config_from_dict({"models": ["rf[n_trees=30]"]}).models == (SUFFIXED_SPECS[0],)
+
+
+@pytest.mark.parametrize("name", [
+    "rf[n_trees=]", "rf[bogus=1]", "rf[n_trees=30", "dt[max_depth=2.5]", "rf[]",
+    "rf[n_trees=3,n_trees=4]", "rf[seed=3]", "knn-3[k_neighbors=4]", "svm-rbf[coef0=1.0]",
+])
+def test_a_malformed_name_suffix_is_rejected(name):
+    with pytest.raises(ConfigError, match=re.escape(repr(name))):
+        parse_model_name(name)
 
 
 def test_config_from_dict_full_document():

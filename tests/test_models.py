@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fairbench.models import (
     predict_many,
     train,
 )
+from fairbench.rng import derive_rng, derive_seed
 from fairbench.specfile import default_cohort_spec
 
 
@@ -341,8 +343,9 @@ def test_svm_exit_satisfies_kkt(toy_svm_fits):
 def test_svm_labels_do_not_depend_on_the_kernel_block(monkeypatch, toy_svm_fits):
     Xq = np.random.default_rng(9).random((50, 4))
     want = [m.predict(Xq) for _, m in toy_svm_fits]
-    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 3)
     for (_, m), labels in zip(toy_svm_fits, want):
+        # three query rows per block
+        monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 3 * len(m.support_X))
         assert np.array_equal(m.predict(Xq), labels)
 
 
@@ -477,8 +480,8 @@ KNN_KS = (1, 2, 4, 8, 12, 40)
 
 @pytest.mark.parametrize("k", KNN_KS)
 def test_knn_ties_match_stable_argsort(monkeypatch, k):
-    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 3)
     X, y, Xq = tied_grid()
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 3 * len(X))  # three query rows per block
     m = train(ModelSpec.knn(k), X, y)
     if k < len(y):  # some row shares its k-th distance with a point left out
         d2 = np.sort(((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2), axis=1)
@@ -492,9 +495,9 @@ def test_knn_overflowing_distances_match_stable_argsort(monkeypatch, k):
     # some nan (inf - inf); rows of both kinds reach them among their k nearest.
     # Near 1.7e308 the doubled training values overflow too, and near 1e-160
     # the products are subnormal, where doubling need not commute with rounding
-    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 4)
     rng = np.random.default_rng(21)
     X = rng.random((40, 2))
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 4 * len(X))  # four query rows per block
     X[::4] *= 1e200
     X[1::8] *= 1.7e308
     X[2::4] *= 1e-160
@@ -512,8 +515,8 @@ def test_knn_overflowing_distances_match_stable_argsort(monkeypatch, k):
 def test_knn_models_predicted_together_match_stable_argsort(monkeypatch):
     # every k shares one neighbour order; a KNN model fit to other rows and a
     # tree are predicted on their own
-    monkeypatch.setattr(models_mod, "BLOCK_ROWS", 3)
     X, y, Xq = tied_grid()
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 3 * len(X))  # three query rows per block
     fitted = [train(ModelSpec.knn(k), X, y) for k in KNN_KS]
     fitted += [train(ModelSpec.knn(3), X[::-1], y), train(ModelSpec.tree(), X, y)]
     got = predict_many(fitted, Xq)
@@ -620,9 +623,43 @@ def per_column_best_split(X, y, cols):
     return best[1], best[2]
 
 
-def rank_coded_split(X, y, cols):
+# SPLIT_BATCH bounds: every node scored in a pass of its own, or every node of
+# a _best_splits call in one pass
+BATCH_BOUNDS = (1, 1 << 30)
+
+
+def batched_splits(X, y, nodes):
+    """(feature, threshold) or None per node (rows, cols) of X, from one
+    _best_splits call; checks each split's children and the positives among
+    the left rows against the float mask X[rows, feature] <= threshold."""
     R, vals = models_mod._rank_code(X)
-    return models_mod._gini_best_split(R, y, cols, vals)
+    out = []
+    for (rows, _), split in zip(nodes, models_mod._best_splits(R, y, vals, nodes), strict=True):
+        if split is None:
+            out.append(None)
+            continue
+        f, thr, left, right, left_pos = split
+        mask = X[rows, f] <= thr
+        assert np.array_equal(np.sort(left), np.sort(rows[mask]))
+        assert np.array_equal(np.sort(right), np.sort(rows[~mask]))
+        assert left_pos == int(y[left].sum())
+        out.append((f, thr))
+    return out
+
+
+def assert_splits_at_every_bound(monkeypatch, X, y, nodes, want):
+    for bound in BATCH_BOUNDS:
+        monkeypatch.setattr(models_mod, "SPLIT_BATCH", bound)
+        got = batched_splits(X, y, nodes)
+        assert got == want
+        assert all(g is None or type(g[1]) is float for g in got)
+
+
+def every_row_and_bags(y, cols, rng, n_bags=2):
+    """Nodes over cols: every row in order, reversed, and bootstrap bags."""
+    n = len(y)
+    rows = [np.arange(n), np.arange(n)[::-1]] + [rng.integers(0, n, n) for _ in range(n_bags)]
+    return [(r, cols) for r in rows]
 
 
 def float_tree_reference(X, y, max_depth=None):
@@ -655,7 +692,7 @@ def tree_nodes(m):
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_batched_gini_split_equals_the_per_column_loop(seed):
+def test_batched_gini_split_equals_the_per_column_loop(monkeypatch, seed):
     # small integer values: equal values inside a column, equal Gini at
     # several thresholds, and a mirrored column that ties with column 0 at
     # the mirrored threshold
@@ -666,19 +703,23 @@ def test_batched_gini_split_equals_the_per_column_loop(seed):
     X[:, int(rng.integers(2, d))] = 2.0  # a constant column
     y = rng.integers(0, 2, n)
     subset = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-    for cols in (np.arange(d), subset, np.array([0, 1])):
-        got = rank_coded_split(X, y, cols)
-        assert got == per_column_best_split(X, y, cols)
-        assert got is None or type(got[1]) is float
+    nodes = [node for cols in (np.arange(d), subset, np.array([0, 1]))
+             for node in every_row_and_bags(y, cols, rng)]
+    want = [per_column_best_split(X[rows], y[rows], cols) for rows, cols in nodes]
+    assert_splits_at_every_bound(monkeypatch, X, y, nodes, want)
 
 
-def test_batched_gini_split_is_none_without_a_cut():
+def test_batched_gini_split_is_none_without_a_cut(monkeypatch):
     X = np.hstack([np.full((6, 1), 3.0), np.zeros((6, 2))])
     y = np.array([0, 1, 0, 1, 1, 0])
-    assert rank_coded_split(X, y, np.arange(3)) is None
+    every = np.arange(6)
     assert per_column_best_split(X, y, np.arange(3)) is None
+    assert_splits_at_every_bound(monkeypatch, X, y, [(every, np.arange(3))], [None])
     X[:, 1] = np.arange(6)
-    assert rank_coded_split(X, y, np.array([0, 2])) is None  # cuts exist outside cols
+    # cuts exist outside cols; a node with a cut between two without one
+    nodes = [(every, np.array([0, 2])), (every, np.arange(3)), (every[::2], np.array([0, 2]))]
+    want = [None, per_column_best_split(X, y, np.arange(3)), None]
+    assert_splits_at_every_bound(monkeypatch, X, y, nodes, want)
 
 
 def gini_split_reference(R, y, cols, vals):
@@ -709,7 +750,7 @@ GINI_CASES = ("two rows", "binary", "constant", "all tied", "mixed")
 
 
 @pytest.mark.parametrize("case", GINI_CASES)
-def test_gini_split_equals_the_row_layout_reference(case):
+def test_gini_split_equals_the_row_layout_reference(monkeypatch, case):
     rng = np.random.default_rng(GINI_CASES.index(case))
     for _ in range(40):
         n = 2 if case == "two rows" else int(rng.integers(2, 60))
@@ -727,32 +768,40 @@ def test_gini_split_equals_the_row_layout_reference(case):
         y = rng.integers(0, 2, n)
         R, vals = models_mod._rank_code(X)
         subset = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-        for cols in (np.arange(d), subset):
-            got = models_mod._gini_best_split(R, y, cols, vals)
-            assert got == gini_split_reference(R.T, y, cols, vals)
-            assert got is None or type(got[1]) is float
+        nodes = [node for cols in (np.arange(d), subset)
+                 for node in every_row_and_bags(y, cols, rng)]
+        want = [gini_split_reference(R.T[rows], y[rows], cols, vals) for rows, cols in nodes]
+        assert_splits_at_every_bound(monkeypatch, X, y, nodes, want)
 
 
-def test_signed_zeros_are_one_value_to_the_split():
+def assert_float_splits(monkeypatch, X, y, seed):
+    """The batched split of every row, reversed and bagged, over every column,
+    equals per_column_best_split on the float rows of each node."""
+    nodes = every_row_and_bags(y, np.arange(X.shape[1]), np.random.default_rng(seed))
+    want = [per_column_best_split(X[rows], y[rows], cols) for rows, cols in nodes]
+    assert_splits_at_every_bound(monkeypatch, X, y, nodes, want)
+    return want[0]
+
+
+def test_signed_zeros_are_one_value_to_the_split(monkeypatch):
     # -0.0 == 0.0: no cut between them, though the labels would favour one
     X = np.array([[-1.0], [-0.0], [0.0], [-0.0], [0.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 0, 1, 1, 1])
     R, vals = models_mod._rank_code(X)
     assert len(vals[0]) == 4 and R[0, 1] == R[0, 2]
-    assert rank_coded_split(X, y, np.arange(1)) == per_column_best_split(X, y, np.arange(1))
+    assert_float_splits(monkeypatch, X, y, 0)
     assert tree_nodes(train(ModelSpec.tree(), X, y)) == float_tree_reference(X, y)
 
 
 ROUNDS_UP = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
 
 
-def test_a_midpoint_that_rounds_onto_the_upper_value_takes_the_lower():
+def test_a_midpoint_that_rounds_onto_the_upper_value_takes_the_lower(monkeypatch):
     a, b = ROUNDS_UP
     assert 0.5 * (a + b) == b  # the midpoint of these adjacent floats rounds up
     X = np.array([[0.0, 0.0], [a, 1.0], [b, 0.0], [b, 1.0], [3.0, 1.0]])
     y = np.array([0, 0, 1, 1, 1])
-    assert rank_coded_split(X, y, np.arange(2)) == per_column_best_split(X, y, np.arange(2))
-    assert rank_coded_split(X, y, np.arange(2)) == (0, a)
+    assert assert_float_splits(monkeypatch, X, y, 1) == (0, a)
     m = train(ModelSpec.tree(), X, y)
     assert tree_nodes(m) == float_tree_reference(X, y)
     assert m.predict(np.array([[a, 0.0], [b, 0.0]])).tolist() == [0, 1]
@@ -764,7 +813,7 @@ def test_a_cut_between_two_adjacent_floats_ends_in_two_leaves():
     assert tree_nodes(m) == [[0, -1, -1], [a, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0, 0, 1]]
 
 
-def test_more_than_65536_distinct_values_take_wide_ranks():
+def test_more_than_65536_distinct_values_take_wide_ranks(monkeypatch):
     rng = np.random.default_rng(22)
     n = 70_000
     X = np.column_stack([rng.permutation(n) / n, rng.integers(0, 3, n)])
@@ -772,7 +821,7 @@ def test_more_than_65536_distinct_values_take_wide_ranks():
     R, vals = models_mod._rank_code(X)
     assert R.dtype != np.uint16 and int(R[0].max()) == n - 1
     assert models_mod._rank_code(X[:65_536])[0].dtype == np.uint16
-    assert rank_coded_split(X, y, np.arange(2)) == per_column_best_split(X, y, np.arange(2))
+    assert_float_splits(monkeypatch, X, y, 2)
     m = train(ModelSpec.tree(max_depth=2), X, y)
     assert tree_nodes(m) == float_tree_reference(X, y, max_depth=2)
 
@@ -875,3 +924,140 @@ def test_forest_learns_separable_problem():
     Xq = np.random.default_rng(19).random((200, 4))
     yq = (Xq[:, 0] > 0.5).astype(int)
     assert (m.predict(Xq) == yq).mean() >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# lockstep growth against the recursive grower it replaced
+# ---------------------------------------------------------------------------
+
+
+# _gini_best_split and _grow_tree as fairbench.models had them before trees
+# grew in lockstep, kept verbatim as the reference for the node arrays
+
+
+def _gini_best_split(R: np.ndarray, y: np.ndarray, cols: np.ndarray,
+                     vals: list[np.ndarray]) -> tuple[int, float] | None:
+    """Exhaustive midpoint search over the columns ``cols`` of one node's
+    rank-coded rows R (see _rank_code), all columns in one pass; ties resolve
+    to the lowest column then the lowest threshold. None when every candidate
+    column is constant."""
+    n = len(y)
+    Rc = R[cols]
+    order = np.argsort(Rc, axis=1, kind="stable")  # ranks: the same order as the values
+    sr = np.sort(Rc, axis=1, kind="stable")
+    cpos = np.cumsum(y[order], axis=1)  # [c, r]: positives among the r + 1 smallest
+    nl = np.arange(1.0, n)  # left size of the cut after sorted row r
+    nr = n - nl
+    pl = cpos[:, :-1] / nl
+    pr = (cpos[:, -1:] - cpos[:, :-1]) / nr
+    weighted = (nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)) / n
+    weighted[sr[:, 1:] <= sr[:, :-1]] = np.inf  # no cut between equal values
+    c, r = divmod(int(np.argmin(weighted)), n - 1)  # lowest column, then threshold
+    if weighted[c, r] == np.inf:
+        return None
+    f = int(cols[c])
+    lo, hi = vals[f][sr[c, r]], vals[f][sr[c, r + 1]]
+    mid = 0.5 * (lo + hi)
+    return f, float(mid if mid < hi else lo)  # a midpoint rounded onto hi would send hi left
+
+
+def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray], depth: int,
+               max_depth: int | None, max_features: int, rng: np.random.Generator) -> int:
+    """Append the tree fitted to the rank-coded rows (R, y) to ``nodes`` in
+    preorder, one [feature, threshold, left, right, value] row per node;
+    returns its root."""
+    node, pos = len(nodes), int(y.sum())
+    nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(y))])  # majority label; a tie is 0
+    if pos in (0, len(y)) or (max_depth is not None and depth >= max_depth):  # pure or deep
+        return node
+    d = len(R)
+    cols = np.arange(d) if max_features >= d else np.sort(
+        rng.choice(d, size=max_features, replace=False))
+    split = _gini_best_split(R, y, cols, vals)
+    if split is None:
+        return node
+    feature, threshold = split
+    mask = vals[feature][R[feature]] <= threshold
+    left = _grow_tree(nodes, R[:, mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
+    right = _grow_tree(nodes, R[:, ~mask], y[~mask], vals, depth + 1, max_depth, max_features, rng)
+    nodes[node][:4] = feature, threshold, left, right
+    return node
+
+
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "roots")
+
+
+def recursive_node_arrays(spec, X, y):
+    """The node arrays train(spec, X, y) built with the recursive grower."""
+    n, d = X.shape
+    if spec.family == "tree":
+        n_trees, bootstrap, max_features = 1, False, d
+    else:
+        n_trees, bootstrap = spec.n_trees, spec.bootstrap
+        max_features = spec.max_features or int(np.ceil(np.sqrt(d)))
+    R, vals = models_mod._rank_code(X)
+    nodes, roots = [], []
+    for tree_idx in range(n_trees):
+        rng = derive_rng(spec.seed, "tree", tree_idx)
+        rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
+        roots.append(_grow_tree(nodes, R[:, rows], y[rows], vals, 0, spec.max_depth,
+                                max_features, rng))
+    feature, threshold, left, right, value = (np.array(col) for col in zip(*nodes))
+    return feature, threshold, left, right, value, np.array(roots)
+
+
+def assert_same_node_arrays(spec, X, y):
+    m = train(spec, X, y)
+    for name, want in zip(NODE_ARRAYS, recursive_node_arrays(spec, X, y), strict=True):
+        got = getattr(m, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lockstep_growth_equals_the_recursive_grower(monkeypatch, seed):
+    # ties from rounded values, a constant column, every max_features from 1
+    # to d, three depth limits, bags and no bags, at both batch bounds
+    rng = np.random.default_rng(100 + seed)
+    n, d = int(rng.integers(2, 90)), int(rng.integers(1, 7))
+    X = np.round(rng.random((n, d)), int(rng.integers(1, 3)))
+    X[:, int(rng.integers(d))] = 0.5
+    y = (X.sum(axis=1) + 0.3 * rng.standard_normal(n) > 0.5 * d).astype(int)
+    y[:2] = 0, 1  # both classes
+    specs = [ModelSpec.tree(max_depth=depth, seed=seed) for depth in (None, 1, 3)]
+    specs += [ModelSpec.forest(n_trees=int(rng.integers(1, 9)), max_depth=depth,
+                               bootstrap=bootstrap, max_features=k, seed=seed)
+              for k in range(1, d + 1) for depth in (None, 1, 3) for bootstrap in (True, False)]
+    for bound in BATCH_BOUNDS:
+        monkeypatch.setattr(models_mod, "SPLIT_BATCH", bound)
+        for spec in specs:
+            assert_same_node_arrays(spec, X, y)
+
+
+def test_lockstep_growth_equals_the_recursive_grower_on_cohort_10x(tmp_path, monkeypatch):
+    # the five aware training folds of the cohort-10x benchmark study at seed
+    # 9001 (1200 rows each), with the dt and rf seeds of that study
+    from fairbench.experiment import load_experiment_config, materialize_cohort, prepare_folds
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, generate
+
+    config = generate(WORKLOADS["cohort-10x"], 9001, tmp_path)["study"]
+    monkeypatch.chdir(tmp_path)
+    cfg = load_experiment_config(config)
+    folds = prepare_folds(materialize_cohort(cfg)[0], cfg, "aware")
+    assert len(folds) == 5 and {len(fd.y_train) for fd in folds} == {1200}
+    for f, fd in enumerate(folds):
+        for spec in cfg.models:
+            if spec.family in ("tree", "forest"):
+                seed = derive_seed(cfg.master_seed, "model", spec.name, "aware", f)
+                assert_same_node_arrays(replace(spec, seed=seed), fd.X_train, fd.y_train)
+
+
+def test_a_deep_tree_grows_without_recursion():
+    # alternating labels on distinct values: 1,499 splits deep, past Python's
+    # recursion limit for a recursive grower
+    X, y = np.arange(1500.0)[:, None], np.arange(1500) % 2
+    m = train(ModelSpec.tree(), X, y)
+    assert len(m.feature) == 2999
+    assert (m.predict(X) == y).mean() == 1.0
