@@ -1,9 +1,9 @@
 """Command-line interface: synth (emit a cohort CSV), run (full experiment),
 report (re-render a stored JSON report).
 
-Exit codes: 0 success, 1 validation error (a usage error included), 2 runtime
-error. The FAIRBENCH_LOG environment variable sets the log level (DEBUG, INFO,
-WARNING, ...).
+Exit codes: 0 success, 1 validation error (a usage error and an input file
+that cannot be read included), 2 runtime error. The FAIRBENCH_LOG environment
+variable sets the log level (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations

@@ -167,6 +167,8 @@ def load_cohort_csv(path: str | Path) -> Cohort:
     source = f"csv:{path}"
     try:
         text = path.read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise FairbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise FairbenchError(f"{path}: not a UTF-8 CSV: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))

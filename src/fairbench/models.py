@@ -20,7 +20,13 @@ blocks of query rows sized to BLOCK_ELEMENTS values. Both solvers stop on a
 tolerance; their iteration caps are safety nets that warn with DidNotConverge.
 Trees are stored as flat preorder node arrays in a ForestModel: a decision tree
 is a one-tree forest over every row and column, a random forest bags rows and
-samples columns per node. All models are deterministic given their ModelSpec,
+samples columns per node. A forest predicts without walking its trees
+(QuickScorer, Lucchese et al. 2015): built once per model, its leaves are bits
+of uint64 words, and per feature a table holds the cumulative AND of the masks
+that clear the left-subtree leaves of its nodes in threshold order; per block
+of rows, one searchsorted per feature picks each row's table row, the AND of
+those leaves each tree's reachable leaves, and the lowest set bit of each
+tree's segment is its exit leaf. All models are deterministic given their ModelSpec,
 including the per-tree RNG streams of the forest; a ModelSpec resolves every
 field of its family to its effective value on construction.
 """
@@ -31,7 +37,7 @@ import math
 import numbers
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -381,7 +387,8 @@ class ForestModel(TrainedModel):
     Tree t starts at node roots[t] and lies in preorder after it. Node i sends
     a row left when X[:, feature[i]] <= threshold[i]; a leaf has feature -1,
     left and right -1, and predicts value[i] (every node stores its majority
-    label).
+    label). Construction compiles the arrays, which stay the model, to the
+    packed leaf bitvectors that predict reads (see _leaf_bitvectors).
     """
 
     feature: np.ndarray = None
@@ -390,32 +397,136 @@ class ForestModel(TrainedModel):
     right: np.ndarray = None
     value: np.ndarray = None
     roots: np.ndarray = None
+    _bits: tuple = field(init=False, repr=False, compare=False)  # see _leaf_bitvectors
+
+    def __post_init__(self):
+        self._bits = _leaf_bitvectors(self.feature, self.threshold, self.right, self.value,
+                                      self.roots, self.n_features)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        # each column a split reads, copied once to contiguous memory
-        columns = {f: np.ascontiguousarray(X[:, f]) for f in set(feature) - {-1}}
-        left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
-        votes = np.zeros(len(X), dtype=np.int64)
-        out = np.empty(len(X), dtype=np.int64)  # one tree's labels; every row reaches a leaf
-        every = np.arange(len(X))
-        for root in self.roots.tolist():  # one tree at a time, routing non-empty row subsets
-            stack = [(root, every)]
-            while stack:
-                node, idx = stack.pop()
-                f = feature[node]
-                if f < 0:
-                    out[idx] = value[node]
-                    continue
-                mask = columns[f].take(idx) <= threshold[node]
-                left_idx, right_idx = idx[mask], idx[~mask]
-                if left_idx.size:
-                    stack.append((left[node], left_idx))
-                if right_idx.size:
-                    stack.append((right[node], right_idx))
-            votes += out
-        # majority vote; an exact tie resolves to label 0
-        return (2 * votes > len(self.roots)).astype(np.int64)
+        below, positive, wide, groups = self._bits
+        out = np.empty(len(X), dtype=np.int64)
+        step = _block_rows(len(below))
+        for start in range(0, len(X), step):
+            B = X[start:start + step]
+            parts = []  # per group, each row's reachable leaves
+            for (f, thresholds, table), *rest in groups:
+                words = table.take(thresholds.searchsorted(B[:, f]), axis=0)
+                for f, thresholds, table in rest:
+                    words &= table.take(thresholds.searchsorted(B[:, f]), axis=0)
+                parts.append(words)
+            acc = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            # each segment's lowest set bit: acc & ~(acc - S), S the first bit
+            # of each segment, and ~(acc - S) is (S - 1) - acc modulo 2**64. A
+            # segment that shares its word keeps a bit (its tree's exit leaf),
+            # so no borrow crosses into the next; a wider tree's word may be
+            # empty, and gives 0
+            exits = below - acc
+            exits &= acc
+            if wide is not None:
+                _first_nonzero_words(exits, *wide)
+            exits &= positive
+            counts = np.bitwise_count(exits)
+            # a row sum over a single word costs more than the count itself
+            votes = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1)
+            out[start:start + len(B)] = votes > len(self.roots) // 2  # a tie is 0
+        return out
+
+
+# _LOW_BITS[k]: a word whose k lowest bits are set, for k from 0 to 64; _BIT[k]:
+# a word of bit k alone
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+_BIT = _LOW_BITS[1:] ^ _LOW_BITS[:-1]
+
+
+def _leaf_bitvectors(feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
+                     value: np.ndarray, roots: np.ndarray, n_features: int) -> tuple:
+    """A forest's node arrays in the form ForestModel._predict reads (QuickScorer,
+    Lucchese et al. 2015): each tree's leaves, in preorder, as consecutive bits
+    of uint64 words. Trees of at most 64 leaves pack into one word each, next
+    fit; a wider tree takes whole words of its own, each word a segment of its
+    own. Returns (below, positive, wide, groups):
+
+    - below, positive: per word, the first bit of each segment minus one, and
+      the bits of the leaves that vote 1;
+    - wide: None, or (words, first) for the trees wider than a word: their
+      words in order, and per word the position in ``words`` of its tree's
+      first word;
+    - groups: per run of consecutive words, holding whole trees or whole words
+      of one wider tree, so that its tables take about BLOCK_ELEMENTS words at
+      most, a list of (f, thresholds, T), at least one. For each feature f of
+      an internal node whose left-subtree leaves meet the run, the thresholds
+      of those nodes sorted; T[k] is the run's leaves with the left-subtree
+      leaves of the first k cleared. A row fails the test ``x <= threshold``
+      of exactly the first ``thresholds.searchsorted(x[f])``. A run no such
+      node meets has one table of no threshold."""
+    leaf = feature < 0
+    n_leaves = np.add.reduceat(leaf.astype(np.int64), roots)
+    starts, bit = [], 0
+    for n in n_leaves.tolist():
+        if bit % 64 + n > 64:  # start a new word
+            bit += -bit % 64
+        starts.append(bit)
+        bit += n if n <= 64 else n + -n % 64
+    n_words = -(-bit // 64)
+    # pos[i]: the bit of the first leaf at or after node i in its tree's preorder
+    before = leaf.cumsum() - leaf
+    sizes = np.append(roots[1:], len(feature)) - roots
+    pos = before + (np.array(starts) - before[roots]).repeat(sizes)
+    word, shift = np.divmod(pos[leaf], 64)
+    leaves = _LOW_BITS[np.bincount(word, minlength=n_words)]  # words fill from bit 0
+    positive = np.zeros(n_words, dtype=np.uint64)
+    ones = value[leaf] == 1
+    np.bitwise_or.at(positive, word[ones], _BIT[shift[ones]])
+
+    per_tree = -(-n_leaves // 64)  # words of a wider tree; 1 for the rest
+    nth = np.arange(per_tree.sum()) - np.repeat(per_tree.cumsum() - per_tree, per_tree)
+    seg_word, seg_shift = np.divmod(np.repeat(starts, per_tree) + 64 * nth, 64)
+    segments = np.zeros(n_words, dtype=np.uint64)
+    np.bitwise_or.at(segments, seg_word, _BIT[seg_shift])
+    wide = None
+    if (per_tree > 1).any():
+        in_wide = np.repeat(per_tree > 1, per_tree)
+        k = per_tree[per_tree > 1]
+        wide = seg_word[in_wide], np.repeat(k.cumsum() - k, k)
+
+    split = (~leaf).nonzero()[0]  # node i clears its left subtree, bits [pos[i], pos[right[i]])
+    first_w, last_w = pos[split] // 64, (pos[right[split]] - 1) // 64
+    # nodes meeting words [a, b): first_w < b minus last_w < a, as last_w >= first_w
+    opened = np.bincount(first_w + 1, minlength=n_words + 1).cumsum().tolist()
+    closed = np.bincount(last_w + 1, minlength=n_words + 1).cumsum().tolist()
+    bounds, a = [], 0
+    for b in range(2, n_words + 1):  # grow a run word by word
+        if (opened[b] - closed[a] + n_features) * (b - a) > BLOCK_ELEMENTS:
+            bounds.append((a, b - 1))
+            a = b - 1
+    bounds.append((a, n_words))
+    groups = []
+    for a, b in bounds:
+        sel = split[((first_w < b) & (last_w >= a)).nonzero()[0]]
+        sel = sel[np.lexsort((threshold[sel], feature[sel]))]
+        bit0 = 64 * np.arange(a, b)
+        # per node and word: the low bits below its cleared bits, and below their end
+        lo = np.minimum(np.maximum(pos[sel, None] - bit0, 0), 64)
+        hi = np.minimum(np.maximum(pos[right[sel], None] - bit0, 0), 64)
+        masks = ~(_LOW_BITS[hi] & ~_LOW_BITS[lo])
+        feats = feature[sel]
+        edges = [0, *((feats[1:] != feats[:-1]).nonzero()[0] + 1).tolist(), len(sel)]
+        tables = []
+        for i, j in zip(edges[:-1], edges[1:]):  # with no node, one table of no threshold
+            table = np.bitwise_and.accumulate(np.concatenate((leaves[None, a:b], masks[i:j])))
+            tables.append((int(feats[i]) if j > i else 0, threshold[sel[i:j]], table))
+        groups.append(tables)
+    return segments - 1, positive, wide, groups
+
+
+def _first_nonzero_words(exits: np.ndarray, words: np.ndarray, first: np.ndarray) -> None:
+    """Zero, in place, every word of a wider tree (see _leaf_bitvectors) after
+    the tree's first non-zero word, which holds its exit leaf."""
+    E = exits[:, words]
+    seen = np.cumsum(E != 0, axis=1)
+    seen -= seen[:, first] - (E[:, first] != 0)  # non-zero words so far within the tree
+    exits[:, words] = np.where(seen == 1, E, 0)
 
 
 # ---------------------------------------------------------------------------

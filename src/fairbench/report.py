@@ -184,7 +184,9 @@ def _svg_barchart(title: str, pairs: list[tuple[str, float]]) -> str:
 def load_report_json(path: str | Path) -> ExperimentReport:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON; a missing file stays an OSError
+    except OSError as exc:
+        raise FairbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise FairbenchError(f"{path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FairbenchError(f"{path} is not a report: expected a JSON object")

@@ -90,13 +90,15 @@ def cohort_spec_to_dict(spec: CohortSpec) -> dict:
 
 
 def load_yaml(path: str | Path):
-    """The document of a YAML file; a file that is not UTF-8 YAML is a
-    ConfigError naming it (a missing file still raises OSError)."""
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
+    """The document of a YAML file; a file that cannot be read, or is not
+    UTF-8 YAML, is a ConfigError naming it."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
             return yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: not valid UTF-8 YAML: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 YAML: {exc}") from exc
 
 
 def load_cohort_spec(path: str | Path) -> CohortSpec:

@@ -190,9 +190,24 @@ def test_run_unknown_config_key_exits_1(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_run_missing_config_file_exits_2(tmp_path):
-    assert main(["run", "--config", str(tmp_path / "nope.yaml"),
-                 "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize("command", ["run-config", "synth-spec", "cohort-csv", "report-in"])
+def test_a_missing_input_file_exits_1(tmp_path, capsys, caplog, command):
+    missing = tmp_path / "nope"
+    out = tmp_path / "o"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"cohort: {{csv: {missing}}}\n")
+    argv = {
+        "run-config": ["run", "--config", str(missing), "--out", str(out)],
+        "synth-spec": ["synth", "--spec", str(missing), "--out", str(out)],
+        "cohort-csv": ["run", "--config", str(config), "--out", str(out)],
+        "report-in": ["report", "--in", str(missing), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not any(record.exc_info for record in caplog.records)  # no traceback logged
 
 
 def _itp(doc: dict) -> dict:

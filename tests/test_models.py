@@ -889,22 +889,184 @@ def forest_walk_reference(m, X):
     return np.array(votes)
 
 
-def test_forest_walk_sends_values_on_a_threshold_left():
-    X, y = toy_problem(n=80, seed=23, noise=0.5)
-    X[:, 2] = np.round(X[:, 2], 1)
-    m = train(ModelSpec.forest(n_trees=7, seed=4), X, y)
+def forest_subset_walk(m, X):
+    """Majority vote of a ForestModel's trees, routing row subsets down one
+    tree at a time: the predict of fairbench.models before it read packed leaf
+    bitvectors."""
+    feature, threshold = m.feature.tolist(), m.threshold.tolist()
+    # each column a split reads, copied once to contiguous memory
+    columns = {f: np.ascontiguousarray(X[:, f]) for f in set(feature) - {-1}}
+    left, right, value = m.left.tolist(), m.right.tolist(), m.value.tolist()
+    votes = np.zeros(len(X), dtype=np.int64)
+    out = np.empty(len(X), dtype=np.int64)  # one tree's labels; every row reaches a leaf
+    every = np.arange(len(X))
+    for root in m.roots.tolist():  # one tree at a time, routing non-empty row subsets
+        stack = [(root, every)]
+        while stack:
+            node, idx = stack.pop()
+            f = feature[node]
+            if f < 0:
+                out[idx] = value[node]
+                continue
+            mask = columns[f].take(idx) <= threshold[node]
+            left_idx, right_idx = idx[mask], idx[~mask]
+            if left_idx.size:
+                stack.append((left[node], left_idx))
+            if right_idx.size:
+                stack.append((right[node], right_idx))
+        votes += out
+    # majority vote; an exact tie resolves to label 0
+    return (2 * votes > len(m.roots)).astype(np.int64)
+
+
+def assert_predicts_as_walks(m, X, row_walk=True):
+    """m.predict(X) equals the subset walk and, unless row_walk is False, the
+    row-at-a-time walk, label for label."""
+    got = m.predict(X)
+    assert got.dtype == np.int64 and got.shape == (len(X),)
+    assert np.array_equal(got, forest_subset_walk(m, X))
+    if row_walk:
+        assert np.array_equal(got, forest_walk_reference(m, X))
+
+
+def on_and_above_thresholds(m, X):
+    """Per split node, a row of X (cycled) with the node's column set to its
+    threshold, and one with it set to the next float above."""
     split = np.flatnonzero(m.feature >= 0)
-    # per split node: rows whose split column sits on its threshold, or one
-    # float above it, with the other columns taken from the training rows
     Xq = np.repeat(X[np.arange(len(split)) % len(X)], 2, axis=0)
     for r, node in enumerate(split):
         thr = m.threshold[node]
         Xq[2 * r, m.feature[node]] = thr
         Xq[2 * r + 1, m.feature[node]] = np.nextafter(thr, np.inf)
-    got = m.predict(Xq)
-    assert np.array_equal(got, forest_walk_reference(m, Xq))
-    assert np.array_equal(m.predict(Xq[::-1]), got[::-1])
+    return Xq
+
+
+def n_words(m):
+    return len(m._bits[0])
+
+
+def test_forest_walk_sends_values_on_a_threshold_left():
+    X, y = toy_problem(n=80, seed=23, noise=0.5)
+    X[:, 2] = np.round(X[:, 2], 1)
+    m = train(ModelSpec.forest(n_trees=7, seed=4), X, y)
+    Xq = on_and_above_thresholds(m, X)
+    assert_predicts_as_walks(m, Xq)
+    assert np.array_equal(m.predict(Xq[::-1]), m.predict(Xq)[::-1])
     assert m.predict(np.empty((0, 4))).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# predict from packed leaf bitvectors, against the two walks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bitvectors_equal_the_walks_on_random_forests(seed):
+    # every max_features from 1 to d, with and without bags, rounded values
+    # for repeated thresholds, queried off, on and just above the thresholds
+    rng = np.random.default_rng(300 + seed)
+    n, d = int(rng.integers(20, 120)), int(rng.integers(1, 6))
+    X = np.round(rng.random((n, d)), int(rng.integers(1, 3)))
+    y = (X.sum(axis=1) + 0.4 * rng.standard_normal(n) > 0.5 * d).astype(int)
+    y[:2] = 0, 1
+    Xq = np.vstack([rng.random((40, d)), X])
+    for k in range(1, d + 1):
+        for bootstrap in (True, False):
+            m = train(ModelSpec.forest(n_trees=int(rng.integers(1, 12)), bootstrap=bootstrap,
+                                       max_features=k, seed=seed), X, y)
+            assert_predicts_as_walks(m, np.vstack([Xq, on_and_above_thresholds(m, X)]))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("phase", [0, 1])
+def test_trees_of_64_and_65_leaves(n, phase):
+    # alternating labels on distinct values: one leaf per row, a chain of
+    # splits. 64 leaves fill one word; 65 take two, and the row that exits
+    # in the first word must not also vote with the second
+    X, y = np.arange(float(n))[:, None], (np.arange(n) + phase) % 2
+    m = train(ModelSpec.tree(), X, y)
+    assert int((m.feature < 0).sum()) == n
+    assert n_words(m) == (1 if n == 64 else 2)
+    Xq = np.vstack([X, X + 0.5, on_and_above_thresholds(m, X), [[-1e300], [1e300]]])
+    assert_predicts_as_walks(m, Xq)
+    assert np.array_equal(m.predict(X), y)
+
+
+def test_the_deep_tree_predicts_as_the_walks():
+    X, y = np.arange(1500.0)[:, None], (np.arange(1500) + 1) % 2
+    m = train(ModelSpec.tree(), X, y)
+    assert n_words(m) == 24  # 1,500 leaves
+    Xq = np.vstack([X, X - 0.5, [[-0.0], [0.0], [1e300], [-1e300]]])
+    assert_predicts_as_walks(m, Xq, row_walk=False)
+    assert np.array_equal(m.predict(X), y)
+
+
+def test_small_trees_pack_several_to_a_word_and_never_straddle_one():
+    X, y = toy_problem(n=150, d=5, seed=40, noise=0.6)
+    m = train(ModelSpec.forest(n_trees=60, max_depth=4, seed=5), X, y)
+    leaves = np.add.reduceat((m.feature < 0).astype(int), m.roots)
+    assert leaves.max() <= 16 and 1 < n_words(m) < len(m.roots)
+    # next fit: a new word starts where the next tree would not fit
+    filled, words = 0, 1
+    for n in leaves.tolist():
+        if filled + n > 64:
+            filled, words = 0, words + 1
+        filled += n
+    assert n_words(m) == words
+    rng = np.random.default_rng(41)
+    assert_predicts_as_walks(m, np.vstack([rng.random((60, 5)), on_and_above_thresholds(m, X)]))
+
+
+@pytest.mark.parametrize("positives", [35, 36])
+def test_a_forest_of_one_leaf_trees_has_no_internal_node(positives):
+    # 70 one-leaf trees: 64 in the first word, 6 in the second; 35 votes of
+    # 70 are a tie, which is 0
+    leaves = np.full(70, -1)
+    value = (np.arange(70) % 2 == 0).astype(np.int64)
+    value[np.flatnonzero(value == 0)[:positives - 35]] = 1
+    m = ForestModel(spec=ModelSpec.forest(n_trees=70), n_features=2, feature=leaves,
+                    threshold=np.zeros(70), left=leaves, right=leaves, value=value,
+                    roots=np.arange(70))
+    assert n_words(m) == 2
+    X = np.random.default_rng(42).random((5, 2))
+    assert m.predict(X).tolist() == [int(positives > 35)] * 5
+    assert_predicts_as_walks(m, X)
+
+
+def test_bitvectors_on_signed_zeros_huge_values_and_an_unused_column():
+    # column 2 is constant, so no tree splits on it; the tree splits column 0
+    # at 0.0, the midpoint of -1 and 1, which -0.0 and 0.0 both equal
+    X = np.array([[-1.0, 5.0, 7.0], [1.0, 5.0, 7.0], [-1.0, -5.0, 7.0], [1.0, -5.0, 7.0],
+                  [-1.0, 6.0, 7.0], [1.0, -6.0, 7.0]])
+    y = np.array([0, 1, 0, 1, 0, 1])
+    zeros = [[z, v, w] for z in (-0.0, 0.0) for v in (-1e300, 0.0, 1e300) for w in (-7.0, 1e300)]
+    huge = [[a, b, c] for a in (-1e300, 1e300) for b in (-1e300, 1e300) for c in (-1e300, 0.0)]
+    Xq = np.array(zeros + huge)
+    tree = train(ModelSpec.tree(), X, y)
+    assert tree.threshold[0] == 0.0
+    on_and_above = [[-0.0, 5.0, 7.0], [0.0, 5.0, 7.0], [5e-324, 5.0, 7.0]]
+    assert tree.predict(on_and_above).tolist() == [0, 0, 1]
+    for m in (tree, train(ModelSpec.forest(n_trees=9, seed=6), X, y)):
+        assert 2 not in m.feature.tolist()
+        assert_predicts_as_walks(m, Xq)
+        assert m.predict(np.empty((0, 3))).shape == (0,)
+
+
+def test_a_wide_noisy_forest_splits_its_tables_into_groups():
+    # 100 trees on 1,500 rows of noise: hundreds of leaves per tree. One group
+    # of tables over every word would take (internal nodes + d) x words
+    # words, about 600 per internal node here; groups keep it near the node count
+    rng = np.random.default_rng(43)
+    X, y = rng.random((1500, 4)), rng.integers(0, 2, 1500)
+    m = train(ModelSpec.forest(n_trees=100, seed=7), X, y)
+    *_, groups = m._bits
+    internal = int((m.feature >= 0).sum())
+    table_bytes = sum(table.nbytes for tables in groups for *_, table in tables)
+    assert len(groups) > 1 and n_words(m) > 300
+    assert table_bytes <= 8 * 64 * internal  # 64 words per internal node
+    Xq = np.vstack([rng.random((300, 4)), X[:200]])
+    assert_predicts_as_walks(m, Xq, row_walk=False)
+    assert_predicts_as_walks(m, Xq[:20])
 
 
 def test_forest_seed_changes_trees_deterministically():
