@@ -153,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_run(args)
         return _cmd_report(args)
     except FairbenchError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure, not a validation problem

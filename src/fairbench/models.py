@@ -5,17 +5,19 @@ Armijo backtracking, so every step lowers the regularised loss), kernel SVM
 (two-coordinate dual descent; the maximal violator i in the up set is paired
 with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005; the
 solver keeps -t * gradient as two masked copies, -inf outside the up set and
-+inf outside the low set, and updates only the two changed points' set
-membership), k-nearest neighbours (one neighbour order per block of query rows
-serves every k fit to the same rows, see predict_many; the -2 of the distance
-is folded into the training rows once per call; the order is taken by k rounds
-of argmin, which like a stable sort resolves equal distances to the lowest
-index), and CART trees (Gini, midpoint thresholds; each fit rank-codes its
-columns once, one contiguous row per column, and grows every tree of the forest
-in lockstep preorder without recursion: each step takes the next node that
-needs a split from every unfinished tree, each node sorts its own ranks, and the
-Gini of the cuts between distinct values of a step's nodes is computed in
-batches of at most SPLIT_BATCH sorted values). KNN and SVM prediction work in
++inf outside the low set, and its per-point bookkeeping in Python scalars; it
+builds the Gram matrix once and turns a row into its kernel row when it first
+reads it, as LIBSVM computes kernel rows on demand, Chang & Lin 2011, §5),
+k-nearest neighbours (one neighbour order per block of query rows serves every
+k fit to the same rows, see predict_many; each block of squared distances is
+one matrix product, the two squared norms its last two terms; the order is
+taken by k rounds of argmin, which like a stable sort resolves equal distances
+to the lowest index), and CART trees (Gini, midpoint thresholds; each fit
+rank-codes its columns once, one contiguous row per column, and grows every
+tree of the forest in lockstep preorder without recursion: each step takes the
+next node that needs a split from every unfinished tree, each node sorts its
+own ranks, and the Gini of the cuts between distinct values of a step's nodes
+is computed in batches of at most SPLIT_BATCH sorted values). KNN and SVM prediction work in
 blocks of query rows sized to BLOCK_ELEMENTS values. Both solvers stop on a
 tolerance; their iteration caps are safety nets that warn with DidNotConverge.
 Trees are stored as flat preorder node arrays in a ForestModel: a decision tree
@@ -206,11 +208,21 @@ def _kernel_matrix(kernel: str, A: np.ndarray, B: np.ndarray, gamma: float,
                    coef0: float) -> np.ndarray:
     """exp(-gamma * max(|a|^2 - 2 a.b + |b|^2, 0)) or (gamma * a.b + coef0) ** degree,
     built in place in the one matrix A @ B.T."""
-    K = A @ B.T
+    if kernel == "rbf":
+        return _kernel_values(kernel, A @ B.T, gamma, coef0,
+                              np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1))
+    return _kernel_values(kernel, A @ B.T, gamma, coef0)
+
+
+def _kernel_values(kernel: str, K: np.ndarray, gamma: float, coef0: float,
+                   sq_a=None, sq_b=None) -> np.ndarray:
+    """K, holding the dot products a.b, turned into kernel values in place.
+    rbf also reads |a|^2 and |b|^2, added in that order: broadcast along K's
+    rows and its columns for a matrix, a scalar and a vector for one row."""
     if kernel == "rbf":
         K *= -2.0
-        K += np.sum(A * A, axis=1)[:, None]
-        K += np.sum(B * B, axis=1)
+        K += sq_a
+        K += sq_b
         np.maximum(K, 0.0, out=K)
         K *= -gamma
         np.exp(K, out=K)
@@ -279,6 +291,7 @@ class SvmModel(TrainedModel):
     train_t: np.ndarray = None
     converged: bool = True
     n_iter: int = 0
+    kkt_gap: float = 0.0  # the solver's last m - M; 0.0 when it stopped on an empty set
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
@@ -334,22 +347,33 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
     query rows (see BLOCK_ELEMENTS). Equal distances resolve to the lowest
     training index; an even-k vote tie takes the nearest neighbour's label."""
     ks = [min(k, len(train_y)) for k in ks]
-    sq_train = np.sum(train_X * train_X, axis=1)
+    n, d = train_X.shape
+    # |b|^2 - 2 b.x + |x|^2 as one product [b, |b|^2, 1] @ [-2 x^T; 1; |x|^2],
+    # whose last two terms stand for the two broadcast adds. With OpenBLAS
+    # 0.3.31 the bits equal those adds' at 120 and 1,200 training rows; other
+    # sizes or BLAS builds can differ in the last place (see CHANGES.md).
     # -2 x^T: a power of two commutes with rounding, so B @ (-2 x^T) equals
     # -2 (B @ x^T) bit for bit, barring overflow and subnormals
-    minus_2xt = -2.0 * train_X.T
+    W = np.empty((d + 2, n))
+    np.multiply(train_X.T, -2.0, out=W[:d])
+    W[d] = 1.0
+    np.sum(train_X * train_X, axis=1, out=W[d + 1])
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
-    step = _block_rows(len(train_y))
+    step = _block_rows(n)
+    # one block of query rows [b, |b|^2, 1]; at least two rows, as numpy
+    # multiplies one row by gemv, whose bits differ from GEMM's
+    Q = np.zeros((max(2, min(step, len(X))), d + 2))
+    Q[:, d + 1] = 1.0
     for start in range(0, len(X), step):
         B = X[start:start + step]
-        d2 = B @ minus_2xt  # |b|^2 - 2 b.x + |x|^2, in place
-        d2 += np.sum(B * B, axis=1)[:, None]
-        d2 += sq_train
-        votes = train_y[_nearest(d2, max(ks))]
+        rows = len(B)
+        Q[:rows, :d] = B
+        np.sum(B * B, axis=1, out=Q[:rows, d])
+        votes = train_y[_nearest((Q[:max(2, rows)] @ W)[:rows], max(ks))]
         pos = np.cumsum(votes, axis=1)
         for pred, k in zip(preds, ks):
             twice = 2 * pos[:, k - 1]
-            pred[start:start + len(B)] = np.where(twice == k, votes[:, 0], twice > k)
+            pred[start:start + rows] = np.where(twice == k, votes[:, 0], twice > k)
     return preds
 
 
@@ -627,29 +651,44 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     n = len(y)
     C = spec.C
     gamma = spec.gamma if spec.gamma is not None else _default_gamma(X)
-    t = np.where(y == 1, 1.0, -1.0)
-    K = _kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
-    K_diag = np.diag(K).copy()
+    kernel, coef0 = spec.kernel, spec.coef0
+    # the solver reads few rows of the kernel matrix (a tenth to two fifths
+    # of them on the benchmark folds): K holds the dot products of _kernel_matrix, and row i
+    # becomes its kernel row, in _kernel_matrix's order of operations, when
+    # the solver first reads it
+    K = X @ X.T
+    sq = np.sum(X * X, axis=1) if kernel == "rbf" else None
+    K_diag = _kernel_values(kernel, np.diag(K).copy(), gamma, coef0, sq, sq)
+    fresh = [True] * n
 
-    alpha = np.zeros(n)
-    up, low = t > 0, t < 0  # the points whose alpha * t may still rise, fall
-    n_up, n_low = int(up.sum()), int(low.sum())
+    def row(i: int) -> np.ndarray:
+        if fresh[i]:
+            fresh[i] = False
+            _kernel_values(kernel, K[i], gamma, coef0, None if sq is None else sq[i], sq)
+        return K[i]
+
+    t_arr = np.where(y == 1, 1.0, -1.0)
+    t = t_arr.tolist()
+    alpha = [0.0] * n
+    up, low = [ti > 0 for ti in t], [ti < 0 for ti in t]  # alpha * t may still rise, fall
+    n_up, n_low = sum(up), sum(low)
     # -t * G, G the gradient of the dual objective (G = -1 at alpha = 0), kept
     # as two masked copies: on the up set and -inf elsewhere, on the low set and
     # +inf elsewhere. Every point is in one set at least
-    tG_up, tG_low = np.where(up, t, -np.inf), np.where(low, t, np.inf)
+    tG_up, tG_low = np.where(t_arr > 0, t_arr, -np.inf), np.where(t_arr < 0, t_arr, np.inf)
     a, v, step = np.empty(n), np.empty(n), np.empty(n)
-    m_val = M_val = 0.0
+    m_val = M_val = gap = 0.0
     converged = False
     it = 0
     for it in range(1, SVM_MAX_ITER + 1):
         if not n_up or not n_low:
-            converged = True
+            converged, gap = True, 0.0
             break
         i = int(tG_up.argmax())
         m_val = float(tG_up[i])
         M_val = float(tG_low.min())
-        if m_val - M_val <= SVM_KKT_TOL:
+        gap = m_val - M_val
+        if gap <= SVM_KKT_TOL:
             converged = True
             break
 
@@ -658,8 +697,8 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
         # two-coordinate step lowers the dual objective most, by b^2 / a. The
         # clamp gives every other point 0, below the winner's b^2 / a, as
         # b >= m - M > SVM_KKT_TOL there
-        K_i = K[i]
-        np.add(K_diag, K_diag[i], out=a)
+        K_i = row(i)
+        np.add(K_diag, K_diag[i], out=a)  # a = K_ii + K_jj - 2 K_ij for every j
         np.multiply(K_i, 2.0, out=step)
         np.subtract(a, step, out=a)
         np.maximum(a, 1e-12, out=a)
@@ -671,13 +710,13 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
 
         cap_i = (C - alpha[i]) if t[i] > 0 else alpha[i]
         cap_j = (C - alpha[j]) if t[j] < 0 else alpha[j]
-        delta = min((m_val - tG_low[j]) / a[j], cap_i, cap_j)
+        delta = min((m_val - float(tG_low[j])) / float(a[j]), cap_i, cap_j)
 
         alpha[i] += t[i] * delta
         alpha[j] -= t[j] * delta
         # -t times the gradient step G += t * delta * (K_i - K[j]), exact as t
         # is +-1; rows, as K is symmetric up to rounding
-        np.subtract(K_i, K[j], out=step)
+        np.subtract(K_i, row(j), out=step)
         np.multiply(step, delta, out=step)
         np.subtract(tG_up, step, out=tG_up)
         np.subtract(tG_low, step, out=tG_low)
@@ -688,33 +727,35 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
                 alpha[idx] = C
             below, above = alpha[idx] < C, alpha[idx] > 0
             in_up, in_low = (below, above) if t[idx] > 0 else (above, below)
-            g = tG_up[idx] if up[idx] else tG_low[idx]
-            n_up += int(in_up) - int(up[idx])
-            n_low += int(in_low) - int(low[idx])
-            up[idx], low[idx] = in_up, in_low
-            tG_up[idx], tG_low[idx] = (g if in_up else -np.inf), (g if in_low else np.inf)
+            if in_up != up[idx] or in_low != low[idx]:  # the masked copies hold the rest
+                g = float(tG_up[idx] if up[idx] else tG_low[idx])
+                n_up += in_up - up[idx]
+                n_low += in_low - low[idx]
+                up[idx], low[idx] = in_up, in_low
+                tG_up[idx], tG_low[idx] = (g if in_up else -np.inf), (g if in_low else np.inf)
 
     if not converged:
         warnings.warn(
-            f"SVM ({spec.kernel}) stopped after {it} iterations with "
-            f"KKT violation {m_val - M_val:.2e}",
+            f"SVM ({kernel}) stopped after {it} iterations with KKT violation {gap:.2e}",
             DidNotConverge,
             stacklevel=2,
         )
     bias = (m_val + M_val) / 2.0
 
+    alpha = np.array(alpha)
     sv = alpha > 1e-12
     return SvmModel(
         spec=spec,
         n_features=X.shape[1],
         support_X=X[sv].copy(),
-        support_coef=(alpha * t)[sv],
+        support_coef=(alpha * t_arr)[sv],
         bias=float(bias),
         gamma=float(gamma),
         alpha=alpha,
-        train_t=t,
+        train_t=t_arr,
         converged=converged,
         n_iter=it,
+        kkt_gap=gap,
     )
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -208,6 +212,22 @@ def test_a_missing_input_file_exits_1(tmp_path, capsys, caplog, command):
     assert captured.out == ""
     assert not out.exists()
     assert not any(record.exc_info for record in caplog.records)  # no traceback logged
+
+
+def test_a_validation_error_is_printed_once(tmp_path):
+    # in a child process, as pytest's log capture would take a logged copy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("FAIRBENCH_LOG", None)
+    missing = tmp_path / "nope.yaml"
+    proc = subprocess.run([sys.executable, "-m", "fairbench.cli", "run", "--config", str(missing),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(missing) in lines[0]
 
 
 def _itp(doc: dict) -> dict:

@@ -1223,3 +1223,266 @@ def test_a_deep_tree_grows_without_recursion():
     m = train(ModelSpec.tree(), X, y)
     assert len(m.feature) == 2999
     assert (m.predict(X) == y).mean() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the SVM solver and the KNN distance against the full-matrix forms they replaced
+# ---------------------------------------------------------------------------
+
+
+# _train_svm's loop and _knn_votes as fairbench.models had them before the
+# solver transformed kernel rows on first read and the distance became one
+# GEMM, kept as the reference for their bits
+
+
+def full_matrix_svm(spec, X, y):
+    """(alpha, bias, n_iter) of the solver on the whole kernel matrix, with
+    numpy bookkeeping per point."""
+    n = len(y)
+    C = spec.C
+    gamma = spec.gamma if spec.gamma is not None else models_mod._default_gamma(X)
+    t = np.where(y == 1, 1.0, -1.0)
+    K = models_mod._kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
+    K_diag = np.diag(K).copy()
+
+    alpha = np.zeros(n)
+    up, low = t > 0, t < 0
+    n_up, n_low = int(up.sum()), int(low.sum())
+    tG_up, tG_low = np.where(up, t, -np.inf), np.where(low, t, np.inf)
+    a, v, step = np.empty(n), np.empty(n), np.empty(n)
+    m_val = M_val = 0.0
+    it = 0
+    for it in range(1, models_mod.SVM_MAX_ITER + 1):
+        if not n_up or not n_low:
+            break
+        i = int(tG_up.argmax())
+        m_val = float(tG_up[i])
+        M_val = float(tG_low.min())
+        if m_val - M_val <= SVM_KKT_TOL:
+            break
+        K_i = K[i]
+        np.add(K_diag, K_diag[i], out=a)
+        np.multiply(K_i, 2.0, out=step)
+        np.subtract(a, step, out=a)
+        np.maximum(a, 1e-12, out=a)
+        np.subtract(m_val, tG_low, out=v)
+        np.maximum(v, 0.0, out=v)
+        np.multiply(v, v, out=v)
+        np.divide(v, a, out=v)
+        j = int(v.argmax())
+
+        cap_i = (C - alpha[i]) if t[i] > 0 else alpha[i]
+        cap_j = (C - alpha[j]) if t[j] < 0 else alpha[j]
+        delta = min((m_val - tG_low[j]) / a[j], cap_i, cap_j)
+
+        alpha[i] += t[i] * delta
+        alpha[j] -= t[j] * delta
+        np.subtract(K_i, K[j], out=step)
+        np.multiply(step, delta, out=step)
+        np.subtract(tG_up, step, out=tG_up)
+        np.subtract(tG_low, step, out=tG_low)
+        for idx in (i, j):
+            if alpha[idx] < 1e-12:
+                alpha[idx] = 0.0
+            elif alpha[idx] > C - 1e-12:
+                alpha[idx] = C
+            below, above = alpha[idx] < C, alpha[idx] > 0
+            in_up, in_low = (below, above) if t[idx] > 0 else (above, below)
+            g = tG_up[idx] if up[idx] else tG_low[idx]
+            n_up += int(in_up) - int(up[idx])
+            n_low += int(in_low) - int(low[idx])
+            up[idx], low[idx] = in_up, in_low
+            tG_up[idx], tG_low[idx] = (g if in_up else -np.inf), (g if in_low else np.inf)
+    return alpha, (m_val + M_val) / 2.0, it
+
+
+def two_add_knn_votes(train_X, train_y, X, ks):
+    """Labels of _knn_votes, each distance block a GEMM and two broadcast adds;
+    also returns the blocks, before _nearest overwrites them."""
+    ks = [min(k, len(train_y)) for k in ks]
+    sq_train = np.sum(train_X * train_X, axis=1)
+    minus_2xt = -2.0 * train_X.T
+    preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
+    blocks = []
+    step = models_mod._block_rows(len(train_y))
+    for start in range(0, len(X), step):
+        B = X[start:start + step]
+        d2 = B @ minus_2xt
+        d2 += np.sum(B * B, axis=1)[:, None]
+        d2 += sq_train
+        blocks.append(d2.copy())
+        votes = train_y[models_mod._nearest(d2, max(ks))]
+        pos = np.cumsum(votes, axis=1)
+        for pred, k in zip(preds, ks):
+            twice = 2 * pos[:, k - 1]
+            pred[start:start + len(B)] = np.where(twice == k, votes[:, 0], twice > k)
+    return preds, blocks
+
+
+def assert_same_svm_fit(spec, X, y):
+    m = train(spec, X, y)
+    alpha, bias, n_iter = full_matrix_svm(spec, X, y)
+    assert m.alpha.tobytes() == alpha.tobytes()
+    assert m.bias == bias and m.n_iter == n_iter
+    sv = alpha > 1e-12
+    assert m.support_X.tobytes() == X[sv].tobytes()
+    assert m.support_coef.tobytes() == (alpha * np.where(y == 1, 1.0, -1.0))[sv].tobytes()
+    return m
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
+@pytest.mark.parametrize("C", [0.01, 1.0, 1e3])
+def test_svm_equals_the_full_matrix_solver_for_every_box(kernel, C):
+    X, y = toy_problem(n=40, seed=101, noise=0.1)
+    m = assert_same_svm_fit(ModelSpec.svm(kernel, C=C), X, y)
+    if C == 0.01:  # alphas snapped to both ends of the box
+        assert (m.alpha == C).any() and (m.alpha == 0.0).any()
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
+def test_svm_equals_the_full_matrix_solver_on_duplicate_rows(kernel):
+    X, y = toy_problem(n=40, seed=102, noise=0.3)
+    # each of the first ten rows twice more, once with its label and once with the other
+    X = np.vstack([X, X[:10], X[:10]])
+    y = np.concatenate([y, y[:10], 1 - y[:10]])
+    assert_same_svm_fit(ModelSpec.svm(kernel), X, y)
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
+@pytest.mark.parametrize("n", [2, 7, 120, 1200])
+def test_svm_equals_the_full_matrix_solver_at_every_size(kernel, n):
+    if n == 1200:
+        X, y = aware_fold()
+    elif n == 2:
+        X, y = np.array([[0.0, 1.0], [1.0, 0.5]]), np.array([0, 1])
+    else:
+        X, y = toy_problem(n=n, seed=103, noise=0.3)
+    assert_same_svm_fit(ModelSpec.svm(kernel), X, y)
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
+def test_the_solver_turns_each_row_it_reads_into_the_kernel_matrix_row_once(monkeypatch, kernel):
+    X, y = aware_fold()
+    n = len(y)
+    rows, diags = {}, []  # the Gram rows turned into kernel rows, by index; the diagonals
+    real = models_mod._kernel_values
+
+    def spy(kernel, K, *args):
+        out = real(kernel, K, *args)
+        if K.ndim == 2:
+            pass  # a whole matrix, not the solver's
+        elif K.base is None:
+            diags.append(K)
+        else:  # a row view of the Gram matrix; it keeps the row's final values
+            i = (K.ctypes.data - K.base.ctypes.data) // K.base.strides[0]
+            assert i not in rows, f"row {i} turned twice"
+            rows[i] = K
+        return out
+
+    monkeypatch.setattr(models_mod, "_kernel_values", spy)
+    m = train(ModelSpec.svm(kernel), X, y)
+    monkeypatch.undo()
+    full = models_mod._kernel_matrix(kernel, X, X, m.gamma, m.spec.coef0)
+    assert len(diags) == 1 and diags[0].tobytes() == np.diag(full).tobytes()
+    assert 0 < len(rows) < n / 2  # the solver reads few rows
+    for i, K_i in rows.items():
+        assert K_i.tobytes() == full[i].tobytes()
+
+
+def test_a_converged_svm_keeps_its_kkt_gap(toy_svm_fits):
+    for _, m in toy_svm_fits:
+        assert m.converged and m.kkt_gap <= SVM_KKT_TOL
+
+
+def test_did_not_converge_quotes_the_kept_kkt_gap(monkeypatch):
+    monkeypatch.setattr(models_mod, "SVM_MAX_ITER", 5)
+    X, y = toy_problem(n=60, seed=100, noise=0.3)
+    with pytest.warns(DidNotConverge) as caught:
+        m = train(ModelSpec.svm("p4"), X, y)
+    assert not m.converged and m.n_iter == 5
+    assert m.kkt_gap > SVM_KKT_TOL
+    assert f"KKT violation {m.kkt_gap:.2e}" in str(caught[0].message)
+
+
+def knn_cohort_rows(n):
+    """n training rows of an aware fold and queries as permutation importance
+    makes them: the rows with one column shuffled, plus exact duplicates."""
+    X, y = aware_fold()
+    X, y = X[:n], y[:n]
+    rng = np.random.default_rng(5)
+    Xq = X[rng.integers(0, n, size=300)].copy()
+    Xq[:, 3] = rng.permutation(Xq[:, 3])
+    return X, y, np.vstack([Xq, X[:20]])
+
+
+@pytest.mark.parametrize("n", [120, 1200])
+def test_knn_distance_blocks_equal_the_two_add_form(monkeypatch, n):
+    X, y, Xq = knn_cohort_rows(n)
+    # blocks of 109, 109 and 102 rows: a 1200-row fold's height, also at 120
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 109 * n)
+    want, want_blocks = two_add_knn_votes(X, y, Xq, [1, 4, 8])
+    blocks = []
+    real = models_mod._nearest
+    monkeypatch.setattr(models_mod, "_nearest",
+                        lambda d2, k: (blocks.append(d2.copy()), real(d2, k))[1])
+    got = models_mod._knn_votes(X, y, Xq, [1, 4, 8])
+    assert [len(b) for b in blocks] == [len(b) for b in want_blocks] == [109, 109, 102]
+    for b, w in zip(blocks, want_blocks):
+        assert b.tobytes() == w.tobytes()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [120, 1200])
+def test_a_lone_knn_query_row_has_its_bits_in_a_block(monkeypatch, n):
+    # numpy would multiply a one-row block by gemv, whose bits differ from
+    # the matrix product's; a lone row is multiplied as one row of two
+    X, y, Xq = knn_cohort_rows(n)
+    blocks = []
+    real = models_mod._nearest
+    monkeypatch.setattr(models_mod, "_nearest",
+                        lambda d2, k: (blocks.append(d2.copy()), real(d2, k))[1])
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 109 * n)
+    models_mod._knn_votes(X, y, Xq[:109], [1])
+    whole = blocks.pop()
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", n)  # one row a block
+    models_mod._knn_votes(X, y, Xq[:8], [1])
+    models_mod._knn_votes(X, y, Xq[:1], [1])
+    assert len(blocks) == 9
+    for r, b in enumerate(blocks[:8]):
+        assert b.tobytes() == whole[r:r + 1].tobytes()
+    assert blocks[8].tobytes() == whole[:1].tobytes()
+
+
+@pytest.mark.parametrize("k", KNN_KS)
+@pytest.mark.parametrize("rows_per_block", [1, 4, 1000])
+def test_knn_labels_equal_the_two_add_form_with_lone_rows(monkeypatch, k, rows_per_block):
+    # exact duplicates, equal distances at the k-th boundary, even-k vote ties,
+    # and blocks that leave one query row alone
+    X, y, Xq = tied_grid()
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", rows_per_block * len(X))
+    assert len(Xq) == 41  # at 4 rows a block the last row is alone, at 1 every row
+    want = two_add_knn_votes(X, y, Xq, [k])[0][0]
+    assert np.array_equal(models_mod._knn_votes(X, y, Xq, [k])[0], want)
+    for r in range(len(Xq)):  # each row alone
+        assert models_mod._knn_votes(X, y, Xq[r:r + 1], [k])[0][0] == want[r]
+    Xc, yc, Xcq = knn_cohort_rows(120)
+    assert np.array_equal(models_mod._knn_votes(Xc, yc, Xcq, [k])[0],
+                          two_add_knn_votes(Xc, yc, Xcq, [k])[0][0])
+
+
+def test_knn_working_memory_does_not_grow_with_the_query_rows():
+    # beyond the labels it returns (8 bytes a row), a call holds one block of
+    # query rows at a time, however many rows it predicts
+    import tracemalloc
+
+    X, y, _ = knn_cohort_rows(1200)
+    rng = np.random.default_rng(6)
+    peaks = []
+    for rows in (1_000, 10_000):
+        Xq = rng.random((rows, X.shape[1]))
+        tracemalloc.start()
+        models_mod._knn_votes(X, y, Xq, [4])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * 9_000
