@@ -88,13 +88,10 @@ def _cmd_run(args) -> int:
     log.info("experiment finished in %.1f s", wall)
 
     out_dir = Path(args.out)
-    written = []
-    for fmt in formats:
-        written += emit_report(report, fmt, out_dir)
+    written = _emit(report, formats, out_dir)
 
     # audit sidecar; deliberately not part of report.json so reports stay
     # byte-identical across runs of the same config
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "wall_clock_seconds": round(wall, 3),
         "toolkit_version": __version__,
@@ -124,22 +121,27 @@ def _blas_build() -> dict:
 def _cmd_report(args) -> int:
     formats = _parse_formats(args.formats)
     report = load_report_json(args.input)
-    written = []
-    for fmt in formats:
-        written += emit_report(report, fmt, Path(args.out))
-    for path in written:
+    for path in _emit(report, formats, Path(args.out)):
         print(path)
     return 0
 
 
+def _emit(report, formats: list[str], out_dir: Path) -> list[Path]:
+    written = []
+    for fmt in formats:
+        written += emit_report(report, fmt, out_dir)
+    return written
+
+
 def _parse_formats(text: str) -> list[str]:
+    """The canonical name of each format given, once each, in first-seen order."""
     formats = [f.strip() for f in text.split(",") if f.strip()]
     if not formats:
         raise FairbenchError("no report formats given")
     for fmt in formats:
         if fmt.lower() not in FORMAT_ALIASES:
             raise FairbenchError(f"unknown report format {fmt!r}; use md, json or svg")
-    return formats
+    return list(dict.fromkeys(FORMAT_ALIASES[fmt.lower()] for fmt in formats))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -228,6 +228,7 @@ def _cohort_from_rows(rows: list, source: str) -> Cohort:
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> Path:
     """Write rows in canonical column order; floats round-trip exactly via repr."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     labels = np.asarray(LABELS)[cohort.y]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

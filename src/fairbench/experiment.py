@@ -15,6 +15,7 @@ import ast
 import hashlib
 import json
 import os
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 
@@ -65,6 +66,14 @@ def default_model_grid() -> tuple[ModelSpec, ...]:
     return tuple(grid)
 
 
+def _list(value) -> tuple:
+    """A list of values as a tuple. tuple() would also take a string (its
+    characters) or a mapping (its keys); a config file may give neither."""
+    if isinstance(value, (str, Mapping)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     cohort_csv: str | None = None
@@ -82,8 +91,8 @@ class ExperimentConfig:
     def __post_init__(self):
         conversions = {"k_folds": _positive_int, "n_permutation_repeats": _positive_int,
                        "n_workers": _positive_int, "master_seed": _int, "cohort_seed": _int,
-                       "clamp": _flag, "models": tuple, "protocols": tuple,
-                       "age_bin_edges": lambda edges: tuple(_finite(e) for e in edges)}
+                       "clamp": _flag, "models": _list, "protocols": _list,
+                       "age_bin_edges": lambda edges: tuple(_finite(e) for e in _list(edges))}
         for name, convert in conversions.items():
             value = getattr(self, name)
             if value is None and name == "cohort_seed":  # derived from master_seed
@@ -93,6 +102,11 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 key = f" (config key {_CONFIG_KEYS[name]!r})" if name in _CONFIG_KEYS else ""
                 raise ConfigError(f"bad value for {name}{key}: {exc}") from None
+        if self.cohort_csv is not None:
+            if not isinstance(self.cohort_csv, str):
+                raise ConfigError(f"cohort_csv must be a path string, got {self.cohort_csv!r}")
+            if self.cohort_spec is not None or self.cohort_seed is not None:
+                raise ConfigError("a CSV cohort (cohort_csv) takes no cohort_spec or cohort_seed")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
         if not self.models:
@@ -139,24 +153,14 @@ class ExperimentReport:
     directional_findings: dict
 
     def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "fold_flags": self.fold_flags,
-            "entries": self.entries,
-            "directional_findings": self.directional_findings,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentReport":
-        return cls(
-            provenance=doc["provenance"],
-            fold_flags=doc["fold_flags"],
-            entries=doc["entries"],
-            directional_findings=doc["directional_findings"],
-        )
+        return cls(**{f.name: doc[f.name] for f in dataclass_fields(cls)})
 
     def entry(self, model: str, protocol: str) -> dict:
         for e in self.entries:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -190,8 +191,7 @@ def load_report_json(path: str | Path) -> ExperimentReport:
         raise FairbenchError(f"{path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FairbenchError(f"{path} is not a report: expected a JSON object")
-    missing = [k for k in ("provenance", "fold_flags", "entries", "directional_findings")
-               if k not in doc]
+    missing = [f.name for f in fields(ExperimentReport) if f.name not in doc]
     if missing:
         raise FairbenchError(f"{path} is not a report: missing {missing}")
     return ExperimentReport.from_dict(doc)

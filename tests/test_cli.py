@@ -21,6 +21,12 @@ def test_synth_writes_loadable_csv(tmp_path, capsys):
     assert str(out) in capsys.readouterr().out
 
 
+def test_synth_creates_the_output_directory(tmp_path):
+    out = tmp_path / "new" / "dir" / "cohort.csv"
+    assert main(["synth", "--seed", "3", "--out", str(out)]) == 0
+    assert load_cohort_csv(out).n_itp == 100
+
+
 def test_synth_with_explicit_spec(tmp_path):
     spec_path = tmp_path / "spec.yaml"
     spec_path.write_text(
@@ -104,6 +110,16 @@ def test_report_rerender_from_json(run_dir, tmp_path):
     assert code == 0
     assert (out2 / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
     assert (out2 / "performance.md").read_text() == (run_dir / "performance.md").read_text()
+
+
+def test_each_format_is_written_once(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("models: [dt]\nprotocols: [unaware]\nk_folds: 2\nn_permutation_repeats: 1\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--formats", "json,md,JSON,markdown"]) == 0
+    printed = [Path(line).name for line in capsys.readouterr().out.splitlines()]
+    assert printed == ["report.json", "performance.md", "fairness.md", "run_meta.json"]
 
 
 def test_run_invalid_config_exits_1(tmp_path):
