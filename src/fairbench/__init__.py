@@ -32,7 +32,6 @@ from .experiment import (
     config_from_dict,
     default_model_grid,
     load_experiment_config,
-    parse_model_name,
     run_experiment,
 )
 from .importance import permutation_importance
@@ -40,6 +39,7 @@ from .metrics import equalized_odds, group_rates, macro_f1
 from .models import (
     ModelSpec,
     TrainedModel,
+    parse_model_name,
     train,
 )
 from .report import emit_report, load_report_json

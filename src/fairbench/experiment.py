@@ -11,7 +11,6 @@ order regardless of worker count.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import os
@@ -42,10 +41,20 @@ from .dataset import (
 from .errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
 from .importance import permutation_importance
 from .metrics import equalized_odds, group_rates, macro_f1
-from .models import ModelSpec, _finite, _flag, _int, _positive_int, predict_many, train
+from .models import (
+    ModelSpec,
+    _finite,
+    _flag,
+    _int,
+    _positive_int,
+    parse_model_name,
+    predict_many,
+    train,
+)
 from .rng import derive_seed
 from .specfile import (
     _mapping,
+    _value,
     cohort_spec_to_dict,
     default_cohort_spec,
     load_cohort_spec,
@@ -54,7 +63,7 @@ from .specfile import (
 
 SENSITIVE_ATTRIBUTES = ("gender", "race", "age")
 # ExperimentConfig field -> its key in a config file, where the two differ
-_CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers",
+_CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers", "cohort_csv": "cohort.csv",
                 "cohort_seed": "cohort.synthetic.seed"}
 
 
@@ -66,21 +75,45 @@ def default_model_grid() -> tuple[ModelSpec, ...]:
     return tuple(grid)
 
 
+def _checked(kind, value, what: str):
+    """``value`` if it is a ``kind``; a ValueError naming ``what`` if not."""
+    if not isinstance(value, kind):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
+
+
 def _list(value) -> tuple:
-    """A list of values as a tuple. tuple() would also take a string (its
+    """A list or a tuple as a tuple. tuple() would also take a string (its
     characters) or a mapping (its keys); a config file may give neither."""
-    if isinstance(value, (str, Mapping)):
-        raise TypeError(f"expected a list, got {value!r}")
-    return tuple(value)
+    return tuple(_checked((list, tuple), value, "a list"))
+
+
+def _path(value) -> str:
+    return _checked(str, value, "a path string")
+
+
+def _model(entry) -> ModelSpec:
+    """A model entry: a ModelSpec, its name, or a mapping of its fields."""
+    if isinstance(entry, ModelSpec):
+        return entry
+    if isinstance(entry, str):
+        return parse_model_name(entry)
+    try:
+        if "seed" in _checked(Mapping, entry, "a ModelSpec, a name or a mapping"):
+            raise ValueError("model seeds derive from the top-level 'seed'")
+        return ModelSpec(**entry)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad model entry {entry!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    cohort_csv: str | None = None
+    cohort_csv: str | None = None  # None -> a synthetic cohort
     cohort_spec: CohortSpec | None = None  # None -> shipped default calibration
     cohort_seed: int | None = None  # None -> derived from master_seed
     k_folds: int = 5
     master_seed: int = 42
+    # given as ModelSpecs, names or mappings of ModelSpec fields; kept as ModelSpecs
     models: tuple[ModelSpec, ...] = field(default_factory=default_model_grid)
     protocols: tuple[str, ...] = PROTOCOLS
     n_permutation_repeats: int = 10
@@ -89,30 +122,30 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        conversions = {"k_folds": _positive_int, "n_permutation_repeats": _positive_int,
-                       "n_workers": _positive_int, "master_seed": _int, "cohort_seed": _int,
-                       "clamp": _flag, "models": _list, "protocols": _list,
+        """Every field converted and checked, from a document or a library caller."""
+        conversions = {"cohort_csv": _path, "cohort_seed": _int,
+                       "cohort_spec": lambda spec: _checked(CohortSpec, spec, "a CohortSpec"),
+                       "k_folds": _positive_int, "n_permutation_repeats": _positive_int,
+                       "n_workers": _positive_int, "master_seed": _int, "clamp": _flag,
+                       "models": lambda entries: tuple(_model(m) for m in _list(entries)),
+                       "protocols": _list,
                        "age_bin_edges": lambda edges: tuple(_finite(e) for e in _list(edges))}
         for name, convert in conversions.items():
             value = getattr(self, name)
-            if value is None and name == "cohort_seed":  # derived from master_seed
+            if value is None and name.startswith("cohort_"):  # see the field comments
                 continue
             try:
                 object.__setattr__(self, name, convert(value))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ConfigError) as exc:
                 key = f" (config key {_CONFIG_KEYS[name]!r})" if name in _CONFIG_KEYS else ""
                 raise ConfigError(f"bad value for {name}{key}: {exc}") from None
-        if self.cohort_csv is not None:
-            if not isinstance(self.cohort_csv, str):
-                raise ConfigError(f"cohort_csv must be a path string, got {self.cohort_csv!r}")
-            if self.cohort_spec is not None or self.cohort_seed is not None:
-                raise ConfigError("a CSV cohort (cohort_csv) takes no cohort_spec or cohort_seed")
+        if self.cohort_csv is not None and (self.cohort_spec is not None
+                                            or self.cohort_seed is not None):
+            raise ConfigError("a CSV cohort (cohort_csv) takes no cohort_spec or cohort_seed")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
         if not self.models:
             raise ConfigError("model grid must not be empty")
-        if not all(isinstance(m, ModelSpec) for m in self.models):
-            raise ConfigError(f"models must be ModelSpec entries, got {list(self.models)}")
         if any(p not in PROTOCOLS for p in self.protocols) or not self.protocols:
             raise ConfigError(f"protocols must be a non-empty subset of {PROTOCOLS}")
         names = [m.name for m in self.models]
@@ -126,19 +159,14 @@ class ExperimentConfig:
                               f"got {list(edges)}")
 
     def canonical_dict(self) -> dict:
-        return {
-            "cohort_csv": self.cohort_csv,
-            "cohort_spec": (None if self.cohort_spec is None
-                            else cohort_spec_to_dict(self.cohort_spec)["classes"]),
-            "cohort_seed": self.cohort_seed,
-            "k_folds": self.k_folds,
-            "master_seed": self.master_seed,
-            "models": [m.name for m in self.models],
-            "protocols": list(self.protocols),
-            "n_permutation_repeats": self.n_permutation_repeats,
-            "age_bin_edges": list(self.age_bin_edges),
-            "clamp": self.clamp,
-        }
+        """Every field as a JSON value, but n_workers, which moves no result."""
+        doc = {f.name: getattr(self, f.name) for f in dataclass_fields(self)
+               if f.name != "n_workers"}
+        doc.update(cohort_spec=(None if self.cohort_spec is None
+                                else cohort_spec_to_dict(self.cohort_spec)["classes"]),
+                   models=[m.name for m in self.models], protocols=list(self.protocols),
+                   age_bin_edges=list(self.age_bin_edges))
+        return doc
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode("utf-8")
@@ -348,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # every protocol splits the same rows: any one's folds give the test races
         fold_flags=_fold_flags(cohort, folds_by_protocol[config.protocols[0]]),
         entries=entries,
-        directional_findings=_directional_findings(entries, config.protocols),
+        directional_findings=_directional_findings(entries, config),
     )
     expected = len(config.models) * len(config.protocols)
     if len(report.entries) != expected:
@@ -366,97 +394,26 @@ def _fold_flags(cohort: Cohort, folds: list[_FoldData]) -> list[dict]:
     return flags
 
 
-_SHORTHANDS = {"logr": ModelSpec.logr, "dt": ModelSpec.tree, "rf": ModelSpec.forest}
-
-
-def parse_model_name(name: str) -> ModelSpec:
-    """A model name as ModelSpec.name writes it: the grid shorthand (logr,
-    svm-<kernel>, knn-<k>, dt, rf), then for a spec with other hyperparameters
-    a [field=value,...] suffix, each value a Python literal."""
-    base, bracket, suffix = name.partition("[")
-    try:
-        if base in _SHORTHANDS:
-            spec = _SHORTHANDS[base]()
-        elif base.startswith("svm-"):
-            spec = ModelSpec.svm(base[4:])
-        elif base.startswith("knn-"):
-            spec = ModelSpec.knn(int(base[4:]))
-        else:
-            raise ConfigError(f"unknown model name {name!r}")
-        if bracket:
-            spec = replace(spec, **_name_suffix_fields(suffix))
-    except ValueError as exc:
-        raise ConfigError(f"unknown model name {name!r}: {exc}") from None
-    return spec
-
-
-# the fields a name's [field=value,...] suffix may set: family, kernel and
-# k_neighbors are in the name before it, and model seeds derive from the study
-_SUFFIX_FIELDS = ({f.name for f in dataclass_fields(ModelSpec)}
-                  - {"family", "kernel", "k_neighbors", "seed"})
-
-
-def _name_suffix_fields(suffix: str) -> dict:
-    """{field: value} of the part of a model name after its '['."""
-    if not suffix.endswith("]"):
-        raise ValueError("the field list must end with ']'")
-    out = {}
-    for item in suffix[:-1].split(","):
-        key, _, text = item.partition("=")
-        if key not in _SUFFIX_FIELDS:
-            raise ValueError(f"{key!r} is not a field a model name sets")
-        if key in out:
-            raise ValueError(f"{key} is given twice")
-        try:
-            out[key] = ast.literal_eval(text)
-        except (ValueError, SyntaxError):
-            raise ValueError(f"bad value {text!r} for {key}") from None
-    return out
-
-
-def _model_from_config(entry) -> ModelSpec:
-    if isinstance(entry, str):
-        return parse_model_name(entry)
-    if isinstance(entry, dict):
-        if "seed" in entry:
-            raise ConfigError(f"bad model entry {entry!r}: model seeds derive from "
-                              f"the top-level 'seed'")
-        try:
-            return ModelSpec(**entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model entry {entry!r}: {exc}") from exc
-    raise ConfigError(f"model entries must be names or mappings, got {entry!r}")
-
-
-def _path(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key!r} must be a path string, got {value!r}")
-    return value
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from the YAML document schema (see README); every value
-    is converted by ExperimentConfig itself."""
+    """Build a config from the YAML document schema (see README): read its
+    sections, rename its keys and load the cohort spec file; every value is
+    converted by ExperimentConfig itself."""
     doc = _mapping(doc, "config", {"cohort", "k_folds", "seed", "models", "protocols",
                                    "n_permutation_repeats", "age_bin_edges", "clamp",
                                    "workers"})
     fields = {key: name for name, key in _CONFIG_KEYS.items()}
     kwargs = {fields.get(key, key): value for key, value in doc.items() if key != "cohort"}
-    for key in ("models", "protocols", "age_bin_edges"):
-        if key in doc and not isinstance(doc[key], list):
-            raise ConfigError(f"bad value for {key!r}: {doc[key]!r} (expected a list)")
-    if "models" in doc:
-        kwargs["models"] = tuple(_model_from_config(m) for m in doc["models"])
 
     cohort = _mapping(doc.get("cohort"), "cohort", {"csv", "synthetic"})
     if "csv" in cohort and "synthetic" in cohort:
         raise ConfigError("cohort must give either 'csv' or 'synthetic', not both")
     if "csv" in cohort:
-        kwargs["cohort_csv"] = _path(cohort["csv"], "cohort.csv")
+        kwargs["cohort_csv"] = cohort["csv"]
     elif "synthetic" in cohort:
         synth = _mapping(cohort["synthetic"], "cohort.synthetic", {"spec", "seed"})
         if synth.get("spec") is not None:
-            kwargs["cohort_spec"] = load_cohort_spec(_path(synth["spec"], "cohort.synthetic.spec"))
+            kwargs["cohort_spec"] = load_cohort_spec(_value(_path, synth, "spec",
+                                                            "cohort.synthetic"))
         kwargs["cohort_seed"] = synth.get("seed")
     return ExperimentConfig(**kwargs)
 
@@ -465,25 +422,20 @@ def load_experiment_config(path) -> ExperimentConfig:
     return config_from_dict(load_yaml(path))
 
 
-def _directional_findings(entries: list[dict], protocols: tuple[str, ...]) -> dict:
+def _directional_findings(entries: list[dict], config: ExperimentConfig) -> dict:
     """Informational flags: unaware F1 >= aware, and aware EO >= unaware, for
     the model families whose behaviour is expected to shift with demographics."""
-    if AWARE not in protocols or UNAWARE not in protocols:
+    if AWARE not in config.protocols or UNAWARE not in config.protocols:
         return {"evaluated": False, "reason": "needs both protocols"}
 
     by_key = {(e["model"], e["protocol"]): e for e in entries}
-    families = ("logr", "svm", "knn")
     f1_flags = {}
     eo_flags = {}
-    for (model, protocol), e in sorted(by_key.items()):
-        if protocol != AWARE or not model.startswith(families):
-            continue
-        unaware = by_key.get((model, UNAWARE))
-        if unaware is None:
-            continue
-        f1_flags[model] = bool(unaware["mean_score"] >= e["mean_score"])
-        eo_flags[model] = {
-            attr: bool(e["fairness"][attr]["pooled"] >= unaware["fairness"][attr]["pooled"])
+    for name in sorted(m.name for m in config.models if m.family in ("logr", "svm", "knn")):
+        aware, unaware = by_key[name, AWARE], by_key[name, UNAWARE]
+        f1_flags[name] = bool(unaware["mean_score"] >= aware["mean_score"])
+        eo_flags[name] = {
+            attr: bool(aware["fairness"][attr]["pooled"] >= unaware["fairness"][attr]["pooled"])
             for attr in SENSITIVE_ATTRIBUTES
         }
     all_pass = all(f1_flags.values()) and all(v for d in eo_flags.values() for v in d.values())

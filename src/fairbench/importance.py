@@ -31,6 +31,26 @@ def _predict(models: Sequence, rows: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _changed_rows(X: np.ndarray, cols: tuple[int, ...],
+                  perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(changed, inverse, rows) of the shuffles ``perms`` (repeat, row) of the
+    columns ``cols``: which entries change a row, the position in ``rows`` of
+    each, and each distinct (row, new values) once, by row, then new values."""
+    if len(cols) == 1:
+        values, cls = np.unique(X[:, cols[0]], return_inverse=True)
+    else:  # unique rows are slower than unique values, so only for a group
+        values, cls = np.unique(X[:, cols], axis=0, return_inverse=True)
+    new = cls[perms]  # each copy's value class, classes in value order
+    changed = new != cls  # none for an identity shuffle or a constant column
+    # keyed by (row, new class), the keys sort by row and then by new values
+    keys = (np.arange(len(X)) * len(values) + new)[changed]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    row, new_cls = np.divmod(distinct, len(values))
+    rows = X[row]
+    rows[:, cols] = values[new_cls].reshape(len(rows), len(cols))
+    return changed, inverse, rows
+
+
 def permutation_importance(
     models: Sequence,
     X,
@@ -111,23 +131,9 @@ def permutation_importance(
         pending.clear()
 
     for t, (_, stream_key, cols) in enumerate(targets):
-        own = X[:, cols]
         perms = np.stack([_rng_for(seed, stream_key, r).permutation(n)
                           for r in range(n_repeats)])
-        new = own[perms]  # (repeat, row, column): each copy's values in cols
-        changed = (new != own).any(axis=2)
-        # a changed row is keyed by (row index, new values); none is left by
-        # an identity shuffle or a constant column
-        keys = np.column_stack([np.nonzero(changed)[1], new[changed]])
-        order = np.lexsort(keys.T[::-1])  # by row index, then by the new values
-        sorted_keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)  # first of each run of equal keys
-        first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-        inverse = np.empty(len(keys), dtype=np.intp)
-        inverse[order] = np.cumsum(first) - 1
-        distinct = sorted_keys[first]
-        rows = X[distinct[:, 0].astype(np.intp)]
-        rows[:, cols] = distinct[:, 1:]
+        changed, inverse, rows = _changed_rows(X, cols, perms)
         if pending and sum(len(p[-1]) for p in pending) + len(rows) > CHUNK_ROWS:
             flush()  # a target larger than CHUNK_ROWS is then split across calls
         pending.append((t, changed, inverse, rows))

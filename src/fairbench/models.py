@@ -30,11 +30,13 @@ of rows, one searchsorted per feature picks each row's table row, the AND of
 those leaves each tree's reachable leaves, and the lowest set bit of each
 tree's segment is its exit leaf. All models are deterministic given their ModelSpec,
 including the per-tree RNG streams of the forest; a ModelSpec resolves every
-field of its family to its effective value on construction.
+field of its family to its effective value on construction. This module owns
+the model-name format, which ModelSpec.name writes and parse_model_name reads.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import numbers
 import warnings
@@ -44,6 +46,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DidNotConverge,
     DimensionMismatch,
     NonFiniteInput,
@@ -117,6 +120,10 @@ _FAMILY_FIELDS = {
     "forest": {"n_trees": (_positive_int, 100), "max_depth": (_positive_int, None),
                "bootstrap": (_flag, True), "max_features": (_positive_int, None)},
 }
+# each family's shorthand name, and the field it gives after a '-'; a name's
+# [field=value,...] suffix may set each other field of the family
+_SHORTHANDS = {"logr": ("logr", None), "svm": ("svm", "kernel"), "knn": ("knn", "k_neighbors"),
+               "tree": ("dt", None), "forest": ("rf", None)}
 
 
 @dataclass(frozen=True)
@@ -155,8 +162,8 @@ class ModelSpec:
 
     @property
     def name(self) -> str:
-        return {"logr": "logr", "svm": f"svm-{self.kernel}", "knn": f"knn-{self.k_neighbors}",
-                "tree": "dt", "forest": "rf"}[self.family] + self._suffix()
+        short, in_name = _SHORTHANDS[self.family]
+        return (short if in_name is None else f"{short}-{getattr(self, in_name)}") + self._suffix()
 
     @property
     def label(self) -> str:
@@ -166,11 +173,11 @@ class ModelSpec:
 
     def _suffix(self) -> str:
         """[field=value,...], values as their repr, for each field away from its
-        family default; kernel and k_neighbors are in the name already. Empty for
-        a spec the shorthand name gives."""
+        family default; the field the shorthand gives is in the name already.
+        Empty for a spec the shorthand name gives."""
         changed = [f"{k}={getattr(self, k)!r}"
                    for k, (_, default) in _FAMILY_FIELDS[self.family].items()
-                   if k not in ("kernel", "k_neighbors")
+                   if k != _SHORTHANDS[self.family][1]
                    and getattr(self, k) not in (None, default)]
         return f"[{','.join(changed)}]" if changed else ""
 
@@ -199,28 +206,50 @@ class ModelSpec:
                    bootstrap=bootstrap, max_features=max_features, seed=seed)
 
 
+def parse_model_name(name: str) -> ModelSpec:
+    """The ModelSpec a name as ModelSpec.name writes it stands for. Each value
+    of the [field=value,...] suffix is read as a Python literal."""
+    base, bracket, suffix = name.partition("[")
+    short, dash, given = base.partition("-")
+    family = next((f for f, (s, _) in _SHORTHANDS.items() if s == short), None)
+    in_name = family and _SHORTHANDS[family][1]
+    if family is None or bool(dash) != (in_name is not None):
+        raise ConfigError(f"unknown model name {name!r}")
+    try:
+        values = {} if in_name is None else {in_name: int(given) if family == "knn" else given}
+        if bracket and not suffix.endswith("]"):
+            raise ValueError("the field list must end with ']'")
+        for item in suffix[:-1].split(",") if bracket else ():
+            key, _, text = item.partition("=")
+            if key == in_name or key not in _FAMILY_FIELDS[family]:
+                raise ValueError(f"{key!r} is not a field a {family} name sets")
+            if key in values:
+                raise ValueError(f"{key} is given twice")
+            try:
+                values[key] = ast.literal_eval(text)
+            except (ValueError, SyntaxError):
+                raise ValueError(f"bad value {text!r} for {key}") from None
+        return ModelSpec(family, **values)
+    except ValueError as exc:
+        raise ConfigError(f"unknown model name {name!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
 
 
-def _kernel_matrix(kernel: str, A: np.ndarray, B: np.ndarray, gamma: float,
-                   coef0: float) -> np.ndarray:
-    """exp(-gamma * max(|a|^2 - 2 a.b + |b|^2, 0)) or (gamma * a.b + coef0) ** degree,
-    built in place in the one matrix A @ B.T."""
-    if kernel == "rbf":
-        return _kernel_values(kernel, A @ B.T, gamma, coef0,
-                              np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1))
-    return _kernel_values(kernel, A @ B.T, gamma, coef0)
-
-
 def _kernel_values(kernel: str, K: np.ndarray, gamma: float, coef0: float,
-                   sq_a=None, sq_b=None) -> np.ndarray:
-    """K, holding the dot products a.b, turned into kernel values in place.
+                   sq_a=None, sq_b=None, scaled: bool = False) -> np.ndarray:
+    """K, holding the dot products a.b, turned in place into the kernel values
+    exp(-gamma * max(|a|^2 - 2 a.b + |b|^2, 0)) or (gamma * a.b + coef0) ** degree.
     rbf also reads |a|^2 and |b|^2, added in that order: broadcast along K's
-    rows and its columns for a matrix, a scalar and a vector for one row."""
+    rows and its columns for a matrix, a scalar and a vector for one row. A
+    ``scaled`` rbf K holds -2 a.b already. The solver's kernel rows and the
+    blocks of SvmModel.decision_function are both made by this one transform."""
     if kernel == "rbf":
-        K *= -2.0
+        if not scaled:
+            K *= -2.0
         K += sq_a
         K += sq_b
         np.maximum(K, 0.0, out=K)
@@ -263,8 +292,9 @@ class TrainedModel:
             raise NonFiniteInput("prediction matrix contains non-finite values")
         return X
 
-    def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        """The sign of the decision function; KNN and forests vote instead."""
+        return (self.decision_function(X) >= 0.0).astype(np.int64)
 
 
 @dataclass
@@ -276,9 +306,6 @@ class LogisticModel(TrainedModel):
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)
 
 
 @dataclass
@@ -294,16 +321,19 @@ class SvmModel(TrainedModel):
     kkt_gap: float = 0.0  # the solver's last m - M; 0.0 when it stopped on an empty set
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
+        S, rbf = self.support_X, self.spec.kernel == "rbf"
+        # rbf's blocks are A @ (-2 S).T, with the bits of -2 (A @ S.T) as in
+        # _knn_votes; a C-contiguous copy of the transposed view can change them
+        right, sq_s = ((-2.0 * S).T, np.sum(S * S, axis=1)) if rbf else (S.T, None)
         out = np.empty(len(X))
-        step = _block_rows(len(self.support_X))
+        step = _block_rows(len(S))
         for start in range(0, len(X), step):
-            K = _kernel_matrix(self.spec.kernel, X[start:start + step], self.support_X,
-                               self.gamma, self.spec.coef0)
+            A = X[start:start + step]
+            K = _kernel_values(self.spec.kernel, A @ right, self.gamma, self.spec.coef0,
+                               np.sum(A * A, axis=1)[:, None] if rbf else None, sq_s,
+                               scaled=True)
             out[start:start + len(K)] = K @ self.support_coef + self.bias
         return out
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)
 
 
 @dataclass
@@ -653,9 +683,9 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     gamma = spec.gamma if spec.gamma is not None else _default_gamma(X)
     kernel, coef0 = spec.kernel, spec.coef0
     # the solver reads few rows of the kernel matrix (a tenth to two fifths
-    # of them on the benchmark folds): K holds the dot products of _kernel_matrix, and row i
-    # becomes its kernel row, in _kernel_matrix's order of operations, when
-    # the solver first reads it
+    # of them on the benchmark folds): K holds the dot products, and row i
+    # becomes its kernel row, with the bits of that row of the whole kernel
+    # matrix, when the solver first reads it
     K = X @ X.T
     sq = np.sum(X * X, axis=1) if kernel == "rbf" else None
     K_diag = _kernel_values(kernel, np.diag(K).copy(), gamma, coef0, sq, sq)
@@ -686,7 +716,7 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
             break
         i = int(tG_up.argmax())
         m_val = float(tG_up[i])
-        M_val = float(tG_low.min())
+        M_val = float(tG_low[tG_low.argmin()])  # faster than min(); a NaN is kept
         gap = m_val - M_val
         if gap <= SVM_KKT_TOL:
             converged = True
@@ -850,7 +880,9 @@ def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
     n, d = X.shape
     R, vals = _rank_code(X)
     every = np.arange(d)
-    rngs = [derive_rng(spec.seed, "tree", tree_idx) for tree_idx in range(n_trees)]
+    # a stream only for a fit that draws from it: a decision tree reads none
+    rngs = ([derive_rng(spec.seed, "tree", tree_idx) for tree_idx in range(n_trees)]
+            if bootstrap or max_features < d else [None] * n_trees)
     bags = (rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs)
     # per tree, the nodes still to grow, the next in preorder on top: (rows,
     # positives, depth, the parent whose right child this is, or -1)

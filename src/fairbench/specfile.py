@@ -26,7 +26,7 @@ def _mapping(value, key: str, known) -> dict:
     return value
 
 
-def _number(convert, section: dict, key: str, where: str):
+def _value(convert, section: dict, key: str, where: str):
     """section[key] through convert; a missing or malformed value is a
     ConfigError naming its key."""
     if key not in section:
@@ -52,11 +52,11 @@ def _class_spec(doc, where: str) -> ClassSpec:
 
     def proportions(key: str, known) -> dict[str, float]:
         section = _mapping(doc.get(key), f"{where}.{key}", known)
-        return {k: _number(_finite, section, k, f"{where}.{key}") for k in section}
+        return {k: _value(_finite, section, k, f"{where}.{key}") for k in section}
 
     variables = _mapping(doc.get("variables"), f"{where}.variables", NUMERIC_FIELDS)
     return ClassSpec(
-        size=_number(_positive_int, doc, "size", where),
+        size=_value(_positive_int, doc, "size", where),
         gender=proportions("gender", GENDERS),
         race=proportions("race", RACES),
         variables={var: _stat_block(block, f"{where}.variables.{var}")
@@ -66,10 +66,10 @@ def _class_spec(doc, where: str) -> ClassSpec:
 
 def _stat_block(doc, where: str) -> StatBlock:
     doc = _mapping(doc, where, {"min", "max", "median", "mean"})
-    optional = {k: None if doc.get(k) is None else _number(_finite, doc, k, where)
+    optional = {k: None if doc.get(k) is None else _value(_finite, doc, k, where)
                 for k in ("median", "mean")}
-    return StatBlock(lo=_number(_finite, doc, "min", where),
-                     hi=_number(_finite, doc, "max", where), **optional)
+    return StatBlock(lo=_value(_finite, doc, "min", where),
+                     hi=_value(_finite, doc, "max", where), **optional)
 
 
 def cohort_spec_to_dict(spec: CohortSpec) -> dict:

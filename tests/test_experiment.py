@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from fairbench import experiment
+from fairbench.cli import main
 from fairbench.dataset import (
     AWARE,
     UNAWARE,
@@ -117,8 +119,6 @@ def test_config_rejects_bad_values():
         ExperimentConfig(age_bin_edges=(float("nan"),))
     with pytest.raises(ConfigError, match="clamp"):
         ExperimentConfig(clamp="false")
-    with pytest.raises(ConfigError, match="ModelSpec"):
-        ExperimentConfig(models=("logr",))
     with pytest.raises(ConfigError, match="age_bin_edges"):
         ExperimentConfig(age_bin_edges=45)
     with pytest.raises(ConfigError, match="models"):
@@ -144,6 +144,15 @@ def test_integral_values_keep_the_config_hash():
     assert spelled == plain
     assert spelled.config_hash() == plain.config_hash()
     assert ExperimentConfig().config_hash() == ExperimentConfig(n_workers=2).config_hash()
+
+
+def test_the_config_class_converts_model_entries():
+    # names and mappings build the ModelSpecs a document's entries give
+    entries = ["logr", {"family": "svm", "kernel": "rbf"}]
+    config = ExperimentConfig(models=tuple(entries))
+    assert config == config_from_dict({"models": entries})
+    assert config.models == (ModelSpec.logr(), ModelSpec.svm("rbf"))
+    assert ExperimentConfig(models=("logr",)) == ExperimentConfig(models=(ModelSpec.logr(),))
 
 
 def test_parse_model_name_shorthands():
@@ -222,7 +231,7 @@ def test_config_from_dict_rejects_unknown_keys():
 ], ids=repr)
 def test_list_keys_reject_strings_and_mappings(doc):
     # iterating these would read a name's characters or a mapping's keys
-    with pytest.raises(ConfigError, match=f"bad value for '{next(iter(doc))}'.*expected a list"):
+    with pytest.raises(ConfigError, match=f"bad value for {next(iter(doc))}: expected a list"):
         config_from_dict(doc)
 
 
@@ -231,7 +240,7 @@ def test_list_keys_reject_strings_and_mappings(doc):
     ({"protocols": {"aware": 1}}, "protocols: expected a list"),
     ({"age_bin_edges": {45: "x", 65: "y"}}, "age_bin_edges: expected a list"),
     ({"models": {ModelSpec.tree(): 1}}, "models: expected a list"),
-    ({"cohort_csv": 5}, "cohort_csv must be a path string"),
+    ({"cohort_csv": 5}, "cohort_csv .*expected a path string"),
     # a CSV cohort ignores both, so the config hash must not cover them
     ({"cohort_csv": "c.csv", "cohort_seed": 5}, "takes no cohort_spec or cohort_seed"),
     ({"cohort_csv": "c.csv", "cohort_spec": default_cohort_spec()},
@@ -240,6 +249,34 @@ def test_list_keys_reject_strings_and_mappings(doc):
         "csv-seed", "csv-spec"])
 def test_the_config_class_applies_the_document_rules(kwargs, message):
     with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**kwargs)
+
+
+# each rule on every path a value reaches it by: a config document line, read
+# by config_from_dict and by `fairbench run` (exit 1, nothing written), whose
+# message names the document key, and the ExperimentConfig field it sets, whose
+# message names the field; cohort_spec has no document line
+@pytest.mark.parametrize("line, key, kwargs, reason", [
+    ("models: logr", "models", {"models": "logr"}, "expected a list"),
+    ("models: {a: 1}", "models", {"models": {"a": 1}}, "expected a list"),
+    ("models: null", "models", {"models": None}, "expected a list"),
+    ("protocols: aware", "protocols", {"protocols": "aware"}, "expected a list"),
+    ("age_bin_edges: {45: x}", "age_bin_edges", {"age_bin_edges": {45: "x"}}, "expected a list"),
+    ("cohort: {csv: 5}", "cohort.csv", {"cohort_csv": 5}, "path string"),
+    (None, None, {"cohort_spec": 5}, "expected a CohortSpec"),
+], ids=["models-str", "models-map", "models-null", "protocols-str", "edges-map", "csv-int",
+        "spec-int"])
+def test_a_config_rule_holds_on_every_path(tmp_path, capsys, line, key, kwargs, reason):
+    if line is not None:
+        message = rf"{re.escape(key)}\W.*{reason}"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(yaml.safe_load(line))
+        config, out = tmp_path / "config.yaml", tmp_path / "out"
+        config.write_text(line + "\n")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+    with pytest.raises(ConfigError, match=f"{next(iter(kwargs))}.*{reason}"):
         ExperimentConfig(**kwargs)
 
 

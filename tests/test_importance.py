@@ -227,6 +227,41 @@ def distinct_changed_rows(X, n_repeats, seed, grouped_columns=None):
     return len(seen)
 
 
+def lexsort_changed_rows(X, cols, perms):
+    """importance._changed_rows as first written: each changed entry keyed by
+    its row index and its new values as floats, the keys lexsorted and their
+    runs of equal keys found by comparing neighbours."""
+    own = X[:, cols]
+    new = own[perms]  # (repeat, row, column)
+    changed = (new != own).any(axis=2)
+    keys = np.column_stack([np.nonzero(changed)[1], new[changed]])
+    order = np.lexsort(keys.T[::-1])  # by row index, then by the new values
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    distinct = sorted_keys[first]
+    rows = X[distinct[:, 0].astype(np.intp)]
+    rows[:, cols] = distinct[:, 1:]
+    return changed, inverse, rows
+
+
+@pytest.mark.parametrize("n_repeats", [1, 10])
+def test_changed_rows_equal_the_lexsort_lookup(n_repeats):
+    X, _ = noisy_with_onehot(40, seed=3)
+    X[:, 0] = np.round(X[:, 0], 1)  # repeated values
+    X[:, 1] = 0.5  # a constant column
+    rng = np.random.default_rng(n_repeats)
+    for cols in ((0,), (1,), (2,), (3, 4, 5), (0, 1), (2, 0)):
+        perms = np.stack([np.arange(len(X))]  # an identity shuffle
+                         + [rng.permutation(len(X)) for _ in range(n_repeats - 1)])
+        got = importance_mod._changed_rows(X, cols, perms)
+        for g, want in zip(got, lexsort_changed_rows(X, cols, perms), strict=True):
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
+
+
 def spy_on_predict_many(monkeypatch):
     """Record the row count of every predict_many call importance makes."""
     rows = []

@@ -129,10 +129,19 @@ def test_spec_names_and_labels_suffix_each_field_away_from_its_default():
 # ---------------------------------------------------------------------------
 
 
+def kernel_matrix(kernel, A, B, gamma, coef0):
+    """The kernel matrix of A and B as the library builds its rows and blocks:
+    the one matrix A @ B.T, turned into kernel values in place."""
+    if kernel == "rbf":
+        return models_mod._kernel_values(kernel, A @ B.T, gamma, coef0,
+                                         np.sum(A * A, axis=1)[:, None], np.sum(B * B, axis=1))
+    return models_mod._kernel_values(kernel, A @ B.T, gamma, coef0)
+
+
 def kernel_value(kernel, u, v, gamma, coef0=1.0):
     """The kernel of two vectors, as the one entry of a one-row kernel matrix."""
     u, v = np.atleast_2d(np.asarray(u, dtype=float)), np.atleast_2d(np.asarray(v, dtype=float))
-    return float(models_mod._kernel_matrix(kernel, u, v, gamma, coef0)[0, 0])
+    return float(kernel_matrix(kernel, u, v, gamma, coef0)[0, 0])
 
 
 def test_rbf_kernel_at_zero_distance():
@@ -175,7 +184,7 @@ def test_kernel_matrix_is_bit_equal_to_the_formula(kernel):
     A, B = rng.random((40, 13)), rng.random((25, 13))
     A[:5] = B[:5]  # zero distances, where rounding can make the squared distance negative
     for X, Y in ((A, A), (A, B), (B, A)):
-        got = models_mod._kernel_matrix(kernel, X, Y, 0.37, 1.3)
+        got = kernel_matrix(kernel, X, Y, 0.37, 1.3)
         assert got.tobytes() == kernel_formula(kernel, X, Y, 0.37, 1.3).tobytes()
 
 
@@ -330,7 +339,7 @@ def test_svm_exit_satisfies_kkt(toy_svm_fits):
     for X, m in toy_svm_fits:
         assert m.converged
         t, alpha, C = m.train_t, m.alpha, m.spec.C
-        K = models_mod._kernel_matrix(m.spec.kernel, X, X, m.gamma, m.spec.coef0)
+        K = kernel_matrix(m.spec.kernel, X, X, m.gamma, m.spec.coef0)
         G = (t[:, None] * t[None, :] * K) @ alpha - 1.0  # recomputed, not the solver's
         tG = -t * G
         up = ((t > 0) & (alpha < C)) | ((t < 0) & (alpha > 0))
@@ -338,6 +347,24 @@ def test_svm_exit_satisfies_kkt(toy_svm_fits):
         assert tG[up].max() - tG[low].min() <= SVM_KKT_TOL
         if m.spec.kernel == "p4":
             assert m.n_iter <= 30_000  # maximal-violating-pair selection needed up to 84,099
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
+def test_a_decision_block_has_the_kernel_matrix_bits(monkeypatch, kernel):
+    # rbf's blocks multiply by (-2 S).T instead of scaling each block by -2
+    rng = np.random.default_rng(5)
+    shapes = ((3, 1, 4), (3, 2, 4), (37, 1, 13), (3, 17, 22), (120, 109, 13), (301, 109, 13),
+              (301, 1200, 22))
+    for n_sv, rows, d in shapes:
+        S, A = rng.random((n_sv, d)), rng.random((rows, d))
+        A[:min(2, rows)] = S[:min(2, rows)]  # zero distances
+        coef = rng.standard_normal(n_sv)
+        spec = ModelSpec.svm(kernel)
+        m = models_mod.SvmModel(spec=spec, n_features=d, support_X=S, support_coef=coef,
+                                bias=0.25, gamma=0.37)
+        monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", rows * n_sv)  # one block
+        want = kernel_matrix(kernel, A, S, 0.37, spec.coef0) @ coef + 0.25
+        assert m.decision_function(A).tobytes() == want.tobytes()
 
 
 def test_svm_labels_do_not_depend_on_the_kernel_block(monkeypatch, toy_svm_fits):
@@ -356,7 +383,7 @@ def svm_reference(spec, X, y):
     n, C = len(y), spec.C
     gamma = spec.gamma if spec.gamma is not None else models_mod._default_gamma(X)
     t = np.where(y == 1, 1.0, -1.0)
-    K = models_mod._kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
+    K = kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
     K_diag = np.diag(K).copy()
     alpha = np.zeros(n)
     G = -np.ones(n)
@@ -1216,6 +1243,18 @@ def test_lockstep_growth_equals_the_recursive_grower_on_cohort_10x(tmp_path, mon
                 assert_same_node_arrays(replace(spec, seed=seed), fd.X_train, fd.y_train)
 
 
+def test_a_fit_that_draws_nothing_derives_no_stream(monkeypatch):
+    def derive_rng(*args):
+        raise AssertionError(f"stream {args} derived")
+
+    monkeypatch.setattr(models_mod, "derive_rng", derive_rng)
+    X, y = toy_problem()
+    train(ModelSpec.tree(), X, y)
+    train(ModelSpec.forest(n_trees=3, bootstrap=False, max_features=X.shape[1]), X, y)
+    with pytest.raises(AssertionError, match="stream"):
+        train(ModelSpec.forest(n_trees=3, bootstrap=False), X, y)
+
+
 def test_a_deep_tree_grows_without_recursion():
     # alternating labels on distinct values: 1,499 splits deep, past Python's
     # recursion limit for a recursive grower
@@ -1242,7 +1281,7 @@ def full_matrix_svm(spec, X, y):
     C = spec.C
     gamma = spec.gamma if spec.gamma is not None else models_mod._default_gamma(X)
     t = np.where(y == 1, 1.0, -1.0)
-    K = models_mod._kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
+    K = kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
     K_diag = np.diag(K).copy()
 
     alpha = np.zeros(n)
@@ -1382,7 +1421,7 @@ def test_the_solver_turns_each_row_it_reads_into_the_kernel_matrix_row_once(monk
     monkeypatch.setattr(models_mod, "_kernel_values", spy)
     m = train(ModelSpec.svm(kernel), X, y)
     monkeypatch.undo()
-    full = models_mod._kernel_matrix(kernel, X, X, m.gamma, m.spec.coef0)
+    full = kernel_matrix(kernel, X, X, m.gamma, m.spec.coef0)
     assert len(diags) == 1 and diags[0].tobytes() == np.diag(full).tobytes()
     assert 0 < len(rows) < n / 2  # the solver reads few rows
     for i, K_i in rows.items():
