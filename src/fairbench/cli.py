@@ -9,6 +9,7 @@ variable sets the log level (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -23,7 +24,7 @@ from ._version import __version__
 from .dataset import synthesize_cohort, write_cohort_csv
 from .errors import FairbenchError
 from .experiment import load_experiment_config, run_experiment
-from .report import FORMAT_ALIASES, emit_report, load_report_json
+from .report import canonical_format, emit_report, load_report_json
 from .specfile import default_cohort_spec, load_cohort_spec
 
 log = logging.getLogger("fairbench")
@@ -100,6 +101,7 @@ def _cmd_run(args) -> int:
         "argv": sys.argv[1:],
         "config_hash": report.provenance["config_hash"],
         "blas": _blas_build(),
+        "host": host_facts(),
         "blas_threads_env": {var: os.environ.get(var)
                              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
@@ -116,6 +118,26 @@ def _blas_build() -> dict:
     """Name and version of the BLAS numpy was built against."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def host_facts() -> dict:
+    """The code paths this host runs, which the last bits of a report can
+    depend on: the SIMD targets numpy found on the CPU, and the core whose
+    kernels OpenBLAS chose (None without numpy's bundled OpenBLAS)."""
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found")
+    return {"numpy_simd": simd, "blas_core": _openblas_core()}
+
+
+def _openblas_core() -> str | None:
+    here = Path(np.__file__).parent
+    for path in sorted([*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]):
+        try:  # the library numpy loaded; opening it again returns the same one
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def _cmd_report(args) -> int:
@@ -138,10 +160,7 @@ def _parse_formats(text: str) -> list[str]:
     formats = [f.strip() for f in text.split(",") if f.strip()]
     if not formats:
         raise FairbenchError("no report formats given")
-    for fmt in formats:
-        if fmt.lower() not in FORMAT_ALIASES:
-            raise FairbenchError(f"unknown report format {fmt!r}; use md, json or svg")
-    return list(dict.fromkeys(FORMAT_ALIASES[fmt.lower()] for fmt in formats))
+    return list(dict.fromkeys(canonical_format(fmt) for fmt in formats))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,8 +6,10 @@ Armijo backtracking, so every step lowers the regularised loss), kernel SVM
 with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005; the
 solver keeps -t * gradient as two masked copies, -inf outside the up set and
 +inf outside the low set, and its per-point bookkeeping in Python scalars; it
-builds the Gram matrix once and turns a row into its kernel row when it first
-reads it, as LIBSVM computes kernel rows on demand, Chang & Lin 2011, §5),
+builds no n x n matrix: as LIBSVM computes kernel rows on demand, Chang & Lin
+2011, §5, a kernel row is computed when the solver first reads it and kept
+until the fit ends, and the diagonal comes from square products of blocks of
+DIAGONAL_BLOCK rows),
 k-nearest neighbours (one neighbour order per block of query rows serves every
 k fit to the same rows, see predict_many; each block of squared distances is
 one matrix product, the two squared norms its last two terms; the order is
@@ -61,6 +63,9 @@ LOGR_MAX_ITER = 50  # safety net; Newton needs a handful of steps
 LOGR_GRAD_TOL = 1e-6
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000
+# rows per square product whose diagonal gives the SVM's squared norms; at
+# this size they keep the bits of X @ X.T's diagonal on the benchmark folds
+DIAGONAL_BLOCK = 32
 # values per distance or kernel block: a KNN block takes as many query rows as
 # keep its distances to every training row (and the selection temporaries of
 # that shape) within this many, an SVM block its kernel values against every
@@ -207,8 +212,9 @@ class ModelSpec:
 
 
 def parse_model_name(name: str) -> ModelSpec:
-    """The ModelSpec a name as ModelSpec.name writes it stands for. Each value
-    of the [field=value,...] suffix is read as a Python literal."""
+    """The ModelSpec a name as ModelSpec.name writes it stands for; the part
+    before the suffix must be spelled as that spec's name spells it. Each
+    value of the [field=value,...] suffix is read as a Python literal."""
     base, bracket, suffix = name.partition("[")
     short, dash, given = base.partition("-")
     family = next((f for f, (s, _) in _SHORTHANDS.items() if s == short), None)
@@ -229,7 +235,11 @@ def parse_model_name(name: str) -> ModelSpec:
                 values[key] = ast.literal_eval(text)
             except (ValueError, SyntaxError):
                 raise ValueError(f"bad value {text!r} for {key}") from None
-        return ModelSpec(family, **values)
+        spec = ModelSpec(family, **values)
+        written = spec.name.partition("[")[0]
+        if written != base:  # int() also reads knn-012, knn-+12 and knn-1_2 as knn-12
+            raise ValueError(f"the name is written {written!r}")
+        return spec
     except ValueError as exc:
         raise ConfigError(f"unknown model name {name!r}: {exc}") from None
 
@@ -260,6 +270,27 @@ def _kernel_values(kernel: str, K: np.ndarray, gamma: float, coef0: float,
         K += coef0
         K **= int(kernel[1])  # degree 2 keeps the square path of **
     return K
+
+
+def _gram_row(X: np.ndarray, i: int) -> np.ndarray:
+    """The dot products x_i . X, a new array: row 0 of [x_i; x_i] @ X.T. numpy
+    would multiply one row by gemv, whose bits differ from GEMM's; at 120 and
+    1,200 rows these are the bits of row i of X @ X.T (see CHANGES.md)."""
+    return (X[[i, i]] @ X.T)[0].copy()  # a view would keep both rows alive
+
+
+def _gram_diagonal(X: np.ndarray) -> np.ndarray:
+    """The squared norms x_i . x_i, each from the diagonal of the square product
+    of its block of DIAGONAL_BLOCK rows. Row norms summed directly have other
+    bits than X @ X.T's diagonal."""
+    n = len(X)
+    out = np.empty(n)
+    for start in range(0, n, DIAGONAL_BLOCK):
+        B = X[start:start + DIAGONAL_BLOCK]
+        if len(B) == 1:  # a lone last row is multiplied as two, as in _gram_row
+            B = X[[start, start]]
+        out[start:start + DIAGONAL_BLOCK] = np.diag(B @ B.T)[:n - start]
+    return out
 
 
 def _default_gamma(X: np.ndarray) -> float:
@@ -327,9 +358,14 @@ class SvmModel(TrainedModel):
         right, sq_s = ((-2.0 * S).T, np.sum(S * S, axis=1)) if rbf else (S.T, None)
         out = np.empty(len(X))
         step = _block_rows(len(S))
+        # one block array per call, not one per block: unless a larger array
+        # freed earlier has raised glibc's mmap threshold, each fresh array of
+        # about BLOCK_ELEMENTS values is mapped and faulted in page by page
+        block = np.empty((min(step, len(X)), len(S)))
         for start in range(0, len(X), step):
             A = X[start:start + step]
-            K = _kernel_values(self.spec.kernel, A @ right, self.gamma, self.spec.coef0,
+            K = _kernel_values(self.spec.kernel, np.matmul(A, right, out=block[:len(A)]),
+                               self.gamma, self.spec.coef0,
                                np.sum(A * A, axis=1)[:, None] if rbf else None, sq_s,
                                scaled=True)
             out[start:start + len(K)] = K @ self.support_coef + self.bias
@@ -682,20 +718,19 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     C = spec.C
     gamma = spec.gamma if spec.gamma is not None else _default_gamma(X)
     kernel, coef0 = spec.kernel, spec.coef0
-    # the solver reads few rows of the kernel matrix (a tenth to two fifths
-    # of them on the benchmark folds): K holds the dot products, and row i
-    # becomes its kernel row, with the bits of that row of the whole kernel
-    # matrix, when the solver first reads it
-    K = X @ X.T
+    # the solver reads few rows of the kernel matrix (a tenth to a quarter of
+    # them on the benchmark folds), so no n x n matrix is built: kernel row i
+    # is computed when the solver first reads it and kept until the fit ends
     sq = np.sum(X * X, axis=1) if kernel == "rbf" else None
-    K_diag = _kernel_values(kernel, np.diag(K).copy(), gamma, coef0, sq, sq)
-    fresh = [True] * n
+    K_diag = _kernel_values(kernel, _gram_diagonal(X), gamma, coef0, sq, sq)
+    rows: dict[int, np.ndarray] = {}
 
     def row(i: int) -> np.ndarray:
-        if fresh[i]:
-            fresh[i] = False
-            _kernel_values(kernel, K[i], gamma, coef0, None if sq is None else sq[i], sq)
-        return K[i]
+        K_i = rows.get(i)
+        if K_i is None:
+            K_i = rows[i] = _kernel_values(kernel, _gram_row(X, i), gamma, coef0,
+                                           None if sq is None else sq[i], sq)
+        return K_i
 
     t_arr = np.where(y == 1, 1.0, -1.0)
     t = t_arr.tolist()

@@ -17,11 +17,17 @@ PROTOCOL_TITLES = {AWARE: "Demographic-aware", UNAWARE: "Demographic-unaware"}
 FORMAT_ALIASES = {"md": "markdown", "markdown": "markdown", "json": "json", "svg": "svg"}
 
 
+def canonical_format(name: str) -> str:
+    """The canonical name of the report format ``name`` names, in any case."""
+    fmt = FORMAT_ALIASES.get(name.lower())
+    if fmt is None:
+        raise FairbenchError(f"unknown report format {name!r}; use md, json or svg")
+    return fmt
+
+
 def emit_report(report: ExperimentReport, format: str, out_dir: str | Path) -> list[Path]:
     """Write one output format into out_dir and return the files written."""
-    fmt = FORMAT_ALIASES.get(format.lower())
-    if fmt is None:
-        raise ValueError(f"unknown report format {format!r}; use md, json or svg")
+    fmt = canonical_format(format)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":

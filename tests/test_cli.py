@@ -101,6 +101,25 @@ def test_run_meta_sidecar_has_wall_clock(run_dir):
     assert set(meta["blas"]) == {"name", "version"}
     assert meta["blas"]["name"]
     assert set(meta["blas_threads_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    assert set(meta["host"]) == {"numpy_simd", "blas_core"}
+    assert meta["host"] == json.loads(json.dumps(cli.host_facts()))
+
+
+def test_run_meta_names_the_blas_core_the_run_used(tmp_path):
+    # a child process, as OpenBLAS picks its core when it is loaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    config = tmp_path / "config.yaml"
+    config.write_text("models: [logr]\nprotocols: [unaware]\nk_folds: 2\nn_permutation_repeats: 1\n")
+    out = tmp_path / "o"
+    subprocess.run([sys.executable, "-m", "fairbench.cli", "run", "--config", str(config),
+                    "--out", str(out), "--formats", "json"], check=True, env=env, timeout=120)
+    host = json.loads((out / "run_meta.json").read_text())["host"]
+    if host["blas_core"] is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    assert host["blas_core"] == "Haswell"
+    assert host["numpy_simd"] == cli.host_facts()["numpy_simd"]
 
 
 def test_report_rerender_from_json(run_dir, tmp_path):

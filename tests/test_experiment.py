@@ -17,7 +17,7 @@ from fairbench.dataset import (
     fit_minmax,
     synthesize_cohort,
 )
-from fairbench.errors import ConfigError, TooFewSamples
+from fairbench.errors import ConfigError, FairbenchError, TooFewSamples
 from fairbench.experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -194,6 +194,24 @@ def test_a_model_name_parses_back_to_its_spec():
 def test_a_malformed_name_suffix_is_rejected(name):
     with pytest.raises(ConfigError, match=re.escape(repr(name))):
         parse_model_name(name)
+
+
+@pytest.mark.parametrize("name", ["knn-012", "knn-+12", "knn-1_2", "knn- 12", "knn-12 ",
+                                  "knn-012[k_neighbors=4]"])
+def test_a_name_spelled_unlike_its_spec_is_rejected(name):
+    # int() reads each of these as 12; a report would print the spec as knn-12
+    with pytest.raises(ConfigError, match=re.escape(repr(name))):
+        parse_model_name(name)
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("knn-12", ModelSpec.knn(12)),
+    ("svm-rbf[C=10]", ModelSpec.svm("rbf", C=10.0)),
+    ("rf[n_trees=30.0]", ModelSpec.forest(n_trees=30)),
+])
+def test_a_name_suffix_keeps_its_literal_reading(name, spec):
+    # only the part before the suffix must be spelled as the spec spells it
+    assert parse_model_name(name) == spec
 
 
 def test_config_from_dict_full_document():
@@ -532,9 +550,16 @@ def test_emit_svg_charts(tmp_path, small_report):
     assert first_label == "dx_plt_ct"
 
 
-def test_emit_rejects_unknown_format(tmp_path, small_report):
-    with pytest.raises(ValueError):
-        emit_report(small_report, "pdf", tmp_path)
+def test_emit_rejects_unknown_format(tmp_path, small_report, capsys):
+    # the library and the CLI refuse a format with one error and one message
+    with pytest.raises(FairbenchError) as caught:
+        emit_report(small_report, "pdf", tmp_path / "lib")
+    report = emit_report(small_report, "json", tmp_path)[0]
+    assert main(["report", "--in", str(report), "--out", str(tmp_path / "cli"),
+                 "--formats", "md,pdf"]) == 1
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+    assert "'pdf'" in str(caught.value)
+    assert not (tmp_path / "lib").exists() and not (tmp_path / "cli").exists()
 
 
 def test_mean_importance_sorted_descending(small_report):

@@ -287,11 +287,13 @@ def test_logr_warns_when_iteration_cap_hit(monkeypatch):
     assert m.predict(X).shape == y.shape  # partial model still usable
 
 
-def aware_fold():
-    """A 1200 x 13 aware-protocol fold like those of a 1500-patient cohort:
+def aware_fold(n=1200):
+    """An n x 13 aware-protocol fold, two thirds ITP, like those of a
+    1500-patient cohort at n=1200 and of the default cohort at n=120:
     separable on platelet count, one-hot race columns collinear with the bias."""
     spec = default_cohort_spec()
-    spec = replace(spec, itp=replace(spec.itp, size=800), non_itp=replace(spec.non_itp, size=400))
+    spec = replace(spec, itp=replace(spec.itp, size=2 * n // 3),
+                   non_itp=replace(spec.non_itp, size=n - 2 * n // 3))
     cohort = synthesize_cohort(spec, 3)
     rows, _ = encode_features(cohort, "aware")
     return (rows - rows.min(axis=0)) / np.ptp(rows, axis=0), cohort.y
@@ -376,6 +378,25 @@ def test_svm_labels_do_not_depend_on_the_kernel_block(monkeypatch, toy_svm_fits)
         assert np.array_equal(m.predict(Xq), labels)
 
 
+def solver_kernel(kernel, X, gamma, coef0):
+    """The kernel matrix and its diagonal with the bits the solver reads: each
+    row from the library's row helper, the diagonal from its diagonal helper,
+    both turned into kernel values by the library's transform."""
+    sq = np.sum(X * X, axis=1) if kernel == "rbf" else None
+    K = np.stack([models_mod._gram_row(X, i) for i in range(len(X))])
+    K = models_mod._kernel_values(kernel, K, gamma, coef0,
+                                  None if sq is None else sq[:, None], sq)
+    return K, models_mod._kernel_values(kernel, models_mod._gram_diagonal(X), gamma, coef0,
+                                        sq, sq)
+
+
+def gram_matrix_kernel(kernel, X, gamma, coef0):
+    """The kernel matrix and its diagonal as the solver had them before it
+    computed rows on demand: the one product X @ X.T, and its diagonal."""
+    K = kernel_matrix(kernel, X, X, gamma, coef0)
+    return K, np.diag(K).copy()
+
+
 def svm_reference(spec, X, y):
     """(alpha, bias, n_iter) of the dual solver as first written: the
     gradient G kept as is, and tG and the up and low sets rebuilt from it
@@ -383,8 +404,7 @@ def svm_reference(spec, X, y):
     n, C = len(y), spec.C
     gamma = spec.gamma if spec.gamma is not None else models_mod._default_gamma(X)
     t = np.where(y == 1, 1.0, -1.0)
-    K = kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
-    K_diag = np.diag(K).copy()
+    K, K_diag = solver_kernel(spec.kernel, X, gamma, spec.coef0)
     alpha = np.zeros(n)
     G = -np.ones(n)
     m_val = M_val = 0.0
@@ -1270,19 +1290,18 @@ def test_a_deep_tree_grows_without_recursion():
 
 
 # _train_svm's loop and _knn_votes as fairbench.models had them before the
-# solver transformed kernel rows on first read and the distance became one
-# GEMM, kept as the reference for their bits
+# solver computed kernel rows on first read and the distance became one GEMM,
+# kept as the reference for their bits; the loop runs on a whole kernel matrix
 
 
-def full_matrix_svm(spec, X, y):
-    """(alpha, bias, n_iter) of the solver on the whole kernel matrix, with
-    numpy bookkeeping per point."""
+def full_matrix_svm(spec, X, y, kernel_rows=solver_kernel):
+    """(alpha, bias, n_iter) of the solver on the whole kernel matrix that
+    ``kernel_rows`` builds, with numpy bookkeeping per point."""
     n = len(y)
     C = spec.C
     gamma = spec.gamma if spec.gamma is not None else models_mod._default_gamma(X)
     t = np.where(y == 1, 1.0, -1.0)
-    K = kernel_matrix(spec.kernel, X, X, gamma, spec.coef0)
-    K_diag = np.diag(K).copy()
+    K, K_diag = kernel_rows(spec.kernel, X, gamma, spec.coef0)
 
     alpha = np.zeros(n)
     up, low = t > 0, t < 0
@@ -1400,32 +1419,69 @@ def test_svm_equals_the_full_matrix_solver_at_every_size(kernel, n):
 
 
 @pytest.mark.parametrize("kernel", models_mod.KERNELS)
+@pytest.mark.parametrize("n", [120, 1200])
+def test_svm_keeps_the_gram_matrix_bits_at_the_golden_sizes(kernel, n):
+    # every golden study trains on 120 or 1,200 rows; there the kernel rows
+    # computed on demand have the bits of the rows of X @ X.T, so the solver
+    # ends where it did on that one matrix
+    X, y = aware_fold(n)
+    m = train(ModelSpec.svm(kernel), X, y)
+    assert same_svm(m, full_matrix_svm(m.spec, X, y, kernel_rows=gram_matrix_kernel))
+
+
+@pytest.mark.parametrize("n", [2, 33, 120, 1200])
+def test_the_gram_diagonal_has_the_bits_of_the_gram_matrix(n):
+    # 33 rows leave a last block of one row, which is multiplied as two
+    X = aware_fold()[0][:n]
+    assert models_mod._gram_diagonal(X).tobytes() == np.diag(X @ X.T).tobytes()
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
 def test_the_solver_turns_each_row_it_reads_into_the_kernel_matrix_row_once(monkeypatch, kernel):
     X, y = aware_fold()
     n = len(y)
-    rows, diags = {}, []  # the Gram rows turned into kernel rows, by index; the diagonals
-    real = models_mod._kernel_values
+    rows, diags = {}, []  # the rows computed, by index; the diagonals
+    real_row, real_diagonal = models_mod._gram_row, models_mod._gram_diagonal
 
-    def spy(kernel, K, *args):
-        out = real(kernel, K, *args)
-        if K.ndim == 2:
-            pass  # a whole matrix, not the solver's
-        elif K.base is None:
-            diags.append(K)
-        else:  # a row view of the Gram matrix; it keeps the row's final values
-            i = (K.ctypes.data - K.base.ctypes.data) // K.base.strides[0]
-            assert i not in rows, f"row {i} turned twice"
-            rows[i] = K
-        return out
+    def row_spy(X, i):
+        assert i not in rows, f"row {i} computed twice"
+        rows[i] = real_row(X, i)  # turned into its kernel row in place
+        return rows[i]
 
-    monkeypatch.setattr(models_mod, "_kernel_values", spy)
+    def diagonal_spy(X):
+        diags.append(real_diagonal(X))
+        return diags[-1]
+
+    monkeypatch.setattr(models_mod, "_gram_row", row_spy)
+    monkeypatch.setattr(models_mod, "_gram_diagonal", diagonal_spy)
     m = train(ModelSpec.svm(kernel), X, y)
     monkeypatch.undo()
-    full = kernel_matrix(kernel, X, X, m.gamma, m.spec.coef0)
-    assert len(diags) == 1 and diags[0].tobytes() == np.diag(full).tobytes()
+    K, K_diag = solver_kernel(kernel, X, m.gamma, m.spec.coef0)
+    assert len(diags) == 1 and diags[0].tobytes() == K_diag.tobytes()
     assert 0 < len(rows) < n / 2  # the solver reads few rows
     for i, K_i in rows.items():
-        assert K_i.tobytes() == full[i].tobytes()
+        assert K_i.tobytes() == K[i].tobytes()
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
+def test_an_svm_fit_holds_only_the_kernel_rows_it_reads(monkeypatch, kernel):
+    # a fit's peak is its kernel rows, eight more arrays of n values, and a
+    # few Python objects per training row; an n x n matrix alone is 11.5 MB
+    import tracemalloc
+
+    X, y = aware_fold()
+    n = len(y)
+    read = []
+    real = models_mod._gram_row
+    monkeypatch.setattr(models_mod, "_gram_row", lambda X, i: (read.append(i), real(X, i))[1])
+    tracemalloc.start()
+    try:
+        train(ModelSpec.svm(kernel), X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (len(read) + 8) * n * 8 + 256 * n
+    assert peak < n * n * 8 / 2
 
 
 def test_a_converged_svm_keeps_its_kkt_gap(toy_svm_fits):
