@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import functools
+import hashlib
 import io
 import math
 from dataclasses import dataclass, field
@@ -162,15 +163,18 @@ _GENDER_ALIASES = {"M": "M", "F": "F", "Male": "M", "Female": "F"}
 
 
 def load_cohort_csv(path: str | Path) -> Cohort:
-    """Read a UTF-8 cohort CSV (see CSV_HEADER) into a validated cohort, order preserved."""
+    """Read a UTF-8 cohort CSV (see CSV_HEADER) into a validated cohort, order
+    preserved. Its source names the path and the first 16 hex digits of the
+    sha256 of the file's bytes."""
     path = Path(path)
-    source = f"csv:{path}"
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        data = path.read_bytes()
+        text = data.decode("utf-8-sig")
     except OSError as exc:
         raise FairbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise FairbenchError(f"{path}: not a UTF-8 CSV: {exc}") from exc
+    source = f"csv:{path} sha256:{hashlib.sha256(data).hexdigest()[:16]}"
     reader = csv.DictReader(io.StringIO(text, newline=""))
     header = reader.fieldnames or []
     missing = set(CSV_HEADER) - set(header)

@@ -80,14 +80,16 @@ def permutation_importance(
     predicted once. The distinct rows of successive targets are predicted
     together, at most ``CHUNK_ROWS`` per call, so ``predict`` must be
     row-independent: the label of a row may not depend on the other rows
-    passed with it. All five model families are in their arithmetic. At the
-    bit level it holds only where OpenBLAS's row bits do not depend on the
-    block height: a KNN distance and an SVM kernel value come from a matrix
-    product, and with OpenBLAS 0.3.31 on x86-64 a row's bits can change with
-    the number of rows multiplied with it when the training side has a
-    column count that is not a multiple of 8 (seen at 300, 1199, 1204, 1206
-    and 1500 training rows, not at 120 or 1200). A label can then change only
-    on a near-exact tie.
+    passed with it. All five model families are in their arithmetic, but not
+    at the bit level. A KNN distance and an SVM kernel value come from a
+    matrix product (GEMM), and with OpenBLAS 0.3.31 on x86-64 a row's bits
+    can change with the number of rows multiplied with it when the training
+    side has a column count that is not a multiple of 8 (seen at 300, 1199,
+    1204, 1206 and 1500 training rows, not at 120 or 1200). The
+    matrix-vector products that finish the SVM and logistic decisions,
+    ``K @ support_coef`` and ``X @ weights``, go to gemv, whose row bits
+    change with the block height at every size tried, 120 and 1200 training
+    rows included. A label can change only on a near-exact tie.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)

@@ -5,11 +5,11 @@ Armijo backtracking, so every step lowers the regularised loss), kernel SVM
 (two-coordinate dual descent; the maximal violator i in the up set is paired
 with the low-set j of largest second-order decrease, Fan, Chen & Lin 2005; the
 solver keeps -t * gradient as two masked copies, -inf outside the up set and
-+inf outside the low set, and its per-point bookkeeping in Python scalars; it
-builds no n x n matrix: as LIBSVM computes kernel rows on demand, Chang & Lin
-2011, §5, a kernel row is computed when the solver first reads it and kept
-until the fit ends, and the diagonal comes from square products of blocks of
-DIAGONAL_BLOCK rows),
++inf outside the low set, which are also its record of the two sets, and its
+per-point dual values in Python floats; it builds no n x n matrix: as LIBSVM
+computes kernel rows on demand, Chang & Lin 2011, §5, a kernel row is computed
+when the solver first reads it and kept until the fit ends, and the diagonal
+comes from square products of blocks of DIAGONAL_BLOCK rows),
 k-nearest neighbours (one neighbour order per block of query rows serves every
 k fit to the same rows, see predict_many; each block of squared distances is
 one matrix product, the two squared norms its last two terms; the order is
@@ -22,7 +22,8 @@ own ranks, and the Gini of the cuts between distinct values of a step's nodes
 is computed in batches of at most SPLIT_BATCH sorted values). KNN and SVM prediction work in
 blocks of query rows sized to BLOCK_ELEMENTS values. Both solvers stop on a
 tolerance; their iteration caps are safety nets that warn with DidNotConverge.
-Trees are stored as flat preorder node arrays in a ForestModel: a decision tree
+Trees are stored as flat preorder node arrays in a ForestModel, which keep a
+split's right child only, its left child being the next node: a decision tree
 is a one-tree forest over every row and column, a random forest bags rows and
 samples columns per node. A forest predicts without walking its trees
 (QuickScorer, Lucchese et al. 2015): built once per model, its leaves are bits
@@ -30,10 +31,12 @@ of uint64 words, and per feature a table holds the cumulative AND of the masks
 that clear the left-subtree leaves of its nodes in threshold order; per block
 of rows, one searchsorted per feature picks each row's table row, the AND of
 those leaves each tree's reachable leaves, and the lowest set bit of each
-tree's segment is its exit leaf. All models are deterministic given their ModelSpec,
-including the per-tree RNG streams of the forest; a ModelSpec resolves every
-field of its family to its effective value on construction. This module owns
-the model-name format, which ModelSpec.name writes and parse_model_name reads.
+tree's segment is its exit leaf. All models are deterministic given their
+ModelSpec, including the per-tree RNG streams of the forest; a ModelSpec is
+built by its constructor, as ModelSpec("svm", kernel="rbf"), or from its name,
+and resolves every field of its family to its effective value on
+construction. This module owns the model-name format, which ModelSpec.name
+writes and parse_model_name reads.
 """
 
 from __future__ import annotations
@@ -185,30 +188,6 @@ class ModelSpec:
                    if k != _SHORTHANDS[self.family][1]
                    and getattr(self, k) not in (None, default)]
         return f"[{','.join(changed)}]" if changed else ""
-
-    @classmethod
-    def logr(cls, C: float | None = None, seed: int = 0) -> "ModelSpec":
-        return cls(family="logr", C=C, seed=seed)
-
-    @classmethod
-    def svm(cls, kernel: str, C: float | None = None, gamma: float | None = None,
-            coef0: float | None = None, seed: int = 0) -> "ModelSpec":
-        return cls(family="svm", kernel=kernel, C=C, gamma=gamma, coef0=coef0, seed=seed)
-
-    @classmethod
-    def knn(cls, k: int, seed: int = 0) -> "ModelSpec":
-        return cls(family="knn", k_neighbors=k, seed=seed)
-
-    @classmethod
-    def tree(cls, max_depth: int | None = None, seed: int = 0) -> "ModelSpec":
-        return cls(family="tree", max_depth=max_depth, seed=seed)
-
-    @classmethod
-    def forest(cls, n_trees: int | None = None, max_depth: int | None = None,
-               bootstrap: bool | None = None, max_features: int | None = None,
-               seed: int = 0) -> "ModelSpec":
-        return cls(family="forest", n_trees=n_trees, max_depth=max_depth,
-                   bootstrap=bootstrap, max_features=max_features, seed=seed)
 
 
 def parse_model_name(name: str) -> ModelSpec:
@@ -474,16 +453,16 @@ def predict_many(models: Sequence[TrainedModel], X) -> list[np.ndarray]:
 class ForestModel(TrainedModel):
     """Tree ensemble as flat node arrays; a decision tree is a one-tree forest.
 
-    Tree t starts at node roots[t] and lies in preorder after it. Node i sends
-    a row left when X[:, feature[i]] <= threshold[i]; a leaf has feature -1,
-    left and right -1, and predicts value[i] (every node stores its majority
-    label). Construction compiles the arrays, which stay the model, to the
-    packed leaf bitvectors that predict reads (see _leaf_bitvectors).
+    Tree t starts at node roots[t] and lies in preorder after it, so a split's
+    left child is the next node. Node i sends a row left, to node i + 1, when
+    X[:, feature[i]] <= threshold[i], and right to node right[i]; a leaf has
+    feature -1 and right -1, and predicts value[i] (every node stores its
+    majority label). Construction compiles the arrays, which stay the model,
+    to the packed leaf bitvectors that predict reads (see _leaf_bitvectors).
     """
 
     feature: np.ndarray = None
     threshold: np.ndarray = None
-    left: np.ndarray = None
     right: np.ndarray = None
     value: np.ndarray = None
     roots: np.ndarray = None
@@ -735,23 +714,24 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     t_arr = np.where(y == 1, 1.0, -1.0)
     t = t_arr.tolist()
     alpha = [0.0] * n
-    up, low = [ti > 0 for ti in t], [ti < 0 for ti in t]  # alpha * t may still rise, fall
-    n_up, n_low = sum(up), sum(low)
     # -t * G, G the gradient of the dual objective (G = -1 at alpha = 0), kept
-    # as two masked copies: on the up set and -inf elsewhere, on the low set and
-    # +inf elsewhere. Every point is in one set at least
+    # as two masked copies: on the up set, where alpha * t may still rise, and
+    # -inf elsewhere; on the low set, where it may still fall, and +inf
+    # elsewhere. The masks are the sets; every point is in one at least
     tG_up, tG_low = np.where(t_arr > 0, t_arr, -np.inf), np.where(t_arr < 0, t_arr, np.inf)
     a, v, step = np.empty(n), np.empty(n), np.empty(n)
     m_val = M_val = gap = 0.0
+    inf = math.inf  # a local name: the loop reads it several times a step
     converged = False
     it = 0
     for it in range(1, SVM_MAX_ITER + 1):
-        if not n_up or not n_low:
+        i = int(tG_up.argmax())
+        m = float(tG_up[i])
+        M = float(tG_low[tG_low.argmin()])  # faster than min(); a NaN is kept
+        if m == -inf or M == inf:  # an empty set; the bias keeps the last m, M
             converged, gap = True, 0.0
             break
-        i = int(tG_up.argmax())
-        m_val = float(tG_up[i])
-        M_val = float(tG_low[tG_low.argmin()])  # faster than min(); a NaN is kept
+        m_val, M_val = m, M
         gap = m_val - M_val
         if gap <= SVM_KKT_TOL:
             converged = True
@@ -792,12 +772,11 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
                 alpha[idx] = C
             below, above = alpha[idx] < C, alpha[idx] > 0
             in_up, in_low = (below, above) if t[idx] > 0 else (above, below)
-            if in_up != up[idx] or in_low != low[idx]:  # the masked copies hold the rest
-                g = float(tG_up[idx] if up[idx] else tG_low[idx])
-                n_up += in_up - up[idx]
-                n_low += in_low - low[idx]
-                up[idx], low[idx] = in_up, in_low
-                tG_up[idx], tG_low[idx] = (g if in_up else -np.inf), (g if in_low else np.inf)
+            g_up, g_low = tG_up.item(idx), tG_low.item(idx)
+            was_up = g_up != -inf  # not > -inf: a NaN stays in its set
+            if in_up != was_up or in_low != (g_low != inf):
+                g = g_up if was_up else g_low
+                tG_up[idx], tG_low[idx] = (g if in_up else -inf), (g if in_low else inf)
 
     if not converged:
         warnings.warn(
@@ -922,7 +901,7 @@ def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
     # per tree, the nodes still to grow, the next in preorder on top: (rows,
     # positives, depth, the parent whose right child this is, or -1)
     stacks = [[(bag, int(y[bag].sum()), 0, -1)] for bag in bags]
-    trees: list[list] = [[] for _ in rngs]  # [feature, threshold, left, right, value] rows
+    trees: list[list] = [[] for _ in rngs]  # [feature, threshold, right, value] rows
     live = list(range(n_trees))
     while live:
         step, todo = [], []
@@ -932,8 +911,8 @@ def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
                 rows, pos, depth, parent = stack.pop()
                 node = len(nodes)
                 if parent >= 0:
-                    nodes[parent][3] = node
-                nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(rows))])  # majority; a tie is 0
+                    nodes[parent][2] = node
+                nodes.append([-1, 0.0, -1, int(2 * pos > len(rows))])  # majority; a tie is 0
                 if 0 < pos < len(rows) and (spec.max_depth is None or depth < spec.max_depth):
                     cols = every if max_features >= d else np.sort(
                         rngs[t].choice(d, size=max_features, replace=False))
@@ -943,16 +922,15 @@ def _train_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray, n_trees: int,
         for (t, node, pos, depth), split in zip(step, _best_splits(R, y, vals, todo)):
             if split is not None:
                 feature, threshold, left, right, left_pos = split
-                trees[t][node][:3] = feature, threshold, node + 1
+                trees[t][node][:2] = feature, threshold
                 stacks[t] += [(right, pos - left_pos, depth + 1, node),
                               (left, left_pos, depth + 1, -1)]
         live = [t for t in live if stacks[t]]
 
     sizes = [len(nodes) for nodes in trees]
     roots = np.cumsum([0] + sizes[:-1])
-    feature, threshold, left, right, value = (
+    feature, threshold, right, value = (
         np.array(col) for col in zip(*(node for nodes in trees for node in nodes)))
-    shift = np.repeat(roots, sizes)  # tree-local child indices to global ones
+    right = np.where(right < 0, right, right + np.repeat(roots, sizes))  # tree-local to global
     return ForestModel(spec=spec, n_features=d, feature=feature, threshold=threshold,
-                       left=np.where(left < 0, left, left + shift),
-                       right=np.where(right < 0, right, right + shift), value=value, roots=roots)
+                       right=right, value=value, roots=roots)

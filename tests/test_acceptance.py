@@ -16,9 +16,9 @@ from fairbench.report import mean_importance
 from test_dataset import make_cohort
 from test_metrics import evaluable, oracle_eo, oracle_group_rates, oracle_macro_f1
 
-DT_RF = (ModelSpec.tree(), ModelSpec.forest())
-REDUCED_GRID = (ModelSpec.logr(), ModelSpec.svm("rbf"), ModelSpec.knn(2),
-                ModelSpec.tree(), ModelSpec.forest())
+DT_RF = (ModelSpec("tree"), ModelSpec("forest"))
+REDUCED_GRID = (ModelSpec("logr"), ModelSpec("svm", kernel="rbf"), ModelSpec("knn", k_neighbors=2),
+                ModelSpec("tree"), ModelSpec("forest"))
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> bool:
@@ -155,7 +155,7 @@ def test_criterion_6_svm_dual_feasibility():
             y = (X[:, 0] + 0.4 * rng.standard_normal(50) > 0.5).astype(int)
             if y.min() == y.max():
                 y[0] = 1 - y[0]
-            m = train(ModelSpec.svm(kernel), X, y)
+            m = train(ModelSpec("svm", kernel=kernel), X, y)
             worst_sum = max(worst_sum, abs(float(m.alpha @ m.train_t)))
             worst_box = max(
                 worst_box,

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +81,8 @@ def small_config(**over):
         cohort_seed=5,
         k_folds=4,
         master_seed=11,
-        models=(ModelSpec.tree(), ModelSpec.knn(2), ModelSpec.forest(n_trees=30)),
+        models=(ModelSpec("tree"), ModelSpec("knn", k_neighbors=2),
+                ModelSpec("forest", n_trees=30)),
         n_permutation_repeats=2,
     )
     kwargs.update(over)
@@ -96,12 +99,19 @@ def small_report():
 # ---------------------------------------------------------------------------
 
 
-def test_default_grid_composition():
+def test_default_grid_composition(monkeypatch):
     names = [m.name for m in default_model_grid()]
     assert names == [
         "logr", "svm-ln", "svm-rbf", "svm-p2", "svm-p3", "svm-p4",
         "knn-1", "knn-2", "knn-4", "knn-8", "knn-12", "dt", "rf",
     ]
+    # one spelling of the grid: the default config and the benchmark's grid
+    root = Path(__file__).resolve().parents[1]
+    assert yaml.safe_load((root / "configs" / "default.yaml").read_text())["models"] == names
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from workloads import ALL_MODELS
+
+    assert list(ALL_MODELS) == names
 
 
 def test_config_rejects_bad_values():
@@ -114,7 +124,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         ExperimentConfig(protocols=("aware", "sideways"))
     with pytest.raises(ConfigError):
-        ExperimentConfig(models=(ModelSpec.tree(), ModelSpec.tree()))
+        ExperimentConfig(models=(ModelSpec("tree"), ModelSpec("tree")))
     with pytest.raises(ConfigError):
         ExperimentConfig(age_bin_edges=(float("nan"),))
     with pytest.raises(ConfigError, match="clamp"):
@@ -122,7 +132,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="age_bin_edges"):
         ExperimentConfig(age_bin_edges=45)
     with pytest.raises(ConfigError, match="models"):
-        ExperimentConfig(models=ModelSpec.tree())
+        ExperimentConfig(models=ModelSpec("tree"))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -151,8 +161,8 @@ def test_the_config_class_converts_model_entries():
     entries = ["logr", {"family": "svm", "kernel": "rbf"}]
     config = ExperimentConfig(models=tuple(entries))
     assert config == config_from_dict({"models": entries})
-    assert config.models == (ModelSpec.logr(), ModelSpec.svm("rbf"))
-    assert ExperimentConfig(models=("logr",)) == ExperimentConfig(models=(ModelSpec.logr(),))
+    assert config.models == (ModelSpec("logr"), ModelSpec("svm", kernel="rbf"))
+    assert ExperimentConfig(models=("logr",)) == ExperimentConfig(models=(ModelSpec("logr"),))
 
 
 def test_parse_model_name_shorthands():
@@ -168,15 +178,15 @@ def test_parse_model_name_shorthands():
 # every spec of this file whose name carries a [field=value,...] suffix, and
 # some that set every field a suffix can
 SUFFIXED_SPECS = (
-    ModelSpec.forest(n_trees=30),
-    ModelSpec.svm("p2", C=2.0),
-    ModelSpec.svm("rbf", C=50.0),
-    ModelSpec.forest(n_trees=5),
-    ModelSpec.svm("rbf", C=10),
-    ModelSpec.tree(max_depth=3),
-    ModelSpec.forest(n_trees=7, max_depth=2, bootstrap=False, max_features=1),
-    ModelSpec.svm("p3", C=0.5, gamma=0.25, coef0=-1.5),
-    ModelSpec.logr(C=1e-05),
+    ModelSpec("forest", n_trees=30),
+    ModelSpec("svm", kernel="p2", C=2.0),
+    ModelSpec("svm", kernel="rbf", C=50.0),
+    ModelSpec("forest", n_trees=5),
+    ModelSpec("svm", kernel="rbf", C=10),
+    ModelSpec("tree", max_depth=3),
+    ModelSpec("forest", n_trees=7, max_depth=2, bootstrap=False, max_features=1),
+    ModelSpec("svm", kernel="p3", C=0.5, gamma=0.25, coef0=-1.5),
+    ModelSpec("logr", C=1e-05),
 )
 
 
@@ -205,9 +215,9 @@ def test_a_name_spelled_unlike_its_spec_is_rejected(name):
 
 
 @pytest.mark.parametrize("name, spec", [
-    ("knn-12", ModelSpec.knn(12)),
-    ("svm-rbf[C=10]", ModelSpec.svm("rbf", C=10.0)),
-    ("rf[n_trees=30.0]", ModelSpec.forest(n_trees=30)),
+    ("knn-12", ModelSpec("knn", k_neighbors=12)),
+    ("svm-rbf[C=10]", ModelSpec("svm", kernel="rbf", C=10.0)),
+    ("rf[n_trees=30.0]", ModelSpec("forest", n_trees=30)),
 ])
 def test_a_name_suffix_keeps_its_literal_reading(name, spec):
     # only the part before the suffix must be spelled as the spec spells it
@@ -257,7 +267,7 @@ def test_list_keys_reject_strings_and_mappings(doc):
     ({"protocols": "aware"}, "protocols: expected a list"),
     ({"protocols": {"aware": 1}}, "protocols: expected a list"),
     ({"age_bin_edges": {45: "x", 65: "y"}}, "age_bin_edges: expected a list"),
-    ({"models": {ModelSpec.tree(): 1}}, "models: expected a list"),
+    ({"models": {ModelSpec("tree"): 1}}, "models: expected a list"),
     ({"cohort_csv": 5}, "cohort_csv .*expected a path string"),
     # a CSV cohort ignores both, so the config hash must not cover them
     ({"cohort_csv": "c.csv", "cohort_seed": 5}, "takes no cohort_spec or cohort_seed"),
@@ -411,7 +421,7 @@ def test_protocol_isolation_widths():
 def test_too_few_samples_error_carries_fold_context():
     spec = small_spec(n_itp=5, n_non=5)
     cfg = ExperimentConfig(cohort_spec=spec, cohort_seed=1, k_folds=7,
-                           models=(ModelSpec.tree(),))
+                           models=(ModelSpec("tree"),))
     with pytest.raises(TooFewSamples, match="k_folds=7"):
         run_experiment(cfg)
 
@@ -483,6 +493,31 @@ def test_csv_cohort_source(tmp_path):
     assert loaded.race.tolist() == cohort.race.tolist()
     assert loaded.gender.tolist() == cohort.gender.tolist()
     assert np.array_equal(loaded.y, cohort.y)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert loaded.source == f"csv:{path} sha256:{digest}"
+
+
+def test_csv_cohort_source_digests_the_bytes_not_the_path(tmp_path):
+    from fairbench.dataset import load_cohort_csv, write_cohort_csv
+
+    path = write_cohort_csv(synthesize_cohort(small_spec(), 9), tmp_path / "c.csv")
+    data = path.read_bytes()
+    same = tmp_path / "elsewhere" / "d.csv"
+    same.parent.mkdir()
+    same.write_bytes(data)
+    # one byte changed: the last digit of the first data row's first decimal value
+    at = data.index(b",", data.index(b".", data.index(b"\n"))) - 1
+    changed = tmp_path / "changed.csv"
+    changed.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+
+    def digest(p):
+        source = load_cohort_csv(p).source
+        assert source.startswith(f"csv:{p} sha256:")
+        return source.rpartition("sha256:")[2]
+
+    assert len(digest(path)) == 16
+    assert digest(same) == digest(path)
+    assert digest(changed) != digest(path)
 
 
 def test_pool_is_no_larger_than_the_work_or_the_machine(monkeypatch):

@@ -22,7 +22,7 @@ def separable_with_noise(n=80, seed=0):
 
 def test_noise_column_has_negligible_importance():
     X, y = separable_with_noise()
-    for spec in (ModelSpec.tree(), ModelSpec.forest(n_trees=10)):
+    for spec in (ModelSpec("tree"), ModelSpec("forest", n_trees=10)):
         m = train(spec, X, y)
         (res,) = permutation_importance([m], X, y, n_repeats=5, seed=1,
                                         column_names=("signal", "noise"))
@@ -38,7 +38,7 @@ def test_identity_permutation_gives_zero_drops(monkeypatch):
 
     monkeypatch.setattr(importance_mod, "_rng_for", lambda *a: _IdentityRng())
     X, y = separable_with_noise(seed=3)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     (res,) = permutation_importance([m], X, y, n_repeats=1, seed=0)
     assert all(fi["mean_drop"] == 0.0 for fi in res["features"].values())
     assert all(fi["std_drop"] == 0.0 for fi in res["features"].values())
@@ -47,14 +47,14 @@ def test_identity_permutation_gives_zero_drops(monkeypatch):
 def test_caller_matrix_is_never_mutated():
     X, y = separable_with_noise(seed=4)
     original = X.copy()
-    m = train(ModelSpec.knn(1), X, y)
+    m = train(ModelSpec("knn", k_neighbors=1), X, y)
     permutation_importance([m], X, y, n_repeats=3, seed=2)
     assert np.array_equal(X, original)
 
 
 def test_importance_is_deterministic():
     X, y = separable_with_noise(seed=5)
-    m = train(ModelSpec.forest(n_trees=8, seed=1), X, y)
+    m = train(ModelSpec("forest", n_trees=8, seed=1), X, y)
     (a,) = permutation_importance([m], X, y, n_repeats=4, seed=9)
     (b,) = permutation_importance([m], X, y, n_repeats=4, seed=9)
     assert a == b
@@ -64,7 +64,7 @@ def test_importance_is_deterministic():
 
 def test_column_ignored_by_tree_has_exactly_zero_drop():
     X, y = separable_with_noise(seed=6)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert set(m.feature[m.feature >= 0].tolist()) == {0}  # splits read x0 only
     (res,) = permutation_importance([m], X, y, n_repeats=5, seed=3)
     assert res["features"]["x1"]["mean_drop"] == 0.0
@@ -79,7 +79,7 @@ def test_grouped_columns_are_shuffled_jointly(monkeypatch):
     signal = rng.random((60, 1))
     X = np.hstack([signal, onehot])
     y = (signal[:, 0] > 0.5).astype(int)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     (res,) = permutation_importance(
         [m], X, y, n_repeats=3, seed=4,
         column_names=("signal", "a", "b", "c"),
@@ -92,7 +92,7 @@ def test_grouped_columns_are_shuffled_jointly(monkeypatch):
 
 def test_baseline_score():
     X, y = separable_with_noise(seed=8)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     (res,) = permutation_importance([m], X, y, n_repeats=2, seed=5)
     assert res["baseline_score"] == 1.0
 
@@ -100,7 +100,7 @@ def test_baseline_score():
 def test_platelet_count_dominates_default_cohort():
     cohort = synthesize_cohort(default_cohort_spec(), 42)
     rows, column_names = encode_features(cohort, "unaware")
-    m = train(ModelSpec.tree(), rows, cohort.y)
+    m = train(ModelSpec("tree"), rows, cohort.y)
     (res,) = permutation_importance([m], rows, cohort.y, n_repeats=5, seed=0,
                                     column_names=column_names)
     ranked = mean_importance({"importance": {"test": [res]}}, "test")
@@ -110,7 +110,7 @@ def test_platelet_count_dominates_default_cohort():
 
 def test_importance_dimension_mismatch():
     X, y = separable_with_noise(seed=9)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     with pytest.raises(DimensionMismatch):
         permutation_importance([m], X[:, :1], y, n_repeats=1, seed=0)
     with pytest.raises(DimensionMismatch):
@@ -149,11 +149,11 @@ def noisy_with_onehot(n, seed):
 @pytest.mark.parametrize("chunk_rows", [50, 10, 1024])  # 2 copies, 1 copy, all copies
 @pytest.mark.parametrize("grouped", [None, {"onehot (grouped)": (3, 4, 5)}])
 @pytest.mark.parametrize("spec", [
-    ModelSpec.logr(),
-    ModelSpec.svm("rbf"),
-    ModelSpec.knn(4),
-    ModelSpec.tree(),
-    ModelSpec.forest(n_trees=7, seed=3),
+    ModelSpec("logr"),
+    ModelSpec("svm", kernel="rbf"),
+    ModelSpec("knn", k_neighbors=4),
+    ModelSpec("tree"),
+    ModelSpec("forest", n_trees=7, seed=3),
 ], ids=lambda s: s.name.partition("[")[0])
 def test_stacked_copies_equal_one_copy_at_a_time(monkeypatch, spec, grouped, chunk_rows):
     # 25 rows and 3 repeats: with 2 copies per chunk, chunks straddle targets
@@ -167,8 +167,9 @@ def test_stacked_copies_equal_one_copy_at_a_time(monkeypatch, spec, grouped, chu
     assert any(fi["std_drop"] > 0 for fi in got["features"].values())
 
 
-FAMILIES = (ModelSpec.logr(), ModelSpec.svm("p2"), ModelSpec.knn(1), ModelSpec.knn(4),
-            ModelSpec.tree(), ModelSpec.forest(n_trees=7, seed=3))
+FAMILIES = (ModelSpec("logr"), ModelSpec("svm", kernel="p2"), ModelSpec("knn", k_neighbors=1),
+            ModelSpec("knn", k_neighbors=4),
+            ModelSpec("tree"), ModelSpec("forest", n_trees=7, seed=3))
 
 
 @pytest.mark.parametrize("chunk_rows", [50, 10])
@@ -291,8 +292,8 @@ def test_each_distinct_changed_row_is_predicted_once(monkeypatch, grouped, chunk
     assert sum(rows[1:]) < 10 * len(y) * (6 + (grouped is not None))
 
 
-@pytest.mark.parametrize("spec", [ModelSpec.svm("rbf"), ModelSpec.knn(4),
-                                  ModelSpec.forest(n_trees=7, seed=3)],
+@pytest.mark.parametrize("spec", [ModelSpec("svm", kernel="rbf"), ModelSpec("knn", k_neighbors=4),
+                                  ModelSpec("forest", n_trees=7, seed=3)],
                          ids=lambda s: s.name.partition("[")[0])
 def test_a_target_larger_than_a_chunk_is_split_across_calls(monkeypatch, spec):
     monkeypatch.setattr(importance_mod, "CHUNK_ROWS", 7)
@@ -310,7 +311,7 @@ def test_a_target_larger_than_a_chunk_is_split_across_calls(monkeypatch, spec):
 def test_unchanged_copies_send_no_rows_to_the_models(monkeypatch):
     rows = spy_on_predict_many(monkeypatch)
     X_train, y_train = separable_with_noise(seed=3)
-    m = train(ModelSpec.tree(), X_train, y_train)
+    m = train(ModelSpec("tree"), X_train, y_train)
     X = np.full((20, 2), 0.5)  # every column constant: no shuffle changes a row
     y = np.arange(20) % 2
     (res,) = permutation_importance([m], X, y, n_repeats=4, seed=0, predictions=[m.predict(X)])
@@ -326,6 +327,6 @@ def test_the_identity_permutation_sends_only_the_baseline(monkeypatch):
     monkeypatch.setattr(importance_mod, "_rng_for", lambda *a: _IdentityRng())
     rows = spy_on_predict_many(monkeypatch)
     X, y = separable_with_noise(seed=3)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     permutation_importance([m], X, y, n_repeats=3, seed=0)
     assert rows == [len(y)]

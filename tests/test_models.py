@@ -55,24 +55,24 @@ def test_spec_requires_family_fields():
     with pytest.raises(ValueError):
         ModelSpec(family="knn")  # k missing
     with pytest.raises(ValueError):
-        ModelSpec.svm("rbf", C=0.0)
+        ModelSpec("svm", kernel="rbf", C=0.0)
     with pytest.raises(ValueError):
-        ModelSpec.forest(n_trees=0)
+        ModelSpec("forest", n_trees=0)
 
 
 def test_spec_resolves_fields_to_their_effective_values():
-    assert ModelSpec(family="svm", kernel="rbf", C=50) == ModelSpec.svm("rbf", C=50.0)
-    assert ModelSpec(family="logr") == ModelSpec.logr(C=1.0)
-    assert ModelSpec(family="forest") == ModelSpec.forest(n_trees=100, bootstrap=True)
-    assert (ModelSpec.forest().n_trees, ModelSpec.forest().bootstrap) == (100, True)
+    assert ModelSpec(family="svm", kernel="rbf", C=50) == ModelSpec("svm", kernel="rbf", C=50.0)
+    assert ModelSpec(family="logr") == ModelSpec("logr", C=1.0)
+    assert ModelSpec(family="forest") == ModelSpec("forest", n_trees=100, bootstrap=True)
+    assert (ModelSpec("forest").n_trees, ModelSpec("forest").bootstrap) == (100, True)
     spec = ModelSpec(family="forest", n_trees=5.0, max_depth=3.0, max_features=2.0)
     assert [type(v) for v in (spec.n_trees, spec.max_depth, spec.max_features)] == [int] * 3
     assert (spec.bootstrap, spec.max_features) == (True, 2)
     svm = ModelSpec(family="svm", kernel="p2", C=2)
     assert (type(svm.C), svm.coef0, svm.gamma) == (float, 1.0, None)  # gamma depends on the data
-    assert ModelSpec.svm("rbf").coef0 is None  # the kernel never reads it
-    assert ModelSpec.forest().max_features is None
-    assert ModelSpec.tree().max_depth is None
+    assert ModelSpec("svm", kernel="rbf").coef0 is None  # the kernel never reads it
+    assert ModelSpec("forest").max_features is None
+    assert ModelSpec("tree").max_depth is None
 
 
 @pytest.mark.parametrize("fields", [
@@ -102,26 +102,26 @@ def test_spec_rejects_malformed_values(fields):
 
 
 def test_spec_names_and_labels():
-    assert ModelSpec.svm("p3").name == "svm-p3"
-    assert ModelSpec.svm("p3").label == "SVM-P3"
-    assert ModelSpec.knn(8).name == "knn-8"
-    assert ModelSpec.knn(8).label == "8-NN"
-    assert ModelSpec.tree().label == "DT"
-    assert ModelSpec.forest().label == "RF"
+    assert ModelSpec("svm", kernel="p3").name == "svm-p3"
+    assert ModelSpec("svm", kernel="p3").label == "SVM-P3"
+    assert ModelSpec("knn", k_neighbors=8).name == "knn-8"
+    assert ModelSpec("knn", k_neighbors=8).label == "8-NN"
+    assert ModelSpec("tree").label == "DT"
+    assert ModelSpec("forest").label == "RF"
 
 
 def test_spec_names_and_labels_suffix_each_field_away_from_its_default():
     spec = ModelSpec(family="forest", n_trees=50)
     assert (spec.name, spec.label) == ("rf[n_trees=50]", "RF[n_trees=50]")
-    assert ModelSpec.svm("rbf", C=10).name == "svm-rbf[C=10.0]"
-    assert ModelSpec.tree(max_depth=3).name == "dt[max_depth=3]"
+    assert ModelSpec("svm", kernel="rbf", C=10).name == "svm-rbf[C=10.0]"
+    assert ModelSpec("tree", max_depth=3).name == "dt[max_depth=3]"
     # gamma and max_features have no fixed default: they show whenever set
-    assert ModelSpec.svm("p2", gamma=0.5, coef0=0).label == "SVM-P2[gamma=0.5,coef0=0.0]"
-    assert (ModelSpec.forest(n_trees=100, bootstrap=False, max_features=2).name
+    assert ModelSpec("svm", kernel="p2", gamma=0.5, coef0=0).label == "SVM-P2[gamma=0.5,coef0=0.0]"
+    assert (ModelSpec("forest", n_trees=100, bootstrap=False, max_features=2).name
             == "rf[bootstrap=False,max_features=2]")
     # a field spelled at its default leaves the shorthand name
-    assert ModelSpec.svm("rbf", C=1).name == "svm-rbf"
-    assert ModelSpec.forest(n_trees=100.0, bootstrap=True).name == "rf"
+    assert ModelSpec("svm", kernel="rbf", C=1).name == "svm-rbf"
+    assert ModelSpec("forest", n_trees=100.0, bootstrap=True).name == "rf"
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +196,11 @@ def test_kernel_matrix_is_bit_equal_to_the_formula(kernel):
 def test_single_class_training_rejected_except_knn():
     X = np.random.default_rng(0).random((6, 3))
     y = np.ones(6, dtype=int)
-    for spec in (ModelSpec.logr(), ModelSpec.svm("ln"), ModelSpec.tree(), ModelSpec.forest(n_trees=2)):
+    for spec in (ModelSpec("logr"), ModelSpec("svm", kernel="ln"), ModelSpec("tree"),
+                 ModelSpec("forest", n_trees=2)):
         with pytest.raises(SingleClassTraining):
             train(spec, X, y)
-    knn = train(ModelSpec.knn(1), X, y)
+    knn = train(ModelSpec("knn", k_neighbors=1), X, y)
     assert knn.predict(X).tolist() == [1] * 6
 
 
@@ -207,15 +208,15 @@ def test_non_finite_input_rejected():
     X, y = toy_problem()
     X[0, 0] = np.nan
     with pytest.raises(NonFiniteInput):
-        train(ModelSpec.tree(), X, y)
+        train(ModelSpec("tree"), X, y)
 
 
 @pytest.mark.parametrize("spec", [
-    ModelSpec.logr(),
-    ModelSpec.svm("rbf"),
-    ModelSpec.knn(3),
-    ModelSpec.tree(),
-    ModelSpec.forest(n_trees=3),
+    ModelSpec("logr"),
+    ModelSpec("svm", kernel="rbf"),
+    ModelSpec("knn", k_neighbors=3),
+    ModelSpec("tree"),
+    ModelSpec("forest", n_trees=3),
 ], ids=lambda s: s.name.partition("[")[0])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_prediction_input_rejected(spec, bad):
@@ -229,7 +230,7 @@ def test_non_finite_prediction_input_rejected(spec, bad):
 
 def test_predict_dimension_mismatch():
     X, y = toy_problem(d=3)
-    m = train(ModelSpec.svm("ln"), X, y)
+    m = train(ModelSpec("svm", kernel="ln"), X, y)
     with pytest.raises(DimensionMismatch):
         m.predict(np.zeros((2, 5)))
 
@@ -237,8 +238,8 @@ def test_predict_dimension_mismatch():
 def test_training_is_deterministic():
     X, y = toy_problem(noise=0.3, seed=5)
     Xq = np.random.default_rng(9).random((30, 4))
-    for spec in (ModelSpec.logr(), ModelSpec.svm("rbf"), ModelSpec.knn(4),
-                 ModelSpec.tree(), ModelSpec.forest(n_trees=10, seed=3)):
+    for spec in (ModelSpec("logr"), ModelSpec("svm", kernel="rbf"), ModelSpec("knn", k_neighbors=4),
+                 ModelSpec("tree"), ModelSpec("forest", n_trees=10, seed=3)):
         a = train(spec, X, y).predict(Xq)
         b = train(spec, X, y).predict(Xq)
         assert np.array_equal(a, b)
@@ -253,7 +254,7 @@ def test_logr_separates_threshold_rule():
     rng = np.random.default_rng(1)
     X = rng.random((200, 3))
     y = (X[:, 1] > 0.5).astype(int)
-    m = train(ModelSpec.logr(), X, y)
+    m = train(ModelSpec("logr"), X, y)
     assert (m.predict(X) == y).mean() >= 0.95
 
 
@@ -282,7 +283,7 @@ def test_logr_warns_when_iteration_cap_hit(monkeypatch):
     monkeypatch.setattr(models_mod, "LOGR_MAX_ITER", 2)
     X, y = toy_problem(noise=0.5, seed=8)
     with pytest.warns(DidNotConverge):
-        m = train(ModelSpec.logr(), X, y)
+        m = train(ModelSpec("logr"), X, y)
     assert not m.converged
     assert m.predict(X).shape == y.shape  # partial model still usable
 
@@ -305,7 +306,7 @@ def test_logr_reaches_the_regularised_optimum():
     lam = 1.0 / len(y)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        m = train(ModelSpec.logr(), X, y)
+        m = train(ModelSpec("logr"), X, y)
     assert caught == []
     assert m.converged
     assert m.n_iter <= 20
@@ -326,7 +327,7 @@ def toy_svm_fits(request):
     fits = []
     for ds in range(5):
         X, y = toy_problem(n=60, seed=100 + ds, noise=0.3)
-        fits.append((X, train(ModelSpec.svm(request.param), X, y)))
+        fits.append((X, train(ModelSpec("svm", kernel=request.param), X, y)))
     return fits
 
 
@@ -361,7 +362,7 @@ def test_a_decision_block_has_the_kernel_matrix_bits(monkeypatch, kernel):
         S, A = rng.random((n_sv, d)), rng.random((rows, d))
         A[:min(2, rows)] = S[:min(2, rows)]  # zero distances
         coef = rng.standard_normal(n_sv)
-        spec = ModelSpec.svm(kernel)
+        spec = ModelSpec("svm", kernel=kernel)
         m = models_mod.SvmModel(spec=spec, n_features=d, support_X=S, support_coef=coef,
                                 bias=0.25, gamma=0.37)
         monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", rows * n_sv)  # one block
@@ -451,7 +452,7 @@ def test_svm_solver_equals_the_reference_loop(toy_svm_fits):
 
 def test_svm_solver_equals_the_reference_loop_on_an_aware_fold():
     X, y = aware_fold()
-    spec = ModelSpec.svm("p4")
+    spec = ModelSpec("svm", kernel="p4")
     m = train(spec, X, y)
     assert m.n_iter > 500  # many iterations, some alphas at the bound C
     assert (m.alpha == spec.C).any()
@@ -461,13 +462,13 @@ def test_svm_solver_equals_the_reference_loop_on_an_aware_fold():
 def test_svm_separates_clean_threshold():
     X, y = toy_problem(n=100, seed=2, noise=0.0)
     for kernel in ("ln", "rbf", "p2"):
-        m = train(ModelSpec.svm(kernel), X, y)
+        m = train(ModelSpec("svm", kernel=kernel), X, y)
         assert (m.predict(X) == y).mean() >= 0.97
 
 
 def test_svm_explicit_gamma_respected():
     X, y = toy_problem(n=40, seed=3)
-    m = train(ModelSpec.svm("rbf", gamma=0.25), X, y)
+    m = train(ModelSpec("svm", kernel="rbf", gamma=0.25), X, y)
     assert m.gamma == 0.25
 
 
@@ -478,14 +479,14 @@ def test_svm_explicit_gamma_respected():
 
 def test_knn_k1_memorizes_training_data():
     X, y = toy_problem(n=50, seed=6, noise=0.4)
-    m = train(ModelSpec.knn(1), X, y)
+    m = train(ModelSpec("knn", k_neighbors=1), X, y)
     assert np.array_equal(m.predict(X), y)
 
 
 def test_knn_even_k_tie_breaks_to_nearest():
     X = np.array([[0.0], [1.0], [10.0]])
     y = np.array([1, 0, 0])
-    m = train(ModelSpec.knn(2), X, y)
+    m = train(ModelSpec("knn", k_neighbors=2), X, y)
     # query at 0.1: neighbours are x=0 (label 1, nearest) and x=1 (label 0)
     assert m.predict(np.array([[0.1]]))[0] == 1
 
@@ -493,7 +494,7 @@ def test_knn_even_k_tie_breaks_to_nearest():
 def test_knn_majority_vote():
     X = np.array([[0.0], [0.2], [0.4], [10.0]])
     y = np.array([1, 1, 0, 0])
-    m = train(ModelSpec.knn(3), X, y)
+    m = train(ModelSpec("knn", k_neighbors=3), X, y)
     assert m.predict(np.array([[0.1]]))[0] == 1
 
 
@@ -529,7 +530,7 @@ KNN_KS = (1, 2, 4, 8, 12, 40)
 def test_knn_ties_match_stable_argsort(monkeypatch, k):
     X, y, Xq = tied_grid()
     monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 3 * len(X))  # three query rows per block
-    m = train(ModelSpec.knn(k), X, y)
+    m = train(ModelSpec("knn", k_neighbors=k), X, y)
     if k < len(y):  # some row shares its k-th distance with a point left out
         d2 = np.sort(((Xq[:, None, :] - X[None, :, :]) ** 2).sum(axis=2), axis=1)
         assert (d2[:, k - 1] == d2[:, k]).any()
@@ -551,7 +552,7 @@ def test_knn_overflowing_distances_match_stable_argsort(monkeypatch, k):
     y = rng.integers(0, 2, len(X))
     Xq = np.vstack([rng.random((8, 2)), rng.random((4, 2)) * 1e200,
                     rng.random((4, 2)) * 1.7e308, rng.random((4, 2)) * 1e-160, X[:6]])
-    m = train(ModelSpec.knn(k), X, y)
+    m = train(ModelSpec("knn", k_neighbors=k), X, y)
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = (np.sum(Xq * Xq, axis=1)[:, None] - 2.0 * (Xq @ X.T)
               + np.sum(X * X, axis=1)[None, :])
@@ -564,8 +565,8 @@ def test_knn_models_predicted_together_match_stable_argsort(monkeypatch):
     # tree are predicted on their own
     X, y, Xq = tied_grid()
     monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 3 * len(X))  # three query rows per block
-    fitted = [train(ModelSpec.knn(k), X, y) for k in KNN_KS]
-    fitted += [train(ModelSpec.knn(3), X[::-1], y), train(ModelSpec.tree(), X, y)]
+    fitted = [train(ModelSpec("knn", k_neighbors=k), X, y) for k in KNN_KS]
+    fitted += [train(ModelSpec("knn", k_neighbors=3), X[::-1], y), train(ModelSpec("tree"), X, y)]
     got = predict_many(fitted, Xq)
     for m, pred in zip(fitted[:-1], got):
         assert np.array_equal(pred, knn_stable_argsort_reference(m, Xq))
@@ -603,7 +604,7 @@ def brute_force_best_split(X, y):
 def test_tree_root_splits_on_platelet_count():
     cohort = synthesize_cohort(default_cohort_spec(), 42)
     rows, _ = encode_features(cohort, "unaware")
-    m = train(ModelSpec.tree(), rows, cohort.y)
+    m = train(ModelSpec("tree"), rows, cohort.y)
     _, oracle_col, _ = brute_force_best_split(rows, cohort.y)
     assert CLINICAL_COLUMNS[oracle_col] == "dx_plt_ct"
     assert m.feature[m.roots[0]] == oracle_col
@@ -611,7 +612,7 @@ def test_tree_root_splits_on_platelet_count():
 
 def test_tree_perfect_fit_without_conflicts():
     X, y = toy_problem(n=60, seed=12, noise=0.6)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert np.array_equal(m.predict(X), y)
 
 
@@ -620,23 +621,23 @@ def test_tree_split_tie_prefers_lowest_column():
     col = np.array([0.0, 1.0, 2.0, 3.0])
     X = np.stack([col, col], axis=1)
     y = np.array([0, 0, 1, 1])
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert m.feature[0] == 0
     assert m.threshold[0] == pytest.approx(1.5)
 
 
 def test_tree_max_depth_limits_growth():
     X, y = toy_problem(n=60, seed=13, noise=0.6)
-    m = train(ModelSpec.tree(max_depth=1), X, y)
+    m = train(ModelSpec("tree", max_depth=1), X, y)
     assert m.feature[0] >= 0
-    assert m.feature[m.left[0]] == m.feature[m.right[0]] == -1
+    assert m.feature[1] == m.feature[m.right[0]] == -1
     assert len(m.feature) == 3
 
 
 def test_tree_conflicting_duplicates_become_majority_leaf():
     X = np.zeros((5, 2))
     y = np.array([1, 1, 0, 0, 0])
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert m.feature.tolist() == [-1]
     assert m.value.tolist() == [0]
 
@@ -711,12 +712,12 @@ def every_row_and_bags(y, cols, rng, n_bags=2):
 
 def float_tree_reference(X, y, max_depth=None):
     """The nodes of a decision tree grown on float X with per_column_best_split,
-    in the [feature, threshold, left, right, value] preorder of ForestModel."""
+    in the [feature, threshold, right, value] preorder of ForestModel."""
     nodes = []
 
     def grow(rows, depth):
         node, pos = len(nodes), int(y[rows].sum())
-        nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(rows))])
+        nodes.append([-1, 0.0, -1, int(2 * pos > len(rows))])
         if pos in (0, len(rows)) or (max_depth is not None and depth >= max_depth):
             return node
         split = per_column_best_split(X[rows], y[rows], range(X.shape[1]))
@@ -724,9 +725,9 @@ def float_tree_reference(X, y, max_depth=None):
             return node
         f, thr = split
         mask = X[rows, f] <= thr
-        left = grow(rows[mask], depth + 1)
+        grow(rows[mask], depth + 1)  # the left child, node + 1
         right = grow(rows[~mask], depth + 1)
-        nodes[node][:4] = f, thr, left, right
+        nodes[node][:3] = f, thr, right
         return node
 
     grow(np.arange(len(y)), 0)
@@ -734,8 +735,7 @@ def float_tree_reference(X, y, max_depth=None):
 
 
 def tree_nodes(m):
-    return [m.feature.tolist(), m.threshold.tolist(), m.left.tolist(), m.right.tolist(),
-            m.value.tolist()]
+    return [m.feature.tolist(), m.threshold.tolist(), m.right.tolist(), m.value.tolist()]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -837,7 +837,7 @@ def test_signed_zeros_are_one_value_to_the_split(monkeypatch):
     R, vals = models_mod._rank_code(X)
     assert len(vals[0]) == 4 and R[0, 1] == R[0, 2]
     assert_float_splits(monkeypatch, X, y, 0)
-    assert tree_nodes(train(ModelSpec.tree(), X, y)) == float_tree_reference(X, y)
+    assert tree_nodes(train(ModelSpec("tree"), X, y)) == float_tree_reference(X, y)
 
 
 ROUNDS_UP = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
@@ -849,15 +849,15 @@ def test_a_midpoint_that_rounds_onto_the_upper_value_takes_the_lower(monkeypatch
     X = np.array([[0.0, 0.0], [a, 1.0], [b, 0.0], [b, 1.0], [3.0, 1.0]])
     y = np.array([0, 0, 1, 1, 1])
     assert assert_float_splits(monkeypatch, X, y, 1) == (0, a)
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert tree_nodes(m) == float_tree_reference(X, y)
     assert m.predict(np.array([[a, 0.0], [b, 0.0]])).tolist() == [0, 1]
 
 
 def test_a_cut_between_two_adjacent_floats_ends_in_two_leaves():
     a, b = ROUNDS_UP
-    m = train(ModelSpec.tree(), [[a], [a], [b], [b]], [0, 0, 1, 1])
-    assert tree_nodes(m) == [[0, -1, -1], [a, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0, 0, 1]]
+    m = train(ModelSpec("tree"), [[a], [a], [b], [b]], [0, 0, 1, 1])
+    assert tree_nodes(m) == [[0, -1, -1], [a, 0.0, 0.0], [2, -1, -1], [0, 0, 1]]
 
 
 def test_more_than_65536_distinct_values_take_wide_ranks(monkeypatch):
@@ -869,7 +869,7 @@ def test_more_than_65536_distinct_values_take_wide_ranks(monkeypatch):
     assert R.dtype != np.uint16 and int(R[0].max()) == n - 1
     assert models_mod._rank_code(X[:65_536])[0].dtype == np.uint16
     assert_float_splits(monkeypatch, X, y, 2)
-    m = train(ModelSpec.tree(max_depth=2), X, y)
+    m = train(ModelSpec("tree", max_depth=2), X, y)
     assert tree_nodes(m) == float_tree_reference(X, y, max_depth=2)
 
 
@@ -877,22 +877,22 @@ def test_tree_equals_the_float_reference():
     for seed in range(5):
         X, y = toy_problem(n=60, seed=30 + seed, noise=0.5)
         X[:, 1] = np.round(X[:, 1], 1)  # repeated values
-        assert tree_nodes(train(ModelSpec.tree(), X, y)) == float_tree_reference(X, y)
+        assert tree_nodes(train(ModelSpec("tree"), X, y)) == float_tree_reference(X, y)
 
 
 def test_tree_arrays_are_preorder():
     X, y = toy_problem(n=80, seed=20, noise=0.5)
-    m = train(ModelSpec.forest(n_trees=4, seed=3), X, y)
+    m = train(ModelSpec("forest", n_trees=4, seed=3), X, y)
     n_nodes = len(m.feature)
     assert m.roots[0] == 0 and (np.diff(m.roots) > 0).all()
     split = np.flatnonzero(m.feature >= 0)
     leaf = np.flatnonzero(m.feature < 0)
-    assert (m.left[split] == split + 1).all()  # left subtree follows its parent
-    assert (m.right[split] > m.left[split]).all() and (m.right[split] < n_nodes).all()
-    assert (m.left[leaf] == -1).all() and (m.right[leaf] == -1).all()
+    # the left subtree, from split + 1, comes before the right
+    assert (m.right[split] > split + 1).all() and (m.right[split] < n_nodes).all()
+    assert (m.right[leaf] == -1).all()
     assert set(m.value.tolist()) <= {0, 1}
     # every node but a root is the child of exactly one split
-    children = np.sort(np.r_[m.left[split], m.right[split]])
+    children = np.sort(np.r_[split + 1, m.right[split]])
     assert children.tolist() == sorted(set(range(n_nodes)) - set(m.roots.tolist()))
 
 
@@ -903,13 +903,13 @@ def test_tree_arrays_are_preorder():
 
 def same_trees(a, b):
     return all(np.array_equal(getattr(a, name), getattr(b, name))
-               for name in ("feature", "threshold", "left", "right", "value", "roots"))
+               for name in ("feature", "threshold", "right", "value", "roots"))
 
 
 def test_forest_single_plain_tree_equals_decision_tree():
     X, y = toy_problem(n=70, seed=14, noise=0.4)
-    dt = train(ModelSpec.tree(), X, y)
-    rf = train(ModelSpec.forest(n_trees=1, bootstrap=False, max_features=X.shape[1]), X, y)
+    dt = train(ModelSpec("tree"), X, y)
+    rf = train(ModelSpec("forest", n_trees=1, bootstrap=False, max_features=X.shape[1]), X, y)
     Xq = np.random.default_rng(15).random((40, 4))
     assert np.array_equal(dt.predict(Xq), rf.predict(Xq))
     assert same_trees(dt, rf)
@@ -917,8 +917,8 @@ def test_forest_single_plain_tree_equals_decision_tree():
 
 def test_forest_vote_tie_resolves_to_zero():
     leaves = np.array([-1, -1])  # two one-leaf trees voting 1 and 0
-    m = ForestModel(spec=ModelSpec.forest(n_trees=2), n_features=1, feature=leaves,
-                    threshold=np.zeros(2), left=leaves, right=leaves, value=np.array([1, 0]),
+    m = ForestModel(spec=ModelSpec("forest", n_trees=2), n_features=1, feature=leaves,
+                    threshold=np.zeros(2), right=leaves, value=np.array([1, 0]),
                     roots=np.array([0, 1]))
     assert m.predict(np.zeros((3, 1))).tolist() == [0, 0, 0]
 
@@ -930,7 +930,7 @@ def forest_walk_reference(m, X):
         labels = []
         for node in m.roots.tolist():
             while m.feature[node] >= 0:
-                node = m.left[node] if x[m.feature[node]] <= m.threshold[node] else m.right[node]
+                node = node + 1 if x[m.feature[node]] <= m.threshold[node] else m.right[node]
             labels.append(int(m.value[node]))
         votes.append(int(2 * sum(labels) > len(labels)))
     return np.array(votes)
@@ -943,7 +943,7 @@ def forest_subset_walk(m, X):
     feature, threshold = m.feature.tolist(), m.threshold.tolist()
     # each column a split reads, copied once to contiguous memory
     columns = {f: np.ascontiguousarray(X[:, f]) for f in set(feature) - {-1}}
-    left, right, value = m.left.tolist(), m.right.tolist(), m.value.tolist()
+    right, value = m.right.tolist(), m.value.tolist()
     votes = np.zeros(len(X), dtype=np.int64)
     out = np.empty(len(X), dtype=np.int64)  # one tree's labels; every row reaches a leaf
     every = np.arange(len(X))
@@ -958,7 +958,7 @@ def forest_subset_walk(m, X):
             mask = columns[f].take(idx) <= threshold[node]
             left_idx, right_idx = idx[mask], idx[~mask]
             if left_idx.size:
-                stack.append((left[node], left_idx))
+                stack.append((node + 1, left_idx))
             if right_idx.size:
                 stack.append((right[node], right_idx))
         votes += out
@@ -995,7 +995,7 @@ def n_words(m):
 def test_forest_walk_sends_values_on_a_threshold_left():
     X, y = toy_problem(n=80, seed=23, noise=0.5)
     X[:, 2] = np.round(X[:, 2], 1)
-    m = train(ModelSpec.forest(n_trees=7, seed=4), X, y)
+    m = train(ModelSpec("forest", n_trees=7, seed=4), X, y)
     Xq = on_and_above_thresholds(m, X)
     assert_predicts_as_walks(m, Xq)
     assert np.array_equal(m.predict(Xq[::-1]), m.predict(Xq)[::-1])
@@ -1019,8 +1019,8 @@ def test_bitvectors_equal_the_walks_on_random_forests(seed):
     Xq = np.vstack([rng.random((40, d)), X])
     for k in range(1, d + 1):
         for bootstrap in (True, False):
-            m = train(ModelSpec.forest(n_trees=int(rng.integers(1, 12)), bootstrap=bootstrap,
-                                       max_features=k, seed=seed), X, y)
+            m = train(ModelSpec("forest", n_trees=int(rng.integers(1, 12)), bootstrap=bootstrap,
+                                max_features=k, seed=seed), X, y)
             assert_predicts_as_walks(m, np.vstack([Xq, on_and_above_thresholds(m, X)]))
 
 
@@ -1031,7 +1031,7 @@ def test_trees_of_64_and_65_leaves(n, phase):
     # splits. 64 leaves fill one word; 65 take two, and the row that exits
     # in the first word must not also vote with the second
     X, y = np.arange(float(n))[:, None], (np.arange(n) + phase) % 2
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert int((m.feature < 0).sum()) == n
     assert n_words(m) == (1 if n == 64 else 2)
     Xq = np.vstack([X, X + 0.5, on_and_above_thresholds(m, X), [[-1e300], [1e300]]])
@@ -1041,7 +1041,7 @@ def test_trees_of_64_and_65_leaves(n, phase):
 
 def test_the_deep_tree_predicts_as_the_walks():
     X, y = np.arange(1500.0)[:, None], (np.arange(1500) + 1) % 2
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert n_words(m) == 24  # 1,500 leaves
     Xq = np.vstack([X, X - 0.5, [[-0.0], [0.0], [1e300], [-1e300]]])
     assert_predicts_as_walks(m, Xq, row_walk=False)
@@ -1050,7 +1050,7 @@ def test_the_deep_tree_predicts_as_the_walks():
 
 def test_small_trees_pack_several_to_a_word_and_never_straddle_one():
     X, y = toy_problem(n=150, d=5, seed=40, noise=0.6)
-    m = train(ModelSpec.forest(n_trees=60, max_depth=4, seed=5), X, y)
+    m = train(ModelSpec("forest", n_trees=60, max_depth=4, seed=5), X, y)
     leaves = np.add.reduceat((m.feature < 0).astype(int), m.roots)
     assert leaves.max() <= 16 and 1 < n_words(m) < len(m.roots)
     # next fit: a new word starts where the next tree would not fit
@@ -1071,8 +1071,8 @@ def test_a_forest_of_one_leaf_trees_has_no_internal_node(positives):
     leaves = np.full(70, -1)
     value = (np.arange(70) % 2 == 0).astype(np.int64)
     value[np.flatnonzero(value == 0)[:positives - 35]] = 1
-    m = ForestModel(spec=ModelSpec.forest(n_trees=70), n_features=2, feature=leaves,
-                    threshold=np.zeros(70), left=leaves, right=leaves, value=value,
+    m = ForestModel(spec=ModelSpec("forest", n_trees=70), n_features=2, feature=leaves,
+                    threshold=np.zeros(70), right=leaves, value=value,
                     roots=np.arange(70))
     assert n_words(m) == 2
     X = np.random.default_rng(42).random((5, 2))
@@ -1089,11 +1089,11 @@ def test_bitvectors_on_signed_zeros_huge_values_and_an_unused_column():
     zeros = [[z, v, w] for z in (-0.0, 0.0) for v in (-1e300, 0.0, 1e300) for w in (-7.0, 1e300)]
     huge = [[a, b, c] for a in (-1e300, 1e300) for b in (-1e300, 1e300) for c in (-1e300, 0.0)]
     Xq = np.array(zeros + huge)
-    tree = train(ModelSpec.tree(), X, y)
+    tree = train(ModelSpec("tree"), X, y)
     assert tree.threshold[0] == 0.0
     on_and_above = [[-0.0, 5.0, 7.0], [0.0, 5.0, 7.0], [5e-324, 5.0, 7.0]]
     assert tree.predict(on_and_above).tolist() == [0, 0, 1]
-    for m in (tree, train(ModelSpec.forest(n_trees=9, seed=6), X, y)):
+    for m in (tree, train(ModelSpec("forest", n_trees=9, seed=6), X, y)):
         assert 2 not in m.feature.tolist()
         assert_predicts_as_walks(m, Xq)
         assert m.predict(np.empty((0, 3))).shape == (0,)
@@ -1105,7 +1105,7 @@ def test_a_wide_noisy_forest_splits_its_tables_into_groups():
     # words, about 600 per internal node here; groups keep it near the node count
     rng = np.random.default_rng(43)
     X, y = rng.random((1500, 4)), rng.integers(0, 2, 1500)
-    m = train(ModelSpec.forest(n_trees=100, seed=7), X, y)
+    m = train(ModelSpec("forest", n_trees=100, seed=7), X, y)
     *_, groups = m._bits
     internal = int((m.feature >= 0).sum())
     table_bytes = sum(table.nbytes for tables in groups for *_, table in tables)
@@ -1118,9 +1118,9 @@ def test_a_wide_noisy_forest_splits_its_tables_into_groups():
 
 def test_forest_seed_changes_trees_deterministically():
     X, y = toy_problem(n=60, seed=16, noise=0.5)
-    a = train(ModelSpec.forest(n_trees=5, seed=1), X, y)
-    b = train(ModelSpec.forest(n_trees=5, seed=1), X, y)
-    c = train(ModelSpec.forest(n_trees=5, seed=2), X, y)
+    a = train(ModelSpec("forest", n_trees=5, seed=1), X, y)
+    b = train(ModelSpec("forest", n_trees=5, seed=1), X, y)
+    c = train(ModelSpec("forest", n_trees=5, seed=2), X, y)
     Xq = np.random.default_rng(17).random((50, 4))
     assert np.array_equal(a.predict(Xq), b.predict(Xq))
     assert same_trees(a, b)
@@ -1129,7 +1129,7 @@ def test_forest_seed_changes_trees_deterministically():
 
 def test_forest_learns_separable_problem():
     X, y = toy_problem(n=100, seed=18, noise=0.0)
-    m = train(ModelSpec.forest(n_trees=25), X, y)
+    m = train(ModelSpec("forest", n_trees=25), X, y)
     Xq = np.random.default_rng(19).random((200, 4))
     yq = (Xq[:, 0] > 0.5).astype(int)
     assert (m.predict(Xq) == yq).mean() >= 0.9
@@ -1173,10 +1173,10 @@ def _gini_best_split(R: np.ndarray, y: np.ndarray, cols: np.ndarray,
 def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray], depth: int,
                max_depth: int | None, max_features: int, rng: np.random.Generator) -> int:
     """Append the tree fitted to the rank-coded rows (R, y) to ``nodes`` in
-    preorder, one [feature, threshold, left, right, value] row per node;
+    preorder, one [feature, threshold, right, value] row per node;
     returns its root."""
     node, pos = len(nodes), int(y.sum())
-    nodes.append([-1, 0.0, -1, -1, int(2 * pos > len(y))])  # majority label; a tie is 0
+    nodes.append([-1, 0.0, -1, int(2 * pos > len(y))])  # majority label; a tie is 0
     if pos in (0, len(y)) or (max_depth is not None and depth >= max_depth):  # pure or deep
         return node
     d = len(R)
@@ -1187,13 +1187,14 @@ def _grow_tree(nodes: list, R: np.ndarray, y: np.ndarray, vals: list[np.ndarray]
         return node
     feature, threshold = split
     mask = vals[feature][R[feature]] <= threshold
-    left = _grow_tree(nodes, R[:, mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
+    # the left child, node + 1
+    _grow_tree(nodes, R[:, mask], y[mask], vals, depth + 1, max_depth, max_features, rng)
     right = _grow_tree(nodes, R[:, ~mask], y[~mask], vals, depth + 1, max_depth, max_features, rng)
-    nodes[node][:4] = feature, threshold, left, right
+    nodes[node][:3] = feature, threshold, right
     return node
 
 
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "roots")
+NODE_ARRAYS = ("feature", "threshold", "right", "value", "roots")
 
 
 def recursive_node_arrays(spec, X, y):
@@ -1211,8 +1212,8 @@ def recursive_node_arrays(spec, X, y):
         rows = rng.integers(0, n, size=n) if bootstrap else slice(None)
         roots.append(_grow_tree(nodes, R[:, rows], y[rows], vals, 0, spec.max_depth,
                                 max_features, rng))
-    feature, threshold, left, right, value = (np.array(col) for col in zip(*nodes))
-    return feature, threshold, left, right, value, np.array(roots)
+    feature, threshold, right, value = (np.array(col) for col in zip(*nodes))
+    return feature, threshold, right, value, np.array(roots)
 
 
 def assert_same_node_arrays(spec, X, y):
@@ -1233,9 +1234,9 @@ def test_lockstep_growth_equals_the_recursive_grower(monkeypatch, seed):
     X[:, int(rng.integers(d))] = 0.5
     y = (X.sum(axis=1) + 0.3 * rng.standard_normal(n) > 0.5 * d).astype(int)
     y[:2] = 0, 1  # both classes
-    specs = [ModelSpec.tree(max_depth=depth, seed=seed) for depth in (None, 1, 3)]
-    specs += [ModelSpec.forest(n_trees=int(rng.integers(1, 9)), max_depth=depth,
-                               bootstrap=bootstrap, max_features=k, seed=seed)
+    specs = [ModelSpec("tree", max_depth=depth, seed=seed) for depth in (None, 1, 3)]
+    specs += [ModelSpec("forest", n_trees=int(rng.integers(1, 9)), max_depth=depth,
+                        bootstrap=bootstrap, max_features=k, seed=seed)
               for k in range(1, d + 1) for depth in (None, 1, 3) for bootstrap in (True, False)]
     for bound in BATCH_BOUNDS:
         monkeypatch.setattr(models_mod, "SPLIT_BATCH", bound)
@@ -1269,17 +1270,17 @@ def test_a_fit_that_draws_nothing_derives_no_stream(monkeypatch):
 
     monkeypatch.setattr(models_mod, "derive_rng", derive_rng)
     X, y = toy_problem()
-    train(ModelSpec.tree(), X, y)
-    train(ModelSpec.forest(n_trees=3, bootstrap=False, max_features=X.shape[1]), X, y)
+    train(ModelSpec("tree"), X, y)
+    train(ModelSpec("forest", n_trees=3, bootstrap=False, max_features=X.shape[1]), X, y)
     with pytest.raises(AssertionError, match="stream"):
-        train(ModelSpec.forest(n_trees=3, bootstrap=False), X, y)
+        train(ModelSpec("forest", n_trees=3, bootstrap=False), X, y)
 
 
 def test_a_deep_tree_grows_without_recursion():
     # alternating labels on distinct values: 1,499 splits deep, past Python's
     # recursion limit for a recursive grower
     X, y = np.arange(1500.0)[:, None], np.arange(1500) % 2
-    m = train(ModelSpec.tree(), X, y)
+    m = train(ModelSpec("tree"), X, y)
     assert len(m.feature) == 2999
     assert (m.predict(X) == y).mean() == 1.0
 
@@ -1392,7 +1393,7 @@ def assert_same_svm_fit(spec, X, y):
 @pytest.mark.parametrize("C", [0.01, 1.0, 1e3])
 def test_svm_equals_the_full_matrix_solver_for_every_box(kernel, C):
     X, y = toy_problem(n=40, seed=101, noise=0.1)
-    m = assert_same_svm_fit(ModelSpec.svm(kernel, C=C), X, y)
+    m = assert_same_svm_fit(ModelSpec("svm", kernel=kernel, C=C), X, y)
     if C == 0.01:  # alphas snapped to both ends of the box
         assert (m.alpha == C).any() and (m.alpha == 0.0).any()
 
@@ -1403,7 +1404,7 @@ def test_svm_equals_the_full_matrix_solver_on_duplicate_rows(kernel):
     # each of the first ten rows twice more, once with its label and once with the other
     X = np.vstack([X, X[:10], X[:10]])
     y = np.concatenate([y, y[:10], 1 - y[:10]])
-    assert_same_svm_fit(ModelSpec.svm(kernel), X, y)
+    assert_same_svm_fit(ModelSpec("svm", kernel=kernel), X, y)
 
 
 @pytest.mark.parametrize("kernel", models_mod.KERNELS)
@@ -1415,7 +1416,7 @@ def test_svm_equals_the_full_matrix_solver_at_every_size(kernel, n):
         X, y = np.array([[0.0, 1.0], [1.0, 0.5]]), np.array([0, 1])
     else:
         X, y = toy_problem(n=n, seed=103, noise=0.3)
-    assert_same_svm_fit(ModelSpec.svm(kernel), X, y)
+    assert_same_svm_fit(ModelSpec("svm", kernel=kernel), X, y)
 
 
 @pytest.mark.parametrize("kernel", models_mod.KERNELS)
@@ -1425,7 +1426,7 @@ def test_svm_keeps_the_gram_matrix_bits_at_the_golden_sizes(kernel, n):
     # computed on demand have the bits of the rows of X @ X.T, so the solver
     # ends where it did on that one matrix
     X, y = aware_fold(n)
-    m = train(ModelSpec.svm(kernel), X, y)
+    m = train(ModelSpec("svm", kernel=kernel), X, y)
     assert same_svm(m, full_matrix_svm(m.spec, X, y, kernel_rows=gram_matrix_kernel))
 
 
@@ -1454,7 +1455,7 @@ def test_the_solver_turns_each_row_it_reads_into_the_kernel_matrix_row_once(monk
 
     monkeypatch.setattr(models_mod, "_gram_row", row_spy)
     monkeypatch.setattr(models_mod, "_gram_diagonal", diagonal_spy)
-    m = train(ModelSpec.svm(kernel), X, y)
+    m = train(ModelSpec("svm", kernel=kernel), X, y)
     monkeypatch.undo()
     K, K_diag = solver_kernel(kernel, X, m.gamma, m.spec.coef0)
     assert len(diags) == 1 and diags[0].tobytes() == K_diag.tobytes()
@@ -1476,7 +1477,7 @@ def test_an_svm_fit_holds_only_the_kernel_rows_it_reads(monkeypatch, kernel):
     monkeypatch.setattr(models_mod, "_gram_row", lambda X, i: (read.append(i), real(X, i))[1])
     tracemalloc.start()
     try:
-        train(ModelSpec.svm(kernel), X, y)
+        train(ModelSpec("svm", kernel=kernel), X, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1493,7 +1494,7 @@ def test_did_not_converge_quotes_the_kept_kkt_gap(monkeypatch):
     monkeypatch.setattr(models_mod, "SVM_MAX_ITER", 5)
     X, y = toy_problem(n=60, seed=100, noise=0.3)
     with pytest.warns(DidNotConverge) as caught:
-        m = train(ModelSpec.svm("p4"), X, y)
+        m = train(ModelSpec("svm", kernel="p4"), X, y)
     assert not m.converged and m.n_iter == 5
     assert m.kkt_gap > SVM_KKT_TOL
     assert f"KKT violation {m.kkt_gap:.2e}" in str(caught[0].message)
