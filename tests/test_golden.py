@@ -27,55 +27,99 @@ from workloads import WORKLOADS, generate  # noqa: E402
 pytestmark = pytest.mark.filterwarnings("error")
 
 # name: (the benchmark workload and seed whose inputs the command reads, or
-# None to run in the repo root; the command; the sha256 prefix of its output)
+# None to run in the repo root; the command, whose outputs go to a fresh
+# directory; the output file, or a glob of files whose digest is the sha256
+# of each name, a NUL byte and its bytes, in name order; the sha256 prefix)
 ROWS = {
     # the quick study, whose report is committed in full
-    "quick": (None, "run --config configs/quick.yaml", "c7428477029b5ba2"),
+    "quick": (None, "run --config configs/quick.yaml --formats json", "report.json",
+              "c7428477029b5ba2"),
+    # the quick report rendered: two protocols and a small-race-group fold
+    "quick-performance": (None, "report --in tests/golden/quick_report.json --formats md,svg",
+                          "performance.md", "6e3b79110bbb5b1d"),
+    "quick-fairness": (None, "report --in tests/golden/quick_report.json --formats md,svg",
+                       "fairness.md", "0aa5f57356673ad7"),
+    "quick-charts": (None, "report --in tests/golden/quick_report.json --formats md,svg",
+                     "*.svg", "5a0d735aa52d83a2"),
     # the full default grid with 10 repeats, whose permutation importance
     # the quick golden report does not reach
-    "default": (None, "run --config configs/default.yaml", "d0a7e40fd6e051f2"),
+    "default": (None, "run --config configs/default.yaml --formats json", "report.json",
+                "d0a7e40fd6e051f2"),
     # the cohort-10x benchmark study at seed 9001: 1500 patients, whose
     # 1200-row folds reach the KNN, tree and SVM kernels at a scale the
     # default grid (at most 120 training rows) does not
-    "cohort-10x-9001": (("cohort-10x", 9001), "run --config study.yaml", "8018eaa438154dc3"),
+    "cohort-10x-9001": (("cohort-10x", 9001), "run --config study.yaml --formats json,md",
+                        "report.json", "8018eaa438154dc3"),
+    # its report rendered: one protocol and no small race group
+    "cohort-10x-9001-performance": (("cohort-10x", 9001),
+                                    "run --config study.yaml --formats json,md",
+                                    "performance.md", "8848afe6a1ea13d6"),
+    "cohort-10x-9001-fairness": (("cohort-10x", 9001),
+                                 "run --config study.yaml --formats json,md",
+                                 "fairness.md", "0f0380e42848c986"),
     # the grid-default benchmark study at seed 9001: both protocols, all 13
     # models and 10 permutation repeats at a second seed
-    "grid-default-9001": (("grid-default", 9001), "run --config study.yaml", "dfc5423cb841ddd4"),
+    "grid-default-9001": (("grid-default", 9001), "run --config study.yaml --formats json",
+                          "report.json", "dfc5423cb841ddd4"),
     # the two benchmark studies at seed 7, the seed the benchmark's timed
     # pairs run at
-    "cohort-10x-7": (("cohort-10x", 7), "run --config study.yaml", "07224e45dfd21d20"),
-    "grid-default-7": (("grid-default", 7), "run --config study.yaml", "e154b273098d1bf0"),
+    "cohort-10x-7": (("cohort-10x", 7), "run --config study.yaml --formats json", "report.json",
+                     "07224e45dfd21d20"),
+    "grid-default-7": (("grid-default", 7), "run --config study.yaml --formats json",
+                       "report.json", "e154b273098d1bf0"),
     # the synthetic cohort, whose Beta shapes come from the numpy inverse
     # of the incomplete Beta function
-    "synth": (None, "synth --seed 7", "fd047ea8c81bdaa8"),
+    "synth": (None, "synth --seed 7", "cohort.csv", "fd047ea8c81bdaa8"),
     # the shipped calibration read back through the file path (load_yaml and
     # the shared section reader) must build the same spec as the built-in one
     "synth-spec-file": (None, "synth --spec src/fairbench/data/default_cohort.yaml --seed 7",
-                        "fd047ea8c81bdaa8"),
+                        "cohort.csv", "fd047ea8c81bdaa8"),
 }
+
+# output directory of each (inputs, command) run so far: rows that read
+# different files of one run share it
+_RUNS = {}
+
+
+def _outputs(inputs, command, tmp_path_factory, monkeypatch) -> Path:
+    key = (inputs, command)
+    if key not in _RUNS:
+        tmp = tmp_path_factory.mktemp("golden")
+        if inputs is not None:
+            generate(WORKLOADS[inputs[0]], inputs[1], tmp)
+        # a benchmark config names cohort.csv by a path relative to its directory
+        monkeypatch.chdir(ROOT if inputs is None else tmp)
+        out = tmp / "out"
+        argv = command.split()
+        if argv[0] == "synth":
+            assert main(argv + ["--out", str(out / "cohort.csv")]) == 0
+        else:
+            assert main(argv + ["--out", str(out)]) == 0
+        _RUNS[key] = out
+    return _RUNS[key]
+
+
+def _digest(out: Path, output: str) -> str:
+    if "*" not in output:
+        return hashlib.sha256((out / output).read_bytes()).hexdigest()[:16]
+    h = hashlib.sha256()
+    for path in sorted(out.glob(output)):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("name", ROWS)
-def test_golden_output(name, tmp_path, monkeypatch):
-    inputs, command, sha = ROWS[name]
-    if inputs is not None:
-        generate(WORKLOADS[inputs[0]], inputs[1], tmp_path)
-    # a benchmark config names cohort.csv by a path relative to its directory
-    monkeypatch.chdir(ROOT if inputs is None else tmp_path)
+def test_golden_output(name, tmp_path, tmp_path_factory, monkeypatch):
+    inputs, command, output, sha = ROWS[name]
+    out = _outputs(inputs, command, tmp_path_factory, monkeypatch)
 
-    argv = command.split()
-    if argv[0] == "synth":
-        out = tmp_path / "cohort.csv"
-        assert main(argv + ["--out", str(out)]) == 0
-    else:
-        out = tmp_path / "out" / "report.json"
-        assert main(argv + ["--out", str(out.parent), "--formats", "json"]) == 0
+    if command.startswith("run"):
         # the report read back through load_report_json renders the same bytes
         again = tmp_path / "again"
-        assert main(["report", "--in", str(out), "--out", str(again), "--formats", "json"]) == 0
-        assert (again / "report.json").read_bytes() == out.read_bytes()
-
+        assert main(["report", "--in", str(out / "report.json"), "--out", str(again),
+                     "--formats", "json,md,svg"]) == 0
+        assert _digest(again, output) == _digest(out, output)
     if name == "quick":
         golden = ROOT / "tests" / "golden" / "quick_report.json"
-        assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
-    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == sha
+        assert (out / output).read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+    assert _digest(out, output) == sha
