@@ -85,11 +85,12 @@ def permutation_importance(
     matrix product (GEMM), and with OpenBLAS 0.3.31 on x86-64 a row's bits
     can change with the number of rows multiplied with it when the training
     side has a column count that is not a multiple of 8 (seen at 300, 1199,
-    1204, 1206 and 1500 training rows, not at 120 or 1200). The
-    matrix-vector products that finish the SVM and logistic decisions,
-    ``K @ support_coef`` and ``X @ weights``, go to gemv, whose row bits
-    change with the block height at every size tried, 120 and 1200 training
-    rows included. A label can change only on a near-exact tie.
+    1204, 1206 and 1500 training rows, not at 120 or 1200), and a one-row
+    kernel block goes to gemv, the matrix-vector product, whose bits differ
+    from GEMM's. The products that finish the SVM and logistic decisions
+    are einsum loops, whose row bits do not change with the block height;
+    gemv's did, at every size tried. A label can change only on a near-exact
+    tie.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)

@@ -315,7 +315,9 @@ class LogisticModel(TrainedModel):
     n_iter: int = 0
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.bias
+        """X w + b, by einsum's loop, which gives a row the same bits in a block
+        of any height; gemv's (``X @ w``) change with the number of rows."""
+        return np.einsum("ij,j->i", X, self.weights) + self.bias
 
 
 @dataclass
@@ -331,6 +333,12 @@ class SvmModel(TrainedModel):
     kkt_gap: float = 0.0  # the solver's last m - M; 0.0 when it stopped on an empty set
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
+        """Each block of rows' kernel values against the support vectors, times
+        their coefficients by einsum's loop, plus the bias. The loop's row bits
+        do not depend on the block; the kernel block's can: it is a GEMM, whose
+        row bits change with the block height when the support-vector count is
+        not a multiple of 8 (see permutation_importance), and a one-row block
+        goes to gemv."""
         S, rbf = self.support_X, self.spec.kernel == "rbf"
         # rbf's blocks are A @ (-2 S).T, with the bits of -2 (A @ S.T) as in
         # _knn_votes; a C-contiguous copy of the transposed view can change them
@@ -347,7 +355,7 @@ class SvmModel(TrainedModel):
                                self.gamma, self.spec.coef0,
                                np.sum(A * A, axis=1)[:, None] if rbf else None, sq_s,
                                scaled=True)
-            out[start:start + len(K)] = K @ self.support_coef + self.bias
+            out[start:start + len(K)] = np.einsum("ij,j->i", K, self.support_coef) + self.bias
         return out
 
 
@@ -677,8 +685,6 @@ def _train_logr(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> LogisticModel:
             step *= 0.5
         else:
             break  # no descent step exists; numerically at the optimum
-    else:
-        it = LOGR_MAX_ITER
     if not converged:
         converged = bool(np.max(np.abs(grad)) < LOGR_GRAD_TOL)
     if not converged:

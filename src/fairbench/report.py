@@ -48,27 +48,30 @@ def _pct(v: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def _protocols(report: ExperimentReport) -> list[str]:
-    return list(report.provenance["config"]["protocols"])
-
-
-def _models(report: ExperimentReport) -> list[tuple[str, str]]:
-    seen = []
+def _grid(report: ExperimentReport) -> tuple[list[str], list[tuple[str, list[dict]]]]:
+    """The report's protocols and its rows: each (model, label) in first-seen
+    order, with its label and its first entry under each protocol."""
+    rows, cells = {}, {}
     for e in report.entries:
-        key = (e["model"], e["label"])
-        if key not in seen:
-            seen.append(key)
-    return seen
+        rows.setdefault((e["model"], e["label"]))
+        cells.setdefault((e["model"], e["protocol"]), e)
+    protocols = list(report.provenance["config"]["protocols"])
+    return protocols, [(label, [cells[model, p] for p in protocols]) for model, label in rows]
+
+
+def _table(header: list[str], rows: list[list[str]]) -> list[str]:
+    """A markdown table's lines: the header, its separator, then the rows."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in [header, *rows]]
+    lines.insert(1, "|" + "---|" * len(header))
+    return lines
 
 
 def _performance_md(report: ExperimentReport) -> str:
-    protocols = _protocols(report)
+    protocols, rows = _grid(report)
     k = report.provenance["config"]["k_folds"]
     fold_heads = [f"Fld {i + 1}" for i in range(k)]
-    header = ["Method"]
-    for p in protocols:
-        header += [f"{PROTOCOL_TITLES[p]} {h}" for h in fold_heads] + [f"{PROTOCOL_TITLES[p]} Mean"]
-
+    header = ["Method"] + [f"{PROTOCOL_TITLES[p]} {h}"
+                           for p in protocols for h in [*fold_heads, "Mean"]]
     lines = [
         "# Performance (macro F1, %)",
         "",
@@ -77,38 +80,28 @@ def _performance_md(report: ExperimentReport) -> str:
         f"{report.provenance['class_counts']['NonITP']} non-ITP), "
         f"{k}-fold stratified cross-validation.",
         "",
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
     ]
-    for model, label in _models(report):
-        row = [label]
-        for p in protocols:
-            e = report.entry(model, p)
-            row += [_pct(s) for s in e["fold_scores"]] + [_pct(e["mean_score"])]
-        lines.append("| " + " | ".join(row) + " |")
+    lines += _table(header, [
+        [label] + [_pct(s) for e in entries for s in [*e["fold_scores"], e["mean_score"]]]
+        for label, entries in rows
+    ])
     return "\n".join(lines) + "\n"
 
 
 def _fairness_md(report: ExperimentReport) -> str:
-    protocols = _protocols(report)
-    header = ["Method"]
-    for p in protocols:
-        header += [f"{PROTOCOL_TITLES[p]} {a.capitalize()}" for a in SENSITIVE_ATTRIBUTES]
-
+    protocols, rows = _grid(report)
+    header = ["Method"] + [f"{PROTOCOL_TITLES[p]} {a.capitalize()}"
+                           for p in protocols for a in SENSITIVE_ATTRIBUTES]
     lines = [
         "# Fairness (equalized odds, %)",
         "",
         "Pooled over the concatenated out-of-fold predictions; per-fold values below.",
         "",
-        "| " + " | ".join(header) + " |",
-        "|" + "---|" * len(header),
     ]
-    for model, label in _models(report):
-        row = [label]
-        for p in protocols:
-            e = report.entry(model, p)
-            row += [_pct(e["fairness"][a]["pooled"]) for a in SENSITIVE_ATTRIBUTES]
-        lines.append("| " + " | ".join(row) + " |")
+    lines += _table(header, [
+        [label] + [_pct(e["fairness"][a]["pooled"]) for e in entries for a in SENSITIVE_ATTRIBUTES]
+        for label, entries in rows
+    ])
 
     small = [f for f in report.fold_flags if f["small_race_groups"]]
     lines += ["", "## Small-group folds", ""]
@@ -122,18 +115,13 @@ def _fairness_md(report: ExperimentReport) -> str:
         lines.append("- none: every race group had at least 2 members in every test fold")
 
     lines += ["", "## Per-fold equalized odds", ""]
-    sub_header = ["Method", "Protocol", "Attribute"] + [
-        f"Fld {i + 1}" for i in range(report.provenance["config"]["k_folds"])
-    ]
-    lines.append("| " + " | ".join(sub_header) + " |")
-    lines.append("|" + "---|" * len(sub_header))
-    for model, label in _models(report):
-        for p in protocols:
-            e = report.entry(model, p)
-            for a in SENSITIVE_ATTRIBUTES:
-                row = [label, PROTOCOL_TITLES[p], a]
-                row += [_pct(v) for v in e["fairness"][a]["per_fold"]]
-                lines.append("| " + " | ".join(row) + " |")
+    k = report.provenance["config"]["k_folds"]
+    lines += _table(["Method", "Protocol", "Attribute"] + [f"Fld {i + 1}" for i in range(k)], [
+        [label, PROTOCOL_TITLES[p], a] + [_pct(v) for v in e["fairness"][a]["per_fold"]]
+        for label, entries in rows
+        for p, e in zip(protocols, entries)
+        for a in SENSITIVE_ATTRIBUTES
+    ])
     return "\n".join(lines) + "\n"
 
 

@@ -1,14 +1,15 @@
 """Every golden output of the program, one row each: the input, the CLI
-command and the sha256 prefix the output must have.
+command, the file it writes that the row checks and the sha256 prefix that
+file must have.
 
 The hashes were made with numpy 2.4.6 and OpenBLAS 0.3.31 and are the same
 with OPENBLAS_NUM_THREADS set to 1, set to 2 and unset. Every study here
 trains on 120 or 1,200 rows, and at those sizes a row's bits in a GEMM block
-do not depend on how many rows are multiplied with it. The matrix-vector
-products that finish the SVM and logistic decisions (gemv) do depend on it
-(see permutation_importance), so a label of a near-exact tie could change
-with the block; no row here has one. Every warning is an error here, so a row
-also shows that no solver stops at its iteration cap on its study.
+do not depend on how many rows are multiplied with it. The products that
+finish the SVM and logistic decisions are einsum loops, whose row bits do not
+depend on it either (see permutation_importance). Every warning is an error
+here, so a row also shows that no solver stops at its iteration cap on its
+study.
 """
 
 import hashlib
