@@ -177,6 +177,9 @@ def load_cohort_csv(path: str | Path) -> Cohort:
     source = f"csv:{path} sha256:{hashlib.sha256(data).hexdigest()[:16]}"
     reader = csv.DictReader(io.StringIO(text, newline=""))
     header = reader.fieldnames or []
+    repeated = {name for name in header if header.count(name) > 1}
+    if repeated:
+        raise FairbenchError(f"CSV names column(s) more than once: {', '.join(sorted(repeated))}")
     missing = set(CSV_HEADER) - set(header)
     if missing:
         raise MissingColumn(missing)
@@ -188,7 +191,7 @@ def load_cohort_csv(path: str | Path) -> Cohort:
     for i, row in enumerate(reader, start=1):
         try:
             rows.append(_parse_row(i, row))
-        except UnparsableValue:
+        except (UnparsableValue, InvariantViolation):
             if rows:  # an invalid earlier row is reported first
                 _cohort_from_rows(rows, source)
             raise
@@ -198,6 +201,9 @@ def load_cohort_csv(path: str | Path) -> Cohort:
 
 
 def _parse_row(row_no: int, row: dict) -> tuple[list[float], str, str, str]:
+    if None in row:  # DictReader files a long row's extra cells under None
+        raise InvariantViolation(f"{len(row[None])} cell(s) more than the header's "
+                                 f"{len(CSV_HEADER)} columns", row=row_no)
     values = []
     for name in NUMERIC_FIELDS:
         raw = row.get(name)

@@ -252,9 +252,10 @@ def _annotate(exc: FairbenchError, context: str) -> FairbenchError:
 
 
 def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _FoldData,
-                   master_seed: int, n_repeats: int) -> list[dict]:
+                   master_seed: int, n_repeats: int) -> list[tuple]:
     """Every model's results on one (protocol, fold) pair, in ``specs`` order:
-    test labels, fold score, per-fold fairness and importance on both splits.
+    (test labels, fold score, importance by split). Equalized odds is left to
+    ``_entry``, which pools it over the folds.
 
     The test-split prediction doubles as that split's importance baseline, and
     every model scores the same shuffled copies of each split, drawn from
@@ -283,45 +284,31 @@ def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _Fol
             seed=derive_seed(master_seed, "importance", protocol, f, split),
             column_names=fd.column_names, grouped_columns=grouped, predictions=predictions,
         )
-
-    results = []
-    for m, y_hat in enumerate(y_hats):
-        results.append({
-            "y_hat": y_hat,
-            "score": macro_f1(fd.y_test, y_hat),
-            "eo": {attr: equalized_odds(group_rates(fd.y_test, y_hat, fd.test_groups[attr]))
-                   for attr in SENSITIVE_ATTRIBUTES},
-            "importance": {split: {"split": split, **res[m]}
-                           for split, res in importance.items()},
-        })
-    return results
+    return [(y_hat, macro_f1(fd.y_test, y_hat),
+             {split: {"split": split, **res[m]} for split, res in importance.items()})
+            for m, y_hat in enumerate(y_hats)]
 
 
-def _evaluate_pair_task(payload) -> tuple[tuple[str, int], list[dict]]:
-    specs, protocol, f, fd, master_seed, n_repeats = payload
-    return (protocol, f), _evaluate_pair(specs, protocol, f, fd, master_seed, n_repeats)
-
-
-def _entry(spec: ModelSpec, protocol: str, folds: list[_FoldData], per_fold: list[dict]) -> dict:
-    """One (model, protocol) report entry from the model's results on each fold."""
-    fold_scores = [r["score"] for r in per_fold]
-    y_true = np.concatenate([fd.y_test for fd in folds])
-    y_pred = np.concatenate([r["y_hat"] for r in per_fold])
+def _entry(spec: ModelSpec, protocol: str, folds: list[_FoldData], per_fold: list[tuple]) -> dict:
+    """One (model, protocol) report entry from the model's (test labels, fold
+    score, importance by split) on each fold. Its equalized odds per attribute
+    is computed here, pooled over the concatenated folds and per fold."""
+    y_hats, fold_scores, importance = zip(*per_fold)
     fairness = {}
     for attr in SENSITIVE_ATTRIBUTES:
-        pooled = equalized_odds(
-            group_rates(y_true, y_pred, np.concatenate([fd.test_groups[attr] for fd in folds]))
-        )
-        fairness[attr] = {"pooled": pooled, "per_fold": [r["eo"][attr] for r in per_fold]}
+        parts = [(fd.y_test, y_hat, fd.test_groups[attr]) for fd, y_hat in zip(folds, y_hats)]
+        # the concatenated folds first, then each fold
+        pooled, *per_fold_eo = [equalized_odds(group_rates(*arrays))
+                                for arrays in (map(np.concatenate, zip(*parts)), *parts)]
+        fairness[attr] = {"pooled": pooled, "per_fold": per_fold_eo}
     return {
         "model": spec.name,
         "label": spec.label,
         "protocol": protocol,
-        "fold_scores": fold_scores,
+        "fold_scores": list(fold_scores),
         "mean_score": float(np.mean(fold_scores)),
         "fairness": fairness,
-        "importance": {split: [r["importance"][split] for r in per_fold]
-                       for split in ("train", "test")},
+        "importance": {split: [imp[split] for imp in importance] for split in ("train", "test")},
     }
 
 
@@ -329,18 +316,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cohort, cohort_seed = materialize_cohort(config)
     folds_by_protocol = {p: prepare_folds(cohort, config, p) for p in config.protocols}
 
-    payloads = [(config.models, protocol, f, fd, config.master_seed,
-                 config.n_permutation_repeats)
-                for protocol in config.protocols
-                for f, fd in enumerate(folds_by_protocol[protocol])]
-
+    pairs = [(protocol, f) for protocol in config.protocols for f in range(config.k_folds)]
+    # one iterable per parameter of _evaluate_pair, as map takes them
+    args = zip(*[(config.models, protocol, f, folds_by_protocol[protocol][f], config.master_seed,
+                  config.n_permutation_repeats) for protocol, f in pairs])
     # the pool forks every worker up front: never more than can be kept busy
-    n_workers = min(config.n_workers, len(payloads), os.cpu_count() or 1)
+    n_workers = min(config.n_workers, len(pairs), os.cpu_count() or 1)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = dict(pool.map(_evaluate_pair_task, payloads))
+            results = dict(zip(pairs, pool.map(_evaluate_pair, *args)))
     else:
-        results = dict(map(_evaluate_pair_task, payloads))
+        results = dict(zip(pairs, map(_evaluate_pair, *args)))
     # assembled in grid order, whatever order the units finished in
     entries = [
         _entry(spec, protocol, folds_by_protocol[protocol],
@@ -369,17 +355,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # every model of a (protocol, fold) scores the same shuffled copies
         "importance_streams": ["protocol", "fold", "split"],
     }
-    report = ExperimentReport(
+    return ExperimentReport(
         provenance=provenance,
         # every protocol splits the same rows: any one's folds give the test races
         fold_flags=_fold_flags(cohort, folds_by_protocol[config.protocols[0]]),
         entries=entries,
         directional_findings=_directional_findings(entries, config),
     )
-    expected = len(config.models) * len(config.protocols)
-    if len(report.entries) != expected:
-        raise InvariantViolation(f"expected {expected} entries, got {len(report.entries)}")
-    return report
 
 
 def _fold_flags(cohort: Cohort, folds: list[_FoldData]) -> list[dict]:

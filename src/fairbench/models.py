@@ -337,8 +337,9 @@ class SvmModel(TrainedModel):
         their coefficients by einsum's loop, plus the bias. The loop's row bits
         do not depend on the block; the kernel block's can: it is a GEMM, whose
         row bits change with the block height when the support-vector count is
-        not a multiple of 8 (see permutation_importance), and a one-row block
-        goes to gemv."""
+        not a multiple of 8 (see permutation_importance). A one-row block is
+        multiplied as two copies of its row, as numpy would send one row to
+        gemv, so a row predicted alone has its bits in a two-row block."""
         S, rbf = self.support_X, self.spec.kernel == "rbf"
         # rbf's blocks are A @ (-2 S).T, with the bits of -2 (A @ S.T) as in
         # _knn_votes; a C-contiguous copy of the transposed view can change them
@@ -348,14 +349,18 @@ class SvmModel(TrainedModel):
         # one block array per call, not one per block: unless a larger array
         # freed earlier has raised glibc's mmap threshold, each fresh array of
         # about BLOCK_ELEMENTS values is mapped and faulted in page by page
-        block = np.empty((min(step, len(X)), len(S)))
+        block = np.empty((max(2, min(step, len(X))), len(S)))
         for start in range(0, len(X), step):
             A = X[start:start + step]
+            rows = len(A)
+            if rows == 1:  # multiplied as two rows: see above
+                A = A[[0, 0]]
             K = _kernel_values(self.spec.kernel, np.matmul(A, right, out=block[:len(A)]),
                                self.gamma, self.spec.coef0,
                                np.sum(A * A, axis=1)[:, None] if rbf else None, sq_s,
                                scaled=True)
-            out[start:start + len(K)] = np.einsum("ij,j->i", K, self.support_coef) + self.bias
+            out[start:start + rows] = (np.einsum("ij,j->i", K, self.support_coef)
+                                       + self.bias)[:rows]
         return out
 
 

@@ -23,6 +23,7 @@ from fairbench.dataset import (
 from fairbench.errors import (
     DimensionMismatch,
     EmptyCohort,
+    FairbenchError,
     InfeasibleSpec,
     InvariantViolation,
     MissingColumn,
@@ -151,6 +152,23 @@ def test_load_rejects_extra_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(CSV_HEADER + ("oops",)) + "\n")
     with pytest.raises(UnexpectedColumn, match="oops"):
+        load_cohort_csv(path)
+
+
+def test_load_rejects_a_column_named_twice(tmp_path):
+    # the second copy's -5 is not read as the value of alt
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER + ("alt",)) + "\n2010,60,20,140,5,8,4.5,10,F,White,ITP,-5\n")
+    with pytest.raises(FairbenchError, match="more than once: alt$"):
+        load_cohort_csv(path)
+
+
+def test_load_rejects_a_row_longer_than_the_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = [",".join(CSV_HEADER), "2010,60,20,140,5,8,4.5,10,F,White,ITP",
+            "2010,60,20,140,5,8,4.5,10,F,White,ITP,7,8"]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(InvariantViolation, match="^row 2: 2 cell\\(s\\) more than the header's 11"):
         load_cohort_csv(path)
 
 

@@ -533,8 +533,8 @@ def test_pool_is_no_larger_than_the_work_or_the_machine(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *items):
+            return map(fn, *items)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
     cfg = config_from_dict({"models": ["dt", "knn-1", "knn-2"], "k_folds": 2,

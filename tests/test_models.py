@@ -375,8 +375,22 @@ def test_a_decision_block_has_the_kernel_matrix_bits(monkeypatch, kernel):
         m = models_mod.SvmModel(spec=spec, n_features=d, support_X=S, support_coef=coef,
                                 bias=0.25, gamma=0.37)
         monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", rows * n_sv)  # one block
-        want = np.einsum("ij,j->i", kernel_matrix(kernel, A, S, 0.37, spec.coef0), coef) + 0.25
+        Q = A if rows > 1 else A[[0, 0]]  # a lone row is multiplied as two
+        K = kernel_matrix(kernel, Q, S, 0.37, spec.coef0)
+        want = (np.einsum("ij,j->i", K, coef) + 0.25)[:rows]
         assert m.decision_function(A).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", models_mod.KERNELS)
+def test_svm_predicts_a_lone_row_with_its_bits_in_a_two_row_block(kernel):
+    # 301 support vectors, not a multiple of 8: gemv's bits differ from GEMM's
+    rng = np.random.default_rng(11)
+    S, Xq = rng.random((301, 13)), rng.random((40, 13))
+    m = models_mod.SvmModel(spec=ModelSpec("svm", kernel=kernel), n_features=13, support_X=S,
+                            support_coef=rng.standard_normal(301), bias=0.25, gamma=0.37)
+    pairs = np.concatenate([m.decision_function(Xq[i:i + 2]) for i in range(0, len(Xq), 2)])
+    alone = np.concatenate([m.decision_function(Xq[i:i + 1]) for i in range(len(Xq))])
+    assert alone.tobytes() == pairs.tobytes()
 
 
 def test_svm_labels_do_not_depend_on_the_kernel_block(monkeypatch, toy_svm_fits):

@@ -27,3 +27,18 @@ assert main(["synth", "--seed", "7", "--out", {str(tmp_path / "c.csv")!r}]) == 0
 assert "scipy" not in sys.modules
 """
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_the_benchmark_set_up_probe_runs(tmp_path, monkeypatch):
+    # the probe imports experiment's names and prints the time the folds were
+    # ready; a benchmark run with a broken probe would have no setup_s
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from workloads import WORKLOADS, generate
+
+    generate(WORKLOADS["grid-default"], 7, tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "setup_probe.py"),
+                           "study.yaml"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    float(done.stdout)
