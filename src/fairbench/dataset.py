@@ -11,7 +11,6 @@ clinical) and demographic-aware (those 7 plus gender, race one-hot and age =
 from __future__ import annotations
 
 import csv
-import datetime
 import functools
 import hashlib
 import io
@@ -68,7 +67,7 @@ AWARE = "aware"
 PROTOCOLS = (AWARE, UNAWARE)
 
 MIN_YEAR = 1900
-MAX_YEAR = datetime.date.today().year
+MAX_YEAR = 2100  # a fixed bound, so whether a row loads does not depend on the date
 
 DEFAULT_AGE_EDGES = (45.0, 65.0)
 
@@ -142,7 +141,7 @@ def _check_rows(numeric: np.ndarray, gender: np.ndarray, race: np.ndarray, y: np
     if bad_rows.size:
         row = int(bad_rows[0])
         _, message = checks[int(np.argmax(failed[:, row]))]
-        raise InvariantViolation(message(row), row=row + 1)
+        raise InvariantViolation(f"row {row + 1}: {message(row)}")
 
 
 def _require_two_per_class(cohort: Cohort) -> Cohort:
@@ -182,10 +181,10 @@ def load_cohort_csv(path: str | Path) -> Cohort:
         raise FairbenchError(f"CSV names column(s) more than once: {', '.join(sorted(repeated))}")
     missing = set(CSV_HEADER) - set(header)
     if missing:
-        raise MissingColumn(missing)
+        raise MissingColumn(f"CSV is missing required column(s): {', '.join(sorted(missing))}")
     extra = set(header) - set(CSV_HEADER)
     if extra:
-        raise UnexpectedColumn(extra)
+        raise UnexpectedColumn(f"CSV has unexpected column(s): {', '.join(sorted(extra))}")
 
     rows = []
     for i, row in enumerate(reader, start=1):
@@ -202,30 +201,28 @@ def load_cohort_csv(path: str | Path) -> Cohort:
 
 def _parse_row(row_no: int, row: dict) -> tuple[list[float], str, str, str]:
     if None in row:  # DictReader files a long row's extra cells under None
-        raise InvariantViolation(f"{len(row[None])} cell(s) more than the header's "
-                                 f"{len(CSV_HEADER)} columns", row=row_no)
+        raise InvariantViolation(f"row {row_no}: {len(row[None])} cell(s) more than the header's "
+                                 f"{len(CSV_HEADER)} columns")
+    cells = {name: row[name] or "" for name in CSV_HEADER}  # a short row's missing cells are None
+
+    def unparsable(name):
+        return UnparsableValue(f"row {row_no}, column {name!r}: cannot parse {cells[name]!r}")
+
     values = []
     for name in NUMERIC_FIELDS:
-        raw = row.get(name)
-        if raw is None:
-            raise UnparsableValue(row_no, name, "")
         try:
-            v = float(raw)
+            v = float(cells[name])
         except ValueError:
-            raise UnparsableValue(row_no, name, raw) from None
+            raise unparsable(name) from None
         if name == "diagnosis_year" and not v.is_integer():
-            raise UnparsableValue(row_no, name, raw)
+            raise unparsable(name)
         values.append(v)
-
-    gender = _GENDER_ALIASES.get((row.get("gender") or "").strip())
-    if gender is None:
-        raise UnparsableValue(row_no, "gender", row.get("gender") or "")
-    race = (row.get("race") or "").strip()
-    if race not in RACES:
-        raise UnparsableValue(row_no, "race", row.get("race") or "")
-    label = (row.get("label") or "").strip()
-    if label not in LABELS:
-        raise UnparsableValue(row_no, "label", row.get("label") or "")
+    gender = _GENDER_ALIASES.get(cells["gender"].strip())
+    race, label = cells["race"].strip(), cells["label"].strip()
+    for name, ok in (("gender", gender is not None), ("race", race in RACES),
+                     ("label", label in LABELS)):
+        if not ok:
+            raise unparsable(name)
     return values, gender, race, label
 
 
@@ -554,26 +551,17 @@ def stratified_kfold(cohort: Cohort, k: int, seed: int) -> list[tuple[np.ndarray
     """
     if k < 2:
         raise TooFewSamples(f"k must be >= 2, got {k}")
-    labels = cohort.y
-    rng = np.random.default_rng(int(seed) % (2**64))
-    test_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in (1, 0):
-        idx = np.flatnonzero(labels == cls)
+    by_class = [(cls, np.flatnonzero(cohort.y == cls)) for cls in (1, 0)]
+    for cls, idx in by_class:  # every class, before anything of size k is made
         if len(idx) < k:
-            raise TooFewSamples(
-                f"class {LABELS[cls]} has {len(idx)} records, needs at least k={k}"
-            )
-        perm = rng.permutation(idx)
-        for fold_i, part in enumerate(np.array_split(perm, k)):
-            test_parts[fold_i].append(part)
-
-    all_idx = np.arange(len(labels))
-    folds = []
-    for parts in test_parts:
-        test = np.sort(np.concatenate(parts))
-        train = np.setdiff1d(all_idx, test, assume_unique=True)
-        folds.append((train, test))
-    return folds
+            raise TooFewSamples(f"class {LABELS[cls]} has {len(idx)} records, needs at least k={k}")
+    rng = np.random.default_rng(int(seed) % (2**64))
+    fold = np.empty(len(cohort), dtype=np.intp)
+    for _, idx in by_class:
+        # the parts of np.array_split: the first len(idx) % k folds get one more
+        q, r = divmod(len(idx), k)
+        fold[rng.permutation(idx)] = np.repeat(np.arange(k), [q + 1] * r + [q] * (k - r))
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
 # ---------------------------------------------------------------------------

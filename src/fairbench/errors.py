@@ -4,35 +4,26 @@ from __future__ import annotations
 
 
 class FairbenchError(Exception):
-    """Base class for all validation and contract errors raised by fairbench."""
+    """Base class for all validation and contract errors raised by fairbench.
+
+    An error is its type and its message, with no other state, so it pickles
+    and crosses a process pool intact."""
 
 
 class MissingColumn(FairbenchError):
-    def __init__(self, columns):
-        self.columns = sorted(columns)
-        super().__init__(f"CSV is missing required column(s): {', '.join(self.columns)}")
+    pass
 
 
 class UnexpectedColumn(FairbenchError):
-    def __init__(self, columns):
-        self.columns = sorted(columns)
-        super().__init__(f"CSV has unexpected column(s): {', '.join(self.columns)}")
+    pass
 
 
 class UnparsableValue(FairbenchError):
-    def __init__(self, row: int, column: str, value: str):
-        self.row = row
-        self.column = column
-        self.value = value
-        super().__init__(f"row {row}, column {column!r}: cannot parse {value!r}")
+    pass
 
 
 class InvariantViolation(FairbenchError):
-    def __init__(self, reason: str, row: int | None = None):
-        self.row = row
-        self.reason = reason
-        where = f"row {row}: " if row is not None else ""
-        super().__init__(where + reason)
+    pass
 
 
 class EmptyCohort(FairbenchError):

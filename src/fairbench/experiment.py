@@ -242,15 +242,6 @@ def prepare_folds(cohort: Cohort, config: ExperimentConfig,
     return out
 
 
-def _annotate(exc: FairbenchError, context: str) -> FairbenchError:
-    try:
-        new = type(exc)(f"{context}: {exc}")
-    except TypeError:
-        new = FairbenchError(f"{context}: {exc}")
-    new.__cause__ = exc
-    return new
-
-
 def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _FoldData,
                    master_seed: int, n_repeats: int) -> list[tuple]:
     """Every model's results on one (protocol, fold) pair, in ``specs`` order:
@@ -267,11 +258,11 @@ def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _Fol
                                                                spec.name, protocol, f)),
                                 fd.X_train, fd.y_train))
         except FairbenchError as exc:
-            raise _annotate(exc, f"(model={spec.name}, protocol={protocol}, fold={f})") from exc
+            raise type(exc)(f"(model={spec.name}, protocol={protocol}, fold={f}): {exc}") from exc
     try:
         y_hats = predict_many(fitted, fd.X_test)
     except FairbenchError as exc:
-        raise _annotate(exc, f"(protocol={protocol}, fold={f})") from exc
+        raise type(exc)(f"(protocol={protocol}, fold={f}): {exc}") from exc
 
     grouped = None
     if protocol == AWARE:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -263,6 +264,24 @@ def test_a_validation_error_is_printed_once(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(missing) in lines[0]
+
+
+def test_a_k_folds_beyond_the_classes_exits_1_before_any_fold_is_made(tmp_path):
+    # the child alone is capped at 2 GiB, so a split that made k folds before
+    # it checked the classes fails fast instead of taking the machine's memory
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("FAIRBENCH_LOG", None)
+    config = tmp_path / "config.yaml"
+    config.write_text("models: [logr]\nprotocols: [unaware]\nk_folds: 1000000000\n")
+    proc = subprocess.run([sys.executable, "-m", "fairbench.cli", "run", "--config", str(config),
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30,) * 2))
+    assert proc.returncode == 1  # no traceback: the message is all of stderr
+    assert proc.stderr == ("error: (k_folds=1000000000) class ITP has 100 records, "
+                           "needs at least k=1000000000\n")
 
 
 def _itp(doc: dict) -> dict:

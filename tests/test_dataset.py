@@ -1,7 +1,10 @@
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
-from fairbench import dataset
+from fairbench import dataset, errors
 from fairbench.dataset import (
     CLINICAL_COLUMNS,
     CSV_HEADER,
@@ -179,6 +182,97 @@ def test_load_rejects_unparsable_value(tmp_path):
     )
     with pytest.raises(UnparsableValue, match="age_last_seen"):
         load_cohort_csv(path)
+
+
+GOOD_CSV = ",".join(CSV_HEADER) + """
+2010,60,20,140,5,8,4.5,10,F,White,ITP
+2011,61,21,141,5,8,4.5,11,F,Asian,ITP
+2012,62,22,142,5,8,4.5,250,M,Black,NonITP
+2013,63,23,143,5,8,4.5,251,M,Other,NonITP
+"""
+
+
+# (first occurrence in GOOD_CSV, its replacement, error type, the error's full message)
+CSV_ERRORS = {
+    "missing-column": (",race,", ",", MissingColumn, "CSV is missing required column(s): race"),
+    "two-missing-columns": (",rbc_ct,dx_plt_ct,", ",", MissingColumn,
+                            "CSV is missing required column(s): dx_plt_ct, rbc_ct"),
+    "unexpected-column": ("label\n", "label,oops\n", UnexpectedColumn,
+                          "CSV has unexpected column(s): oops"),
+    "column-named-twice": ("label\n", "label,alt\n", FairbenchError,
+                           "CSV names column(s) more than once: alt"),
+    "unparsable-cell": ("2011,61,", "2011,sixty,", UnparsableValue,
+                        "row 2, column 'age_last_seen': cannot parse 'sixty'"),
+    "empty-cell": ("2012,62,22,", "2012,62,,", UnparsableValue,
+                   "row 3, column 'alt': cannot parse ''"),
+    "non-integral-year": ("2013,", "2013.5,", UnparsableValue,
+                          "row 4, column 'diagnosis_year': cannot parse '2013.5'"),
+    "short-row": (",F,Asian,ITP\n", ",F,Asian\n", UnparsableValue,
+                  "row 2, column 'label': cannot parse ''"),
+    "short-numeric-row": ("2012,62,22,142,5,8,4.5,250,M,Black,NonITP", "2012,62,22",
+                          UnparsableValue, "row 3, column 'dx_hb_ct': cannot parse ''"),
+    "bad-gender": ("M,Black", "X,Black", UnparsableValue,
+                   "row 3, column 'gender': cannot parse 'X'"),
+    "bad-race": ("Asian", " Martian ", UnparsableValue,
+                 "row 2, column 'race': cannot parse ' Martian '"),
+    "bad-label": ("NonITP\n2013", "Maybe\n2013", UnparsableValue,
+                  "row 3, column 'label': cannot parse 'Maybe'"),
+    "long-row": ("Other,NonITP", "Other,NonITP,7,8", InvariantViolation,
+                 "row 4: 2 cell(s) more than the header's 11 columns"),
+    "invariant": (",11,F", ",-1,F", InvariantViolation,
+                  "row 2: dx_plt_ct must be finite and non-negative, got -1.0"),
+    "one-per-class": ("Other,NonITP", "Other,ITP", InvariantViolation,
+                      "need at least 2 records per class, got ITP=3, NonITP=1"),
+}
+
+
+@pytest.mark.parametrize("old, new, kind, message", CSV_ERRORS.values(), ids=CSV_ERRORS)
+def test_each_csv_error_has_its_exact_type_and_message(tmp_path, old, new, kind, message):
+    path = tmp_path / "bad.csv"
+    assert old in GOOD_CSV
+    path.write_text(GOOD_CSV.replace(old, new, 1))
+    with pytest.raises(FairbenchError) as caught:
+        load_cohort_csv(path)
+    assert type(caught.value) is kind
+    assert str(caught.value) == message
+
+
+def test_the_unedited_csv_loads(tmp_path):
+    path = tmp_path / "good.csv"
+    path.write_text(GOOD_CSV)
+    cohort = load_cohort_csv(path)
+    assert (cohort.n_itp, cohort.n_non_itp) == (2, 2)
+
+
+def test_the_year_bound_is_2100_whatever_the_date(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(GOOD_CSV.replace("2013,", "2100,", 1))
+    assert load_cohort_csv(path).column("diagnosis_year").max() == 2100
+    path.write_text(GOOD_CSV.replace("2013,", "2101,", 1))
+    with pytest.raises(InvariantViolation) as caught:
+        load_cohort_csv(path)
+    assert str(caught.value) == "row 4: diagnosis_year 2101 outside [1900, 2100]"
+
+
+@pytest.mark.parametrize("kind", [t for t in vars(errors).values()
+                                  if isinstance(t, type) and issubclass(t, FairbenchError)],
+                         ids=lambda t: t.__name__)
+def test_every_error_survives_pickling(kind):
+    exc = kind("row 3, column 'alt': cannot parse 'x'")
+    again = pickle.loads(pickle.dumps(exc))
+    assert type(again) is kind
+    assert str(again) == str(exc)
+
+
+def test_a_csv_error_in_a_pool_worker_reaches_the_caller_intact(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(GOOD_CSV.replace("2011,61,", "2011,sixty,", 1))
+    with pytest.raises(UnparsableValue) as here:
+        load_cohort_csv(path)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(UnparsableValue) as there:
+            pool.submit(load_cohort_csv, path).result(timeout=60)
+    assert str(there.value) == str(here.value)
 
 
 def test_load_rejects_empty_file(tmp_path):
@@ -426,6 +520,31 @@ def test_kfold_balanced_assignment_on_uneven_cohort():
         assert non == 1
         assert itp in (1, 2)
     assert sorted(itp_counts) == [1, 1, 1, 2, 2]
+
+
+def array_split_kfold(cohort, k, seed):
+    """The split as first written: each class's permutation, ITP first, cut
+    by np.array_split, and a fold's test rows sorted."""
+    rng = np.random.default_rng(int(seed) % (2**64))
+    test_parts = [[] for _ in range(k)]
+    for cls in (1, 0):
+        perm = rng.permutation(np.flatnonzero(cohort.y == cls))
+        for fold_i, part in enumerate(np.array_split(perm, k)):
+            test_parts[fold_i].append(part)
+    tests = [np.sort(np.concatenate(parts)) for parts in test_parts]
+    return [(np.setdiff1d(np.arange(len(cohort)), test, assume_unique=True), test)
+            for test in tests]
+
+
+def test_kfold_equals_the_array_split_reference():
+    cohort = synthesize_cohort(default_cohort_spec(), seed=42)  # 100 ITP, 50 NonITP
+    for k in range(2, 40):
+        for seed in range(20):
+            got, want = stratified_kfold(cohort, k, seed), array_split_kfold(cohort, k, seed)
+            assert len(got) == len(want) == k
+            for a, b in zip(got, want):
+                for x, y in zip(a, b):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_kfold_rejects_small_class():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fairbench import experiment
+from fairbench import errors, experiment
 from fairbench.cli import main
 from fairbench.dataset import (
     AWARE,
@@ -424,6 +424,23 @@ def test_too_few_samples_error_carries_fold_context():
                            models=(ModelSpec("tree"),))
     with pytest.raises(TooFewSamples, match="k_folds=7"):
         run_experiment(cfg)
+
+
+ERROR_TYPES = [t for t in vars(errors).values()
+               if isinstance(t, type) and issubclass(t, FairbenchError)]
+
+
+@pytest.mark.parametrize("kind", ERROR_TYPES, ids=lambda t: t.__name__)
+def test_a_training_error_keeps_its_type_and_gains_the_pair(monkeypatch, kind):
+    def fail(spec, X, y):
+        raise kind("boom")
+
+    monkeypatch.setattr(experiment, "train", fail)
+    cfg = small_config(k_folds=2, protocols=(UNAWARE,), models=(ModelSpec("tree"),))
+    with pytest.raises(kind) as caught:
+        run_experiment(cfg)
+    assert str(caught.value) == "(model=dt, protocol=unaware, fold=0): boom"
+    assert type(caught.value.__cause__) is kind
 
 
 # ---------------------------------------------------------------------------
