@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 
 import numpy as np
@@ -314,6 +313,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # the pool forks every worker up front: never more than can be kept busy
     n_workers = min(config.n_workers, len(pairs), os.cpu_count() or 1)
     if n_workers > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = dict(zip(pairs, pool.map(_evaluate_pair, *args)))
     else:

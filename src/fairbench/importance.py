@@ -12,23 +12,14 @@ from .metrics import macro_f1, macro_f1_rows
 from .models import predict_many
 from .rng import derive_rng
 
-# most rows passed to one predict_many call
+# most pending rows: a target that would take the pending rows beyond this
+# many sends those before it to predict_many first
 CHUNK_ROWS = 4096
 
 
 def _rng_for(seed: int, column_key: int, repeat: int) -> np.random.Generator:
     # one independent stream per (column, repeat); tests may monkeypatch this
     return derive_rng(seed, "perm", column_key, repeat)
-
-
-def _predict(models: Sequence, rows: np.ndarray) -> np.ndarray:
-    """Every model's labels for ``rows`` as one (models, rows) int8 array, from
-    predict_many calls of at most ``CHUNK_ROWS`` rows each."""
-    labels = np.empty((len(models), len(rows)), dtype=np.int8)
-    for start in range(0, len(rows), CHUNK_ROWS):
-        for m, pred in enumerate(predict_many(models, rows[start:start + CHUNK_ROWS])):
-            labels[m, start:start + len(pred)] = pred
-    return labels
 
 
 def _changed_rows(X: np.ndarray, cols: tuple[int, ...],
@@ -78,16 +69,18 @@ def permutation_importance(
     shuffled values equal its own keeps its baseline label, and a changed row
     that recurs in several repeats of a target (same row, same new values) is
     predicted once. The distinct rows of successive targets are predicted
-    together, at most ``CHUNK_ROWS`` per call, so ``predict`` must be
-    row-independent: the label of a row may not depend on the other rows
-    passed with it. All five model families are in their arithmetic, but not
-    at the bit level. A KNN distance and an SVM kernel value come from a
-    matrix product (GEMM), and with OpenBLAS 0.3.31 on x86-64 a row's bits
-    can change with the number of rows multiplied with it when the training
-    side has a column count that is not a multiple of 8 (seen at 300, 1199,
-    1204, 1206 and 1500 training rows, not at 120 or 1200), and a one-row
-    kernel block goes to gemv, the matrix-vector product, whose bits differ
-    from GEMM's. The products that finish the SVM and logistic decisions
+    together, in one predict_many call per ``CHUNK_ROWS`` rows (or per target
+    larger than that), and each model cuts them into the blocks of one
+    iterator, models._row_blocks. So ``predict`` must be row-independent: the
+    label of a row may not depend on the other rows passed with it. All five
+    model families are in their arithmetic, but not at the bit level. A KNN
+    distance and an SVM kernel value come from a matrix product (GEMM), and
+    with OpenBLAS 0.3.31 on x86-64 a row's bits can change with the number of
+    rows multiplied with it when the training side has a column count that is
+    not a multiple of 8 (seen at 300, 1199, 1204, 1206 and 1500 training rows,
+    not at 120 or 1200). A one-row block would go to gemv, the matrix-vector
+    product, whose bits differ from GEMM's, so the iterator makes a lone row
+    a block of two. The products that finish the SVM and logistic decisions
     are einsum loops, whose row bits do not change with the block height;
     gemv's did, at every size tried. A label can change only on a near-exact
     tie.
@@ -108,8 +101,8 @@ def permutation_importance(
         raise DimensionMismatch(f"{len(column_names)} names for {d} columns")
 
     n = len(y)
-    base = (_predict(models, X) if predictions is None
-            else np.array(predictions, dtype=np.int8).reshape(len(models), n))
+    base = np.array(predict_many(models, X) if predictions is None else predictions,
+                    dtype=np.int8).reshape(len(models), n)
     baselines = [macro_f1(y, pred) for pred in base]
     targets: list[tuple[str, int, tuple[int, ...]]] = [
         (name, j, (j,)) for j, name in enumerate(column_names)
@@ -123,7 +116,9 @@ def permutation_importance(
     pending: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def flush():
-        labels = _predict(models, np.concatenate([rows for *_, rows in pending]))
+        batch = np.concatenate([rows for *_, rows in pending])
+        labels = np.array(predict_many(models, batch) if len(batch) else [],
+                          dtype=np.int8).reshape(len(models), len(batch))
         offset = 0
         for t, changed, inverse, rows in pending:
             # every copy of the target: the baseline labels, changed rows relabelled
@@ -138,7 +133,7 @@ def permutation_importance(
                           for r in range(n_repeats)])
         changed, inverse, rows = _changed_rows(X, cols, perms)
         if pending and sum(len(p[-1]) for p in pending) + len(rows) > CHUNK_ROWS:
-            flush()  # a target larger than CHUNK_ROWS is then split across calls
+            flush()  # a target larger than CHUNK_ROWS is then predicted alone
         pending.append((t, changed, inverse, rows))
     flush()
 

@@ -19,8 +19,9 @@ rank-codes its columns once, one contiguous row per column, and grows every
 tree of the forest in lockstep preorder without recursion: each step takes the
 next node that needs a split from every unfinished tree, each node sorts its
 own ranks, and the Gini of the cuts between distinct values of a step's nodes
-is computed in batches of at most SPLIT_BATCH sorted values). KNN and SVM prediction work in
-blocks of query rows sized to BLOCK_ELEMENTS values. Both solvers stop on a
+is computed in batches of at most SPLIT_BATCH sorted values). SVM, KNN and
+forest prediction and the SVM's diagonal take their rows in the blocks of one
+iterator, _row_blocks, sized to BLOCK_ELEMENTS values. Both solvers stop on a
 tolerance; their iteration caps are safety nets that warn with DidNotConverge.
 Trees are stored as flat preorder node arrays in a ForestModel, which keep a
 split's right child only, its left child being the next node: a decision tree
@@ -69,10 +70,10 @@ SVM_MAX_ITER = 200_000
 # rows per square product whose diagonal gives the SVM's squared norms; at
 # this size they keep the bits of X @ X.T's diagonal on the benchmark folds
 DIAGONAL_BLOCK = 32
-# values per distance or kernel block: a KNN block takes as many query rows as
-# keep its distances to every training row (and the selection temporaries of
-# that shape) within this many, an SVM block its kernel values against every
-# support vector
+# values per block of _row_blocks: a KNN block takes as many query rows as keep
+# its distances to every training row (and the selection temporaries of that
+# shape) within this many, an SVM block its kernel values against every
+# support vector, a forest block its leaf words
 BLOCK_ELEMENTS = 1 << 17
 # rank-coded elements (node rows x candidate columns) whose cuts one pass of
 # _score_cuts scores; bounds its working arrays, whatever the forest's width
@@ -229,16 +230,15 @@ def parse_model_name(name: str) -> ModelSpec:
 
 
 def _kernel_values(kernel: str, K: np.ndarray, gamma: float, coef0: float,
-                   sq_a=None, sq_b=None, scaled: bool = False) -> np.ndarray:
+                   sq_a=None, sq_b=None) -> np.ndarray:
     """K, holding the dot products a.b, turned in place into the kernel values
     exp(-gamma * max(|a|^2 - 2 a.b + |b|^2, 0)) or (gamma * a.b + coef0) ** degree.
     rbf also reads |a|^2 and |b|^2, added in that order: broadcast along K's
-    rows and its columns for a matrix, a scalar and a vector for one row. A
-    ``scaled`` rbf K holds -2 a.b already. The solver's kernel rows and the
-    blocks of SvmModel.decision_function are both made by this one transform."""
+    rows and its columns for a matrix, a scalar and a vector for one row. The
+    solver's kernel rows and the blocks of SvmModel.decision_function are both
+    made by this one transform."""
     if kernel == "rbf":
-        if not scaled:
-            K *= -2.0
+        K *= -2.0
         K += sq_a
         K += sq_b
         np.maximum(K, 0.0, out=K)
@@ -258,17 +258,34 @@ def _gram_row(X: np.ndarray, i: int) -> np.ndarray:
     return (X[[i, i]] @ X.T)[0].copy()  # a view would keep both rows alive
 
 
+def _row_blocks(X: np.ndarray, columns: int = 0, width: int = 0, step: int | None = None):
+    """Each block of X's rows, from the top, as (start, rows, A, out): the
+    block's ``rows`` rows of X as A, and ``out``, a view of A's height of one
+    (block, ``width``) array that every block of the call shares. A block
+    takes ``step`` rows, by default as many as keep ``columns`` values a row
+    within BLOCK_ELEMENTS. A lone row comes as two copies of itself, as numpy
+    would multiply one row by gemv, whose bits differ from GEMM's, so a row
+    predicted alone has the bits it has in a block; a caller keeps the first
+    ``rows`` rows of what it computes from A."""
+    if step is None:
+        step = max(1, BLOCK_ELEMENTS // max(1, columns))
+    # one block array per call, not one per block: unless a larger array
+    # freed earlier has raised glibc's mmap threshold, each fresh array of
+    # about BLOCK_ELEMENTS values is mapped and faulted in page by page
+    buffer = np.empty((max(2, min(step, len(X))), width))
+    for start in range(0, len(X), step):
+        A = X[start:start + step]
+        rows = len(A)
+        yield start, rows, A if rows > 1 else A[[0, 0]], buffer[:max(2, rows)]
+
+
 def _gram_diagonal(X: np.ndarray) -> np.ndarray:
     """The squared norms x_i . x_i, each from the diagonal of the square product
     of its block of DIAGONAL_BLOCK rows. Row norms summed directly have other
     bits than X @ X.T's diagonal."""
-    n = len(X)
-    out = np.empty(n)
-    for start in range(0, n, DIAGONAL_BLOCK):
-        B = X[start:start + DIAGONAL_BLOCK]
-        if len(B) == 1:  # a lone last row is multiplied as two, as in _gram_row
-            B = X[[start, start]]
-        out[start:start + DIAGONAL_BLOCK] = np.diag(B @ B.T)[:n - start]
+    out = np.empty(len(X))
+    for start, rows, B, _ in _row_blocks(X, step=DIAGONAL_BLOCK):
+        out[start:start + rows] = np.diag(B @ B.T)[:rows]
     return out
 
 
@@ -333,32 +350,19 @@ class SvmModel(TrainedModel):
     kkt_gap: float = 0.0  # the solver's last m - M; 0.0 when it stopped on an empty set
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Each block of rows' kernel values against the support vectors, times
-        their coefficients by einsum's loop, plus the bias. The loop's row bits
-        do not depend on the block; the kernel block's can: it is a GEMM, whose
-        row bits change with the block height when the support-vector count is
-        not a multiple of 8 (see permutation_importance). A one-row block is
-        multiplied as two copies of its row, as numpy would send one row to
-        gemv, so a row predicted alone has its bits in a two-row block."""
+        """Each block of rows' kernel values against the support vectors (see
+        _row_blocks), times their coefficients by einsum's loop, plus the bias.
+        The loop's row bits do not depend on the block; the kernel block's can:
+        it is a GEMM, whose row bits change with the block height when the
+        support-vector count is not a multiple of 8 (see permutation_importance)."""
         S, rbf = self.support_X, self.spec.kernel == "rbf"
-        # rbf's blocks are A @ (-2 S).T, with the bits of -2 (A @ S.T) as in
-        # _knn_votes; a C-contiguous copy of the transposed view can change them
-        right, sq_s = ((-2.0 * S).T, np.sum(S * S, axis=1)) if rbf else (S.T, None)
+        sq_s = np.sum(S * S, axis=1) if rbf else None
         out = np.empty(len(X))
-        step = _block_rows(len(S))
-        # one block array per call, not one per block: unless a larger array
-        # freed earlier has raised glibc's mmap threshold, each fresh array of
-        # about BLOCK_ELEMENTS values is mapped and faulted in page by page
-        block = np.empty((max(2, min(step, len(X))), len(S)))
-        for start in range(0, len(X), step):
-            A = X[start:start + step]
-            rows = len(A)
-            if rows == 1:  # multiplied as two rows: see above
-                A = A[[0, 0]]
-            K = _kernel_values(self.spec.kernel, np.matmul(A, right, out=block[:len(A)]),
-                               self.gamma, self.spec.coef0,
-                               np.sum(A * A, axis=1)[:, None] if rbf else None, sq_s,
-                               scaled=True)
+        # S.T, the transposed view: a C-contiguous copy can change the bits
+        for start, rows, A, block in _row_blocks(X, len(S), len(S)):
+            K = _kernel_values(self.spec.kernel, np.matmul(A, S.T, out=block), self.gamma,
+                               self.spec.coef0, np.sum(A * A, axis=1)[:, None] if rbf else None,
+                               sq_s)
             out[start:start + rows] = (np.einsum("ij,j->i", K, self.support_coef)
                                        + self.bias)[:rows]
         return out
@@ -371,11 +375,6 @@ class KnnModel(TrainedModel):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return _knn_votes(self.train_X, self.train_y, X, [self.spec.k_neighbors])[0]
-
-
-def _block_rows(columns: int) -> int:
-    """Query rows per block of a matrix with ``columns`` columns."""
-    return max(1, BLOCK_ELEMENTS // max(1, columns))
 
 
 def _nearest(d2: np.ndarray, kmax: int) -> np.ndarray:
@@ -417,17 +416,11 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
     W[d] = 1.0
     np.sum(train_X * train_X, axis=1, out=W[d + 1])
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
-    step = _block_rows(n)
-    # one block of query rows [b, |b|^2, 1]; at least two rows, as numpy
-    # multiplies one row by gemv, whose bits differ from GEMM's
-    Q = np.zeros((max(2, min(step, len(X))), d + 2))
-    Q[:, d + 1] = 1.0
-    for start in range(0, len(X), step):
-        B = X[start:start + step]
-        rows = len(B)
-        Q[:rows, :d] = B
-        np.sum(B * B, axis=1, out=Q[:rows, d])
-        votes = train_y[_nearest((Q[:max(2, rows)] @ W)[:rows], max(ks))]
+    for start, rows, B, Q in _row_blocks(X, n, d + 2):  # Q: the block's [b, |b|^2, 1]
+        Q[:, :d] = B
+        np.sum(B * B, axis=1, out=Q[:, d])
+        Q[:, d + 1] = 1.0
+        votes = train_y[_nearest((Q @ W)[:rows], max(ks))]
         pos = np.cumsum(votes, axis=1)
         for pred, k in zip(preds, ks):
             twice = 2 * pos[:, k - 1]
@@ -488,9 +481,7 @@ class ForestModel(TrainedModel):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         below, positive, wide, groups = self._bits
         out = np.empty(len(X), dtype=np.int64)
-        step = _block_rows(len(below))
-        for start in range(0, len(X), step):
-            B = X[start:start + step]
+        for start, rows, B, _ in _row_blocks(X, len(below)):
             parts = []  # per group, each row's reachable leaves
             for (f, thresholds, table), *rest in groups:
                 words = table.take(thresholds.searchsorted(B[:, f]), axis=0)
@@ -511,7 +502,7 @@ class ForestModel(TrainedModel):
             counts = np.bitwise_count(exits)
             # a row sum over a single word costs more than the count itself
             votes = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1)
-            out[start:start + len(B)] = votes > len(self.roots) // 2  # a tie is 0
+            out[start:start + rows] = (votes > len(self.roots) // 2)[:rows]  # a tie is 0
         return out
 
 

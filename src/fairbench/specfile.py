@@ -108,5 +108,5 @@ def load_cohort_spec(path: str | Path) -> CohortSpec:
 @functools.lru_cache(maxsize=1)
 def default_cohort_spec() -> CohortSpec:
     """Shipped calibration: 100 ITP + 50 non-ITP with published blood statistics."""
-    text = resources.files("fairbench").joinpath("data/default_cohort.yaml").read_text("utf-8")
+    text = resources.files(__package__).joinpath("data/default_cohort.yaml").read_text("utf-8")
     return cohort_spec_from_dict(yaml.safe_load(text))

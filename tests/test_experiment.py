@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import re
@@ -553,7 +554,8 @@ def test_pool_is_no_larger_than_the_work_or_the_machine(monkeypatch):
         def map(self, fn, *items):
             return map(fn, *items)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    # run_experiment imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = config_from_dict({"models": ["dt", "knn-1", "knn-2"], "k_folds": 2,
                             "n_permutation_repeats": 1, "workers": 64})
     serial = run_experiment(replace(cfg, n_workers=1)).to_json()

@@ -210,22 +210,24 @@ def test_a_split_draws_one_stream_per_target_and_repeat(monkeypatch):
 
 
 def distinct_changed_rows(X, n_repeats, seed, grouped_columns=None):
-    """Reference count of the rows a split must predict beyond its baseline:
-    the distinct (target, row, new values) over every repeat whose new values
-    differ from the row's own."""
+    """Reference count, per target, of the rows a split must predict beyond
+    its baseline: the distinct (row, new values) over every repeat whose new
+    values differ from the row's own."""
     d = X.shape[1]
     targets = [(j, (j,)) for j in range(d)]
     groups = sorted((grouped_columns or {}).items())
     targets += [(d + gi, cols) for gi, (_, cols) in enumerate(groups)]
-    seen = set()
+    counts = []
     for stream_key, cols in targets:
+        seen = set()
         for r in range(n_repeats):
             perm = importance_mod._rng_for(seed, stream_key, r).permutation(len(X))
             for i, p in enumerate(perm):
                 new = tuple(X[p, c] for c in cols)
                 if new != tuple(X[i, c] for c in cols):
-                    seen.add((stream_key, i, new))
-    return len(seen)
+                    seen.add((i, new))
+        counts.append(len(seen))
+    return counts
 
 
 def lexsort_changed_rows(X, cols, perms):
@@ -285,9 +287,16 @@ def test_each_distinct_changed_row_is_predicted_once(monkeypatch, grouped, chunk
     X, y = noisy_with_onehot(25, seed=2)
     fitted = [train(spec, X_train, y_train) for spec in FAMILIES]
     permutation_importance(fitted, X, y, n_repeats=10, seed=7, grouped_columns=grouped)
-    assert max(rows) <= chunk_rows
     assert rows[0] == len(y)  # the baseline
-    assert sum(rows[1:]) == distinct_changed_rows(X, 10, 7, grouped)
+    # successive targets share a call up to chunk_rows rows; a target that
+    # would take a call beyond them starts the next call
+    calls, pending = [], 0
+    for count in distinct_changed_rows(X, 10, 7, grouped):
+        if pending and pending + count > chunk_rows:
+            calls.append(pending)
+            pending = 0
+        pending += count
+    assert rows[1:] == calls + [pending]
     # repeats of the one-hot columns recur, and some shuffled rows keep their values
     assert sum(rows[1:]) < 10 * len(y) * (6 + (grouped is not None))
 
@@ -295,7 +304,8 @@ def test_each_distinct_changed_row_is_predicted_once(monkeypatch, grouped, chunk
 @pytest.mark.parametrize("spec", [ModelSpec("svm", kernel="rbf"), ModelSpec("knn", k_neighbors=4),
                                   ModelSpec("forest", n_trees=7, seed=3)],
                          ids=lambda s: s.name.partition("[")[0])
-def test_a_target_larger_than_a_chunk_is_split_across_calls(monkeypatch, spec):
+def test_a_target_larger_than_a_chunk_is_predicted_in_one_call(monkeypatch, spec):
+    # each model bounds its own working memory by blocks of rows
     monkeypatch.setattr(importance_mod, "CHUNK_ROWS", 7)
     rows = spy_on_predict_many(monkeypatch)
     X_train, y_train = noisy_with_onehot(60, seed=1)
@@ -304,7 +314,8 @@ def test_a_target_larger_than_a_chunk_is_split_across_calls(monkeypatch, spec):
     grouped = {"onehot (grouped)": (3, 4, 5)}
     (got,) = permutation_importance([m], X, y, n_repeats=3, seed=7, grouped_columns=grouped,
                                     predictions=[m.predict(X)])
-    assert max(rows) == 7 and sum(rows) == distinct_changed_rows(X, 3, 7, grouped)
+    per_target = distinct_changed_rows(X, 3, 7, grouped)
+    assert min(per_target) > 7 and rows == per_target
     assert got == one_copy_at_a_time(m, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
 
 

@@ -363,7 +363,7 @@ def test_svm_exit_satisfies_kkt(toy_svm_fits):
 
 @pytest.mark.parametrize("kernel", models_mod.KERNELS)
 def test_a_decision_block_has_the_kernel_matrix_bits(monkeypatch, kernel):
-    # rbf's blocks multiply by (-2 S).T instead of scaling each block by -2
+    # rbf's blocks, as the solver's rows, are scaled by -2 after the product
     rng = np.random.default_rng(5)
     shapes = ((3, 1, 4), (3, 2, 4), (37, 1, 13), (3, 17, 22), (120, 109, 13), (301, 109, 13),
               (301, 1200, 22))
@@ -1386,7 +1386,7 @@ def two_add_knn_votes(train_X, train_y, X, ks):
     minus_2xt = -2.0 * train_X.T
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
     blocks = []
-    step = models_mod._block_rows(len(train_y))
+    step = max(1, models_mod.BLOCK_ELEMENTS // len(train_y))
     for start in range(0, len(X), step):
         B = X[start:start + step]
         d2 = B @ minus_2xt
