@@ -10,15 +10,18 @@ clinical) and demographic-aware (those 7 plus gender, race one-hot and age =
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import (
     DimensionMismatch,
@@ -99,7 +102,7 @@ class Cohort:
                 f"column shapes disagree: numeric {numeric.shape}, gender {gender.shape}, "
                 f"race {race.shape}, y {y.shape}"
             )
-        _check_rows(numeric, gender, race, y)
+        _raise_first_failure(_row_checks(numeric, gender, race, y))
         object.__setattr__(self, "numeric", numeric)
         object.__setattr__(self, "gender", gender)
         object.__setattr__(self, "race", race)
@@ -114,8 +117,8 @@ class Cohort:
         return self.numeric[:, NUMERIC_FIELDS.index(name)]
 
 
-def _check_rows(numeric: np.ndarray, gender: np.ndarray, race: np.ndarray, y: np.ndarray) -> None:
-    """Raise for the first row failing a check; checks run in field order."""
+def _row_checks(numeric: np.ndarray, gender: np.ndarray, race: np.ndarray, y: np.ndarray) -> list:
+    """Cohort's checks, in field order, as (failing rows, error of a 0-based row)."""
     year, age = numeric[:, 0], numeric[:, 1]
 
     def value(j, i):
@@ -136,12 +139,16 @@ def _check_rows(numeric: np.ndarray, gender: np.ndarray, race: np.ndarray, y: np
         (~np.isin(race, RACES), lambda i: f"race must be one of {RACES}, got {str(race[i])!r}"),
         (~np.isin(y, (0, 1)), lambda i: f"y must be 0 (NonITP) or 1 (ITP), got {y[i]}"),
     ]
+    return [(mask, lambda i, m=m: InvariantViolation(f"row {i + 1}: {m(i)}")) for mask, m in checks]
+
+
+def _raise_first_failure(checks: list) -> None:
+    """Raise the first failing row's error from its first failing (rows, error) check."""
     failed = np.array([mask for mask, _ in checks])
     bad_rows = np.flatnonzero(failed.any(axis=0))
     if bad_rows.size:
         row = int(bad_rows[0])
-        _, message = checks[int(np.argmax(failed[:, row]))]
-        raise InvariantViolation(f"row {row + 1}: {message(row)}")
+        raise checks[int(np.argmax(failed[:, row]))][1](row)
 
 
 def _require_two_per_class(cohort: Cohort) -> Cohort:
@@ -158,13 +165,12 @@ def _require_two_per_class(cohort: Cohort) -> Cohort:
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------
 
-_GENDER_ALIASES = {"M": "M", "F": "F", "Male": "M", "Female": "F"}
-
 
 def load_cohort_csv(path: str | Path) -> Cohort:
     """Read a UTF-8 cohort CSV (see CSV_HEADER) into a validated cohort, order
     preserved. Its source names the path and the first 16 hex digits of the
-    sha256 of the file's bytes."""
+    sha256 of the file's bytes. A file with bad rows raises for the first of
+    them: its cells are checked in CSV_HEADER order, then Cohort's checks."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -174,62 +180,49 @@ def load_cohort_csv(path: str | Path) -> Cohort:
     except UnicodeDecodeError as exc:
         raise FairbenchError(f"{path}: not a UTF-8 CSV: {exc}") from exc
     source = f"csv:{path} sha256:{hashlib.sha256(data).hexdigest()[:16]}"
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames or []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, [])
+        rows = [row for row in reader if row]  # a blank line holds no row
+    except csv.Error as exc:
+        raise FairbenchError(f"{path}: CSV line {reader.line_num}: {exc}") from None
     repeated = {name for name in header if header.count(name) > 1}
-    if repeated:
-        raise FairbenchError(f"CSV names column(s) more than once: {', '.join(sorted(repeated))}")
-    missing = set(CSV_HEADER) - set(header)
-    if missing:
-        raise MissingColumn(f"CSV is missing required column(s): {', '.join(sorted(missing))}")
-    extra = set(header) - set(CSV_HEADER)
-    if extra:
-        raise UnexpectedColumn(f"CSV has unexpected column(s): {', '.join(sorted(extra))}")
-
-    rows = []
-    for i, row in enumerate(reader, start=1):
-        try:
-            rows.append(_parse_row(i, row))
-        except (UnparsableValue, InvariantViolation):
-            if rows:  # an invalid earlier row is reported first
-                _cohort_from_rows(rows, source)
-            raise
+    for kind, names, what in (
+            (FairbenchError, repeated, "names column(s) more than once"),
+            (MissingColumn, set(CSV_HEADER) - set(header), "is missing required column(s)"),
+            (UnexpectedColumn, set(header) - set(CSV_HEADER), "has unexpected column(s)")):
+        if names:
+            raise kind(f"CSV {what}: {', '.join(sorted(names))}")
     if not rows:
         raise EmptyCohort(f"{path} has a header but no data rows")
-    return _require_two_per_class(_cohort_from_rows(rows, source))
 
-
-def _parse_row(row_no: int, row: dict) -> tuple[list[float], str, str, str]:
-    if None in row:  # DictReader files a long row's extra cells under None
-        raise InvariantViolation(f"row {row_no}: {len(row[None])} cell(s) more than the header's "
-                                 f"{len(CSV_HEADER)} columns")
-    cells = {name: row[name] or "" for name in CSV_HEADER}  # a short row's missing cells are None
-
-    def unparsable(name):
-        return UnparsableValue(f"row {row_no}, column {name!r}: cannot parse {cells[name]!r}")
-
-    values = []
-    for name in NUMERIC_FIELDS:
-        try:
-            v = float(cells[name])
-        except ValueError:
-            raise unparsable(name) from None
-        if name == "diagnosis_year" and not v.is_integer():
-            raise unparsable(name)
-        values.append(v)
-    gender = _GENDER_ALIASES.get(cells["gender"].strip())
-    race, label = cells["race"].strip(), cells["label"].strip()
-    for name, ok in (("gender", gender is not None), ("race", race in RACES),
-                     ("label", label in LABELS)):
-        if not ok:
-            raise unparsable(name)
-    return values, gender, race, label
-
-
-def _cohort_from_rows(rows: list, source: str) -> Cohort:
-    numeric, gender, race, label = zip(*rows)
-    return Cohort(numeric=numeric, gender=gender, race=race,
-                  y=np.asarray(label, dtype=str) == "ITP", source=source)
+    # the columns by name, a short row's missing cells read as ""; the header
+    # goes last, so that every name has a column even if no row is as long
+    columns = itertools.zip_longest(*rows, header, fillvalue="")
+    cells = {name: np.array(col[:-1], dtype=StringDType()) for name, col in zip(header, columns)}
+    numbers = np.stack([cells[name] for name in NUMERIC_FIELDS], axis=1)
+    try:  # by Python's float grammar
+        numeric, unparsable = numbers.astype(float), np.zeros(numbers.shape, dtype=bool)
+    except ValueError:  # NaN where a cell does not parse; find them one at a time
+        numeric, unparsable = np.full(numbers.shape, np.nan), np.ones(numbers.shape, dtype=bool)
+        for at, cell in np.ndenumerate(numbers):
+            with contextlib.suppress(ValueError):
+                numeric[at], unparsable[at] = float(cell), False
+    year = numeric[:, 0]
+    unparsable[:, 0] |= ~np.isfinite(year) | (np.trunc(year) != year)
+    gender, race, label = (np.strings.strip(cells[name]) for name in ("gender", "race", "label"))
+    bad_cells = [*unparsable.T, ~np.isin(gender, GENDERS + ("Female", "Male")),
+                 ~np.isin(race, RACES), ~np.isin(label, LABELS)]  # in CSV_HEADER order
+    surplus = np.array(list(map(len, rows))) - len(CSV_HEADER)
+    checks = [(surplus > 0, lambda i: InvariantViolation(
+        f"row {i + 1}: {surplus[i]} cell(s) more than the header's {len(CSV_HEADER)} columns"))]
+    checks += [(bad, lambda i, name=name: UnparsableValue(
+        f"row {i + 1}, column {name!r}: cannot parse {cells[name][i]!r}"))
+        for name, bad in zip(CSV_HEADER, bad_cells)]
+    gender, y = np.where(np.isin(gender, ("M", "Male")), "M", "F"), label == "ITP"
+    _raise_first_failure(checks + _row_checks(numeric, gender, race, y))
+    return _require_two_per_class(Cohort(numeric=numeric, gender=gender, race=race.tolist(),
+                                         y=y, source=source))
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> Path:
@@ -481,15 +474,16 @@ def _sample_variable(block: StatBlock, n: int, rng: np.random.Generator, shapes)
         return np.full(n, float(block.lo))
     a, b = shapes
     span = block.hi - block.lo
-    tol = MOMENT_TOLERANCE * span
+    limit = _RETRY_FRACTION * (MOMENT_TOLERANCE * span)
+    middle = [(n - 1) // 2, n // 2]  # np.median is their mean; its first call imports numpy.ma
 
     for _ in range(_MAX_REDRAWS):
         x = block.lo + span * rng.beta(a, b, n)
         ok = True
         if block.mean is not None:
-            ok &= abs(float(x.mean()) - block.mean) <= _RETRY_FRACTION * tol
+            ok &= abs(float(x.mean()) - block.mean) <= limit
         if block.median is not None:
-            ok &= abs(float(np.median(x)) - block.median) <= _RETRY_FRACTION * tol
+            ok &= abs(float(np.partition(x, middle)[middle].mean()) - block.median) <= limit
         if ok:
             return x
     raise InfeasibleSpec(

@@ -61,6 +61,8 @@ from .specfile import (
 )
 
 SENSITIVE_ATTRIBUTES = ("gender", "race", "age")
+# each importance target shuffles its rows as one (repeats, rows) stack
+MAX_PERMUTATION_REPEATS = 1000
 # ExperimentConfig field -> its key in a config file, where the two differ
 _CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers", "cohort_csv": "cohort.csv",
                 "cohort_seed": "cohort.synthetic.seed"}
@@ -141,6 +143,8 @@ class ExperimentConfig:
             raise ConfigError("a CSV cohort (cohort_csv) takes no cohort_spec or cohort_seed")
         if self.k_folds < 2:
             raise ConfigError("k_folds must be >= 2")
+        if self.n_permutation_repeats > MAX_PERMUTATION_REPEATS:
+            raise ConfigError(f"n_permutation_repeats must be at most {MAX_PERMUTATION_REPEATS}")
         if not self.models:
             raise ConfigError("model grid must not be empty")
         if any(p not in PROTOCOLS for p in self.protocols) or not self.protocols:

@@ -247,7 +247,13 @@ def _kernel_values(kernel: str, K: np.ndarray, gamma: float, coef0: float,
     elif kernel != "ln":
         K *= gamma
         K += coef0
-        K **= int(kernel[1])  # degree 2 keeps the square path of **
+        # by products: numpy's pow gives other last bits with its AVX-512 loops off
+        if kernel == "p3":
+            K *= K * K
+        else:  # p2 squares once, p4 twice
+            K *= K
+            if kernel == "p4":
+                K *= K
     return K
 
 

@@ -178,6 +178,7 @@ def test_run_invalid_config_exits_1(tmp_path):
     'seed: "7"',
     "cohort: {synthetic: {seed: 1.5}}",
     'n_permutation_repeats: "10"',
+    "n_permutation_repeats: 1.0e+308",
     'age_bin_edges: "45"',
     "age_bin_edges: [true, 65]",
     "age_bin_edges: [.nan]",
@@ -350,6 +351,16 @@ def test_run_cohort_csv_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(csv_path) in err
+
+
+def test_run_cohort_csv_with_an_oversized_cell_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("diagnosis_year,race\n2010," + "x" * 200_000 + "\n")
+    config = tmp_path / "config.yaml"
+    config.write_text(f"cohort: {{csv: {csv_path}}}\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: CSV line 2: field larger than field limit")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,10 @@
+import csv
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +228,16 @@ CSV_ERRORS = {
                   "row 2: dx_plt_ct must be finite and non-negative, got -1.0"),
     "one-per-class": ("Other,NonITP", "Other,ITP", InvariantViolation,
                       "need at least 2 records per class, got ITP=3, NonITP=1"),
+    # a year must be a whole number: one that is not finite does not parse
+    "nan-year": ("2012,", "nan,", UnparsableValue,
+                 "row 3, column 'diagnosis_year': cannot parse 'nan'"),
+    "inf-year": ("2012,", "inf,", UnparsableValue,
+                 "row 3, column 'diagnosis_year': cannot parse 'inf'"),
+    "overflowing-year": ("2012,", "1e400,", UnparsableValue,
+                         "row 3, column 'diagnosis_year': cannot parse '1e400'"),
+    # a row's cells are checked before Cohort's checks, whatever their columns
+    "unparsable-after-invalid": ("2011,61,21,", "2011,-1,x,", UnparsableValue,
+                                 "row 2, column 'alt': cannot parse 'x'"),
 }
 
 
@@ -235,6 +250,16 @@ def test_each_csv_error_has_its_exact_type_and_message(tmp_path, old, new, kind,
         load_cohort_csv(path)
     assert type(caught.value) is kind
     assert str(caught.value) == message
+
+
+def test_a_cell_beyond_the_csv_field_limit_names_the_file_and_its_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(GOOD_CSV.replace("2011,61,21,", "2011,61," + "1" * 200_000 + ",", 1))
+    with pytest.raises(FairbenchError) as caught:
+        load_cohort_csv(path)
+    assert type(caught.value) is FairbenchError
+    assert str(caught.value) == (f"{path}: CSV line 3: field larger than field limit "
+                                 f"({csv.field_size_limit()})")
 
 
 def test_the_unedited_csv_loads(tmp_path):
@@ -312,6 +337,19 @@ def test_synthesize_deterministic():
     assert_same_rows(a, b)
     c = synthesize_cohort(spec, 8)
     assert not np.array_equal(c.numeric, a.numeric)
+
+
+def test_synthesize_leaves_numpy_ma_unloaded():
+    # np.median's first call imports numpy.ma, about 11 ms of a cold start
+    src = str(Path(dataset.__file__).parents[1])
+    code = """import sys
+from fairbench import default_cohort_spec, synthesize_cohort
+synthesize_cohort(default_cohort_spec(), 7)
+assert "numpy.ma" not in sys.modules
+"""
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_synthesize_samples_within_ranges():

@@ -136,6 +136,16 @@ def test_config_rejects_bad_values():
         ExperimentConfig(models=ModelSpec("tree"))
 
 
+@pytest.mark.parametrize("repeats", [1.0e308, 1001])
+def test_config_bounds_the_permutation_repeats(repeats):
+    # each importance target shuffles its rows as one (repeats, rows) stack;
+    # 1e308 repeats failed to allocate only after the first fold was trained
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig(n_permutation_repeats=repeats)
+    assert str(caught.value) == "n_permutation_repeats must be at most 1000"
+    assert ExperimentConfig(n_permutation_repeats=1000).n_permutation_repeats == 1000
+
+
 @pytest.mark.parametrize("kwargs", [
     {"k_folds": 2.5},
     {"n_permutation_repeats": 1.5},

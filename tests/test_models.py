@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -175,7 +179,8 @@ def kernel_formula(kernel, A, B, gamma, coef0):
     if kernel == "rbf":
         sq = np.sum(A * A, axis=1)[:, None] - 2.0 * (A @ B.T) + np.sum(B * B, axis=1)[None, :]
         return np.exp(-gamma * np.maximum(sq, 0.0))
-    return (gamma * (A @ B.T) + coef0) ** int(kernel[1])
+    K = gamma * (A @ B.T) + coef0
+    return {"p2": K * K, "p3": (K * K) * K, "p4": (K * K) * (K * K)}[kernel]
 
 
 @pytest.mark.parametrize("kernel", ["ln", "rbf", "p2", "p3", "p4"])
@@ -186,6 +191,26 @@ def test_kernel_matrix_is_bit_equal_to_the_formula(kernel):
     for X, Y in ((A, A), (A, B), (B, A)):
         got = kernel_matrix(kernel, X, Y, 0.37, 1.3)
         assert got.tobytes() == kernel_formula(kernel, X, Y, 0.37, 1.3).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["p3", "p4"])
+def test_polynomial_kernel_bits_do_not_change_with_numpy_avx512_loops_off(kernel):
+    # numpy's pow gives other last bits without its AVX-512 loops, its products
+    # do not; on a host without AVX-512 both runs take the same loops anyway
+    code = f"""
+import hashlib, numpy as np
+from fairbench.models import _kernel_values
+dots = np.random.default_rng(3).random(1 << 16) * 4.0
+print(hashlib.sha256(_kernel_values({kernel!r}, dots, 0.37, 1.3).tobytes()).hexdigest())
+"""
+    src = str(Path(models_mod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    dots = np.random.default_rng(3).random(1 << 16) * 4.0
+    here = hashlib.sha256(models_mod._kernel_values(kernel, dots, 0.37, 1.3).tobytes()).hexdigest()
+    assert done.stdout.split() == [here]
 
 
 # ---------------------------------------------------------------------------
