@@ -10,7 +10,6 @@ clinical) and demographic-aware (those 7 plus gender, race one-hot and age =
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.dtypes import StringDType
 
 from .errors import (
     DimensionMismatch,
@@ -118,7 +116,7 @@ class Cohort:
 
 
 def _row_checks(numeric: np.ndarray, gender: np.ndarray, race: np.ndarray, y: np.ndarray) -> list:
-    """Cohort's checks, in field order, as (failing rows, error of a 0-based row)."""
+    """Cohort's checks in field order, as _raise_first_failure takes them."""
     year, age = numeric[:, 0], numeric[:, 1]
 
     def value(j, i):
@@ -139,16 +137,17 @@ def _row_checks(numeric: np.ndarray, gender: np.ndarray, race: np.ndarray, y: np
         (~np.isin(race, RACES), lambda i: f"race must be one of {RACES}, got {str(race[i])!r}"),
         (~np.isin(y, (0, 1)), lambda i: f"y must be 0 (NonITP) or 1 (ITP), got {y[i]}"),
     ]
-    return [(mask, lambda i, m=m: InvariantViolation(f"row {i + 1}: {m(i)}")) for mask, m in checks]
+    return [(mask, InvariantViolation, lambda n, i, m=m: f"row {n}: {m(i)}") for mask, m in checks]
 
 
-def _raise_first_failure(checks: list) -> None:
-    """Raise the first failing row's error from its first failing (rows, error) check."""
-    failed = np.array([mask for mask, _ in checks])
-    bad_rows = np.flatnonzero(failed.any(axis=0))
-    if bad_rows.size:
-        row = int(bad_rows[0])
-        raise checks[int(np.argmax(failed[:, row]))][1](row)
+def _raise_first_failure(checks: list, start: int = 0) -> None:
+    """Raise for the first failing row its first failing check, each one (failing
+    rows, error type, message(row number, row index)); rows count from start + 1."""
+    failed = np.array([mask for mask, *_ in checks])
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=0)))
+        _, kind, message = checks[int(np.argmax(failed[:, row]))]
+        raise kind(message(start + row + 1, row))
 
 
 def _require_two_per_class(cohort: Cohort) -> Cohort:
@@ -165,12 +164,16 @@ def _require_two_per_class(cohort: Cohort) -> Cohort:
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------
 
+# each text column's accepted cells, once stripped, and what they read as ("" for others)
+_SPELLINGS = {"gender": {"M": "M", "F": "F", "Male": "M", "Female": "F"},
+              "race": dict(zip(RACES, RACES)), "label": dict(zip(LABELS, LABELS))}
+_CSV_BLOCK_ROWS = 256  # rows made columns at a time, so few cells are held at once
+
 
 def load_cohort_csv(path: str | Path) -> Cohort:
     """Read a UTF-8 cohort CSV (see CSV_HEADER) into a validated cohort, order
     preserved. Its source names the path and the first 16 hex digits of the
-    sha256 of the file's bytes. A file with bad rows raises for the first of
-    them: its cells are checked in CSV_HEADER order, then Cohort's checks."""
+    sha256 of the file's bytes. A file with bad rows raises for the first."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -183,46 +186,46 @@ def load_cohort_csv(path: str | Path) -> Cohort:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, [])
-        rows = [row for row in reader if row]  # a blank line holds no row
+        repeated = {name for name in header if header.count(name) > 1}
+        for kind, names, what in (
+                (FairbenchError, repeated, "names column(s) more than once"),
+                (MissingColumn, set(CSV_HEADER) - set(header), "is missing required column(s)"),
+                (UnexpectedColumn, set(header) - set(CSV_HEADER), "has unexpected column(s)")):
+            if names:
+                raise kind(f"CSV {what}: {', '.join(sorted(names))}")
+        rows, blocks = filter(None, reader), []  # a blank line holds no row
+        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):  # all full but the last
+            blocks.append(_csv_columns(block, header, start=_CSV_BLOCK_ROWS * len(blocks)))
     except csv.Error as exc:
         raise FairbenchError(f"{path}: CSV line {reader.line_num}: {exc}") from None
-    repeated = {name for name in header if header.count(name) > 1}
-    for kind, names, what in (
-            (FairbenchError, repeated, "names column(s) more than once"),
-            (MissingColumn, set(CSV_HEADER) - set(header), "is missing required column(s)"),
-            (UnexpectedColumn, set(header) - set(CSV_HEADER), "has unexpected column(s)")):
-        if names:
-            raise kind(f"CSV {what}: {', '.join(sorted(names))}")
-    if not rows:
+    if not blocks:
         raise EmptyCohort(f"{path} has a header but no data rows")
+    return _require_two_per_class(Cohort(*map(np.concatenate, zip(*blocks)), source=source))
 
-    # the columns by name, a short row's missing cells read as ""; the header
-    # goes last, so that every name has a column even if no row is as long
-    columns = itertools.zip_longest(*rows, header, fillvalue="")
-    cells = {name: np.array(col[:-1], dtype=StringDType()) for name, col in zip(header, columns)}
-    numbers = np.stack([cells[name] for name in NUMERIC_FIELDS], axis=1)
-    try:  # by Python's float grammar
-        numeric, unparsable = numbers.astype(float), np.zeros(numbers.shape, dtype=bool)
-    except ValueError:  # NaN where a cell does not parse; find them one at a time
-        numeric, unparsable = np.full(numbers.shape, np.nan), np.ones(numbers.shape, dtype=bool)
-        for at, cell in np.ndenumerate(numbers):
-            with contextlib.suppress(ValueError):
-                numeric[at], unparsable[at] = float(cell), False
-    year = numeric[:, 0]
-    unparsable[:, 0] |= ~np.isfinite(year) | (np.trunc(year) != year)
-    gender, race, label = (np.strings.strip(cells[name]) for name in ("gender", "race", "label"))
-    bad_cells = [*unparsable.T, ~np.isin(gender, GENDERS + ("Female", "Male")),
-                 ~np.isin(race, RACES), ~np.isin(label, LABELS)]  # in CSV_HEADER order
-    surplus = np.array(list(map(len, rows))) - len(CSV_HEADER)
-    checks = [(surplus > 0, lambda i: InvariantViolation(
-        f"row {i + 1}: {surplus[i]} cell(s) more than the header's {len(CSV_HEADER)} columns"))]
-    checks += [(bad, lambda i, name=name: UnparsableValue(
-        f"row {i + 1}, column {name!r}: cannot parse {cells[name][i]!r}"))
-        for name, bad in zip(CSV_HEADER, bad_cells)]
-    gender, y = np.where(np.isin(gender, ("M", "Male")), "M", "F"), label == "ITP"
-    _raise_first_failure(checks + _row_checks(numeric, gender, race, y))
-    return _require_two_per_class(Cohort(numeric=numeric, gender=gender, race=race.tolist(),
-                                         y=y, source=source))
+
+def _csv_columns(rows: list, header: list, start: int) -> tuple:
+    """(numeric, gender, race, y) of data rows start + 1, ...; raises for the first bad row."""
+    # the cells by column name, a short row's missing ones as ""
+    cells = dict(zip(header, zip(*(row + [""] * (len(header) - len(row)) for row in rows))))
+    numeric = np.empty((len(rows), len(NUMERIC_FIELDS)))
+    unparsable = np.zeros(numeric.shape, dtype=bool)
+    for j, name in enumerate(NUMERIC_FIELDS):
+        for i, cell in enumerate(cells[name]):
+            try:  # by Python's float grammar
+                numeric[i, j] = float(cell)
+            except ValueError:
+                numeric[i, j], unparsable[i, j] = np.nan, True
+    unparsable[:, 0] |= ~np.isfinite(numeric[:, 0]) | (np.trunc(numeric[:, 0]) != numeric[:, 0])
+    gender, race, label = (np.array([spellings.get(cell.strip(), "") for cell in cells[name]])
+                           for name, spellings in _SPELLINGS.items())
+    bad_cells = [*unparsable.T, gender == "", race == "", label == ""]  # CSV_HEADER's order
+    surplus = np.array([len(row) for row in rows]) - len(CSV_HEADER)
+    checks = [(surplus > 0, InvariantViolation, lambda n, i: f"row {n}: {surplus[i]} cell(s) "
+               f"more than the header's {len(CSV_HEADER)} columns")]
+    checks += [(bad, UnparsableValue, lambda n, i, name=name: f"row {n}, column {name!r}: "
+                f"cannot parse {cells[name][i]!r}") for name, bad in zip(CSV_HEADER, bad_cells)]
+    _raise_first_failure(checks + _row_checks(numeric, gender, race, label == "ITP"), start)
+    return numeric, gender, race, label == "ITP"
 
 
 def write_cohort_csv(cohort: Cohort, path: str | Path) -> Path:
@@ -474,16 +477,15 @@ def _sample_variable(block: StatBlock, n: int, rng: np.random.Generator, shapes)
         return np.full(n, float(block.lo))
     a, b = shapes
     span = block.hi - block.lo
-    limit = _RETRY_FRACTION * (MOMENT_TOLERANCE * span)
-    middle = [(n - 1) // 2, n // 2]  # np.median is their mean; its first call imports numpy.ma
+    tol = MOMENT_TOLERANCE * span
 
     for _ in range(_MAX_REDRAWS):
         x = block.lo + span * rng.beta(a, b, n)
         ok = True
         if block.mean is not None:
-            ok &= abs(float(x.mean()) - block.mean) <= limit
+            ok &= abs(float(x.mean()) - block.mean) <= _RETRY_FRACTION * tol
         if block.median is not None:
-            ok &= abs(float(np.partition(x, middle)[middle].mean()) - block.median) <= limit
+            ok &= abs(float(np.median(x)) - block.median) <= _RETRY_FRACTION * tol
         if ok:
             return x
     raise InfeasibleSpec(

@@ -61,7 +61,8 @@ from .specfile import (
 )
 
 SENSITIVE_ATTRIBUTES = ("gender", "race", "age")
-# each importance target shuffles its rows as one (repeats, rows) stack
+# a sanity cap, 100 times the default; it does not bound the importance
+# arrays, which grow with repeats times rows
 MAX_PERMUTATION_REPEATS = 1000
 # ExperimentConfig field -> its key in a config file, where the two differ
 _CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers", "cohort_csv": "cohort.csv",

@@ -11,7 +11,7 @@ import yaml
 
 from fairbench import cli
 from fairbench.cli import main
-from fairbench.dataset import load_cohort_csv
+from fairbench.dataset import CSV_HEADER, load_cohort_csv
 
 
 def test_synth_writes_loadable_csv(tmp_path, capsys):
@@ -355,7 +355,7 @@ def test_run_cohort_csv_that_is_not_utf8_exits_1(tmp_path, capsys):
 
 def test_run_cohort_csv_with_an_oversized_cell_exits_1(tmp_path, capsys):
     csv_path = tmp_path / "big.csv"
-    csv_path.write_text("diagnosis_year,race\n2010," + "x" * 200_000 + "\n")
+    csv_path.write_text(",".join(CSV_HEADER) + "\n2010," + "x" * 200_000 + "\n")
     config = tmp_path / "config.yaml"
     config.write_text(f"cohort: {{csv: {csv_path}}}\n")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1

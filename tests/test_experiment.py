@@ -138,7 +138,6 @@ def test_config_rejects_bad_values():
 
 @pytest.mark.parametrize("repeats", [1.0e308, 1001])
 def test_config_bounds_the_permutation_repeats(repeats):
-    # each importance target shuffles its rows as one (repeats, rows) stack;
     # 1e308 repeats failed to allocate only after the first fold was trained
     with pytest.raises(ConfigError) as caught:
         ExperimentConfig(n_permutation_repeats=repeats)
