@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
@@ -177,10 +178,26 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
+    """A study's report. Construction checks that every fold score, mean score
+    and pooled or per-fold fairness ratio of its entries is a number in [0, 1];
+    an InvariantViolation names the first that is missing or is not by its
+    path, such as entries[0].mean_score."""
+
     provenance: dict
     fold_flags: list[dict]
     entries: list[dict]
     directional_findings: dict
+
+    def __post_init__(self):
+        keys = [("fold_scores", None), ("mean_score",)]
+        keys += [("fairness", attr, "pooled") for attr in SENSITIVE_ATTRIBUTES]
+        keys += [("fairness", attr, "per_fold", None) for attr in SENSITIVE_ATTRIBUTES]
+        for where, entry in _leaves(self.entries, (None,), "entries"):
+            for path, value in (leaf for k in keys for leaf in _leaves(entry, k, where)):
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not 0.0 <= value <= 1.0):
+                    raise InvariantViolation(f"{path} must be a number in [0, 1], "
+                                             f"got {value!r}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -197,6 +214,23 @@ class ExperimentReport:
             if e["model"] == model and e["protocol"] == protocol:
                 return e
         raise KeyError(f"no entry for ({model}, {protocol})")
+
+
+def _leaves(doc, keys: tuple, path: str):
+    """(path, value) of each value at ``keys`` under ``doc``, found at ``path``:
+    a key names a mapping's item, None each item of a list. A missing item or
+    a container of another kind is an InvariantViolation naming its path."""
+    if not keys:
+        yield path, doc
+    elif keys[0] is None:
+        if not isinstance(doc, list):
+            raise InvariantViolation(f"{path} must be a list, got {type(doc).__name__}")
+        for i, item in enumerate(doc):
+            yield from _leaves(item, keys[1:], f"{path}[{i}]")
+    elif isinstance(doc, dict) and keys[0] in doc:
+        yield from _leaves(doc[keys[0]], keys[1:], f"{path}.{keys[0]}")
+    else:
+        raise InvariantViolation(f"{path}.{keys[0]} is missing")
 
 
 @dataclass
@@ -332,13 +366,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for m, spec in enumerate(config.models)
         for protocol in config.protocols
     ]
-
-    for e in entries:
-        scores = e["fold_scores"] + [e["mean_score"]] + [
-            v for f in e["fairness"].values() for v in [f["pooled"], *f["per_fold"]]
-        ]
-        if not all(0.0 <= s <= 1.0 for s in scores):
-            raise InvariantViolation(f"score outside [0, 1] in entry {e['model']}/{e['protocol']}")
 
     provenance = {
         "toolkit_version": __version__,

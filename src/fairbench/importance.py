@@ -8,7 +8,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .metrics import macro_f1, macro_f1_rows
+from .metrics import _as_binary, macro_f1, macro_f1_rows
 from .models import predict_many
 from .rng import derive_rng
 
@@ -86,7 +86,7 @@ def permutation_importance(
     tie.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = _as_binary("y", y)
     for model in models:
         if X.ndim != 2 or X.shape[1] != model.n_features:
             raise DimensionMismatch(

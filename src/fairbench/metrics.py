@@ -1,20 +1,26 @@
 """Macro F1 of 0/1 label rows, per-group TPR/FPR and equalized odds, on one
 array path: ``macro_f1_rows`` counts class 1's confusion cells per prediction
 row and derives class 0's from them; ``group_rates`` counts all groups at once.
+Every label array must hold 0 and 1 only (an InvariantViolation otherwise),
+but for ``macro_f1_rows``'s prediction rows, which come from ``predict``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NoEvaluableGroups
+from .errors import EmptyInput, InvariantViolation, LengthMismatch, NoEvaluableGroups
 
 
 def _as_binary(name: str, y) -> np.ndarray:
+    """``y`` as a 1-D int64 array, itself when it is one; each value must be 0 or 1."""
     arr = np.asarray(y)
     if arr.ndim != 1:
         raise LengthMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr.astype(np.int64)
+    outside = (arr != 0) & (arr != 1)
+    if outside.any():
+        raise InvariantViolation(f"{name} must be 0 or 1, got {arr[outside].tolist()[0]!r}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _f1(tp, fp, fn) -> np.ndarray:

@@ -11,7 +11,7 @@ computes kernel rows on demand, Chang & Lin 2011, §5, a kernel row is computed
 when the solver first reads it and kept until the fit ends, and the diagonal
 comes from square products of blocks of DIAGONAL_BLOCK rows),
 k-nearest neighbours (one neighbour order per block of query rows serves every
-k fit to the same rows, see predict_many; each block of squared distances is
+k fit to the same arrays, see predict_many; each block of squared distances is
 one matrix product, the two squared norms its last two terms; the order is
 taken by k rounds of argmin, which like a stable sort resolves equal distances
 to the lowest index), and CART trees (Gini, midpoint thresholds; each fit
@@ -58,6 +58,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassTraining,
 )
+from .metrics import _as_binary
 from .rng import derive_rng
 
 FAMILIES = ("logr", "svm", "knn", "tree", "forest")
@@ -376,6 +377,8 @@ class SvmModel(TrainedModel):
 
 @dataclass
 class KnnModel(TrainedModel):
+    # the arrays train was given, not copies: predict_many shares one pass
+    # among the KNN models fit to the same ones
     train_X: np.ndarray = None
     train_y: np.ndarray = None
 
@@ -436,23 +439,17 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
 
 def predict_many(models: Sequence[TrainedModel], X) -> list[np.ndarray]:
     """Each model's labels for X, equal to its own ``predict``. KNN models fit
-    to equal training rows share one distance block and one neighbour order;
-    every other model goes through ``TrainedModel.predict``."""
+    to the same training arrays (``train`` keeps them uncopied) share one
+    distance block and one neighbour order; every other model goes through
+    ``TrainedModel.predict``."""
     out: list = [None] * len(models)
-    groups: list[list[int]] = []  # KNN models with equal training rows
+    groups: dict[tuple[int, int], list[int]] = {}  # KNN models by their training arrays
     for i, m in enumerate(models):
-        if not isinstance(m, KnnModel):
-            out[i] = m.predict(X)
-            continue
-        for group in groups:
-            first = models[group[0]]
-            if (np.array_equal(first.train_X, m.train_X)
-                    and np.array_equal(first.train_y, m.train_y)):
-                group.append(i)
-                break
+        if isinstance(m, KnnModel):
+            groups.setdefault((id(m.train_X), id(m.train_y)), []).append(i)
         else:
-            groups.append([i])
-    for group in groups:
+            out[i] = m.predict(X)
+    for group in groups.values():
         first = models[group[0]]
         preds = _knn_votes(first.train_X, first.train_y, first._checked(X),
                            [models[i].spec.k_neighbors for i in group])
@@ -616,15 +613,14 @@ def _first_nonzero_words(exits: np.ndarray, words: np.ndarray, first: np.ndarray
 def train(spec: ModelSpec, X, y) -> TrainedModel:
     """Fit one model. Deterministic given spec (its seed drives all RNG)."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise DimensionMismatch(f"bad training shapes X={X.shape}, y={y.shape}")
     if len(y) < 2:
         raise SingleClassTraining("need at least 2 training samples")
     if not np.isfinite(X).all():
         raise NonFiniteInput("training matrix contains non-finite values")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary 0/1")
+    y = _as_binary("training labels", y)
     if spec.family != "knn" and len(np.unique(y)) < 2:
         raise SingleClassTraining(f"{spec.family} requires both classes in y")
 
@@ -633,7 +629,7 @@ def train(spec: ModelSpec, X, y) -> TrainedModel:
     if spec.family == "svm":
         return _train_svm(spec, X, y)
     if spec.family == "knn":
-        return KnnModel(spec=spec, n_features=X.shape[1], train_X=X.copy(), train_y=y.copy())
+        return KnnModel(spec=spec, n_features=X.shape[1], train_X=X, train_y=y)
     if spec.family == "tree":  # one tree over every column, fit to every row
         return _train_forest(spec, X, y, n_trees=1, bootstrap=False, max_features=X.shape[1])
     return _train_forest(spec, X, y, spec.n_trees, spec.bootstrap,
@@ -799,7 +795,7 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     return SvmModel(
         spec=spec,
         n_features=X.shape[1],
-        support_X=X[sv].copy(),
+        support_X=X[sv],
         support_coef=(alpha * t_arr)[sv],
         bias=float(bias),
         gamma=float(gamma),

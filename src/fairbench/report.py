@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import AWARE, UNAWARE
-from .errors import FairbenchError
+from .errors import FairbenchError, InvariantViolation
 from .experiment import SENSITIVE_ATTRIBUTES, ExperimentReport
 
 PROTOCOL_TITLES = {AWARE: "Demographic-aware", UNAWARE: "Demographic-unaware"}
@@ -188,4 +188,7 @@ def load_report_json(path: str | Path) -> ExperimentReport:
     missing = [f.name for f in fields(ExperimentReport) if f.name not in doc]
     if missing:
         raise FairbenchError(f"{path} is not a report: missing {missing}")
-    return ExperimentReport.from_dict(doc)
+    try:
+        return ExperimentReport.from_dict(doc)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{path} is not a report: {exc}") from None

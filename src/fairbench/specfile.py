@@ -7,11 +7,14 @@ import functools
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .dataset import GENDERS, NUMERIC_FIELDS, RACES, ClassSpec, CohortSpec, StatBlock
 from .errors import ConfigError
 from .models import _finite, _positive_int
+
+MAX_CLASS_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def _mapping(value, key: str, known) -> dict:
@@ -37,6 +40,15 @@ def _value(convert, section: dict, key: str, where: str):
         raise ConfigError(f"bad value for '{where}.{key}': {exc}") from None
 
 
+def _class_size(value) -> int:
+    """A class size: a positive integer, and no more rows than one float64
+    column can hold, its bytes counted by numpy's signed index type."""
+    size = _positive_int(value)
+    if size > MAX_CLASS_SIZE:
+        raise ValueError(f"expected at most {MAX_CLASS_SIZE} rows, got {size}")
+    return size
+
+
 def cohort_spec_from_dict(doc: dict) -> CohortSpec:
     doc = _mapping(doc, "cohort spec", {"classes"})
     classes = _mapping(doc.get("classes"), "classes", {"ITP", "NonITP"})
@@ -56,7 +68,7 @@ def _class_spec(doc, where: str) -> ClassSpec:
 
     variables = _mapping(doc.get("variables"), f"{where}.variables", NUMERIC_FIELDS)
     return ClassSpec(
-        size=_value(_positive_int, doc, "size", where),
+        size=_value(_class_size, doc, "size", where),
         gender=proportions("gender", GENDERS),
         race=proportions("race", RACES),
         variables={var: _stat_block(block, f"{where}.variables.{var}")

@@ -12,6 +12,7 @@ import yaml
 from fairbench import cli
 from fairbench.cli import main
 from fairbench.dataset import CSV_HEADER, load_cohort_csv
+from fairbench.specfile import MAX_CLASS_SIZE
 
 
 def test_synth_writes_loadable_csv(tmp_path, capsys):
@@ -65,6 +66,26 @@ classes:
     assert main(["synth", "--spec", str(spec_path), "--seed", "1", "--out", str(out)]) == 0
     cohort = load_cohort_csv(out)
     assert (cohort.n_itp, cohort.n_non_itp) == (6, 4)
+
+
+@pytest.mark.parametrize("size", [2**70, 2**63, 1e308, MAX_CLASS_SIZE + 1],
+                         ids=["2**70", "2**63", "1e308", "max+1"])
+@pytest.mark.parametrize("command", ["synth", "run"])
+def test_a_class_size_beyond_one_float64_column_exits_1(tmp_path, capsys, caplog, size, command):
+    # a size past int64 reached np.sqrt as a Python int, and 2**63 numpy's
+    # dimension limit, each an exit 2 with a traceback
+    doc = yaml.safe_load(resources.files("fairbench").joinpath("data/default_cohort.yaml")
+                         .read_text("utf-8"))
+    doc["classes"]["ITP"]["size"] = size
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump(doc))
+    config = tmp_path / "config.yaml"
+    config.write_text(f"cohort: {{synthetic: {{spec: {spec}}}}}\n")
+    argv = {"synth": ["synth", "--spec", str(spec), "--out", str(tmp_path / "c.csv")],
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "o")]}[command]
+    assert main(argv) == 1
+    assert "'classes.ITP.size': expected at most" in capsys.readouterr().err
+    assert not any(record.exc_info for record in caplog.records)
 
 
 @pytest.fixture(scope="module")
@@ -215,14 +236,55 @@ def test_run_unknown_format_exits_1_before_the_study(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["{}", "not json", "[1, 2]"])
-def test_report_of_a_malformed_file_exits_1(tmp_path, capsys, text):
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "quick_report.json"
+
+
+def edited_report(*edits) -> str:
+    """The golden quick report with each (keys, value) edit made; a value of
+    None deletes the item."""
+    doc = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+    for keys, value in edits:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, named", [
+    pytest.param("{}", None, id="{}"),
+    pytest.param("not json", None, id="not json"),
+    pytest.param("[1, 2]", None, id="[1, 2]"),
+    pytest.param(edited_report((("entries", 0, "mean_score"), 2.0),
+                               (("entries", 1, "fold_scores", 0), -0.5)),
+                 "entries[0].mean_score must be a number in [0, 1], got 2.0", id="mean-2-fold--0.5"),
+    pytest.param(edited_report((("entries", 1, "fold_scores", 0), -0.5)),
+                 "entries[1].fold_scores[0] must be", id="fold-score--0.5"),
+    pytest.param(edited_report((("entries", 2, "fairness", "race", "pooled"), True)),
+                 "entries[2].fairness.race.pooled must be", id="pooled-bool"),
+    pytest.param(edited_report((("entries", 9, "fairness", "age", "per_fold", 4), "0.5")),
+                 "entries[9].fairness.age.per_fold[4] must be", id="per-fold-string"),
+    pytest.param(edited_report((("entries", 3, "fairness", "gender", "per_fold", 0), float("nan"))),
+                 "entries[3].fairness.gender.per_fold[0] must be", id="per-fold-nan"),
+    pytest.param(edited_report((("entries", 0, "mean_score"), None)),
+                 "entries[0].mean_score is missing", id="mean-missing"),
+    pytest.param(edited_report((("entries", 4, "fairness"), None)),
+                 "entries[4].fairness is missing", id="fairness-missing"),
+    pytest.param(edited_report((("entries",), {})), "entries must be a list", id="entries-mapping"),
+])
+def test_report_of_a_malformed_file_exits_1(tmp_path, capsys, text, named):
     path = tmp_path / "report.json"
     path.write_text(text)
-    assert main(["report", "--in", str(path), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
-    assert not (tmp_path / "o").exists()
+    for fmt in ("md", "json", "svg"):
+        assert main(["report", "--in", str(path), "--out", str(tmp_path / "o"),
+                     "--formats", fmt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert named is None or named in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_run_unknown_config_key_exits_1(tmp_path):

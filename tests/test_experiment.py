@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fairbench import errors, experiment
+from fairbench import errors, experiment, importance, models
 from fairbench.cli import main
 from fairbench.dataset import (
     AWARE,
@@ -20,7 +20,7 @@ from fairbench.dataset import (
     fit_minmax,
     synthesize_cohort,
 )
-from fairbench.errors import ConfigError, FairbenchError, TooFewSamples
+from fairbench.errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
 from fairbench.experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -451,6 +451,66 @@ def test_a_training_error_keeps_its_type_and_gains_the_pair(monkeypatch, kind):
         run_experiment(cfg)
     assert str(caught.value) == "(model=dt, protocol=unaware, fold=0): boom"
     assert type(caught.value.__cause__) is kind
+
+
+def test_the_knn_models_of_a_fold_share_one_neighbour_pass(monkeypatch):
+    # each model is fit to the fold's arrays themselves, so every predict_many
+    # call of a pair, the test split's and each of importance's, makes one
+    # _knn_votes call that serves every k; a copy of X or y in train would
+    # make one per model
+    calls, served = [], []
+    votes, predict_many = models._knn_votes, models.predict_many
+
+    def spy_votes(train_X, train_y, X, ks):
+        served.append(list(ks))
+        return votes(train_X, train_y, X, ks)
+
+    def spy_predict_many(fitted, X):
+        calls.append(len(X))
+        return predict_many(fitted, X)
+
+    monkeypatch.setattr(models, "_knn_votes", spy_votes)
+    monkeypatch.setattr(experiment, "predict_many", spy_predict_many)
+    monkeypatch.setattr(importance, "predict_many", spy_predict_many)
+    knn = [ModelSpec("knn", k_neighbors=k) for k in (1, 2, 4, 8, 12)]
+    cfg = small_config(k_folds=2, models=(ModelSpec("logr"), *knn[:3], ModelSpec("tree"),
+                                          *knn[3:]))
+    fd = prepare_folds(materialize_cohort(cfg)[0], cfg, AWARE)[0]
+    experiment._evaluate_pair(cfg.models, AWARE, 0, fd, cfg.master_seed, 2)
+    assert len(calls) >= 4  # the test split, and a baseline and a flush per split at least
+    assert served == [[1, 2, 4, 8, 12]] * len(calls)
+
+
+@pytest.mark.parametrize("score, path", [
+    (1.5, "entries[0].fold_scores[0]"),
+    (-0.25, "entries[0].fold_scores[0]"),
+    (float("nan"), "entries[0].fold_scores[0]"),
+])
+def test_a_study_with_a_score_outside_the_unit_interval_fails(monkeypatch, score, path):
+    monkeypatch.setattr(experiment, "macro_f1", lambda y, y_hat: score)
+    cfg = small_config(k_folds=2, protocols=(UNAWARE,), models=(ModelSpec("tree"),))
+    with pytest.raises(InvariantViolation, match=re.escape(f"{path} must be a number in [0, 1]")):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["entries"][1]["fairness"]["race"].update(pooled=1.0000001),
+     "entries[1].fairness.race.pooled must be a number in [0, 1], got 1.0000001"),
+    (lambda d: d["entries"][0]["fold_scores"].__setitem__(2, False),
+     "entries[0].fold_scores[2] must be a number in [0, 1], got False"),
+    (lambda d: d["entries"][2].pop("fold_scores"), "entries[2].fold_scores is missing"),
+    (lambda d: d["entries"][0]["fairness"].pop("age"), "entries[0].fairness.age is missing"),
+    (lambda d: d["entries"][0]["fairness"]["gender"].update(per_fold=0.5),
+     "entries[0].fairness.gender.per_fold must be a list, got float"),
+    (lambda d: d.update(entries=[None]), "entries[0].fold_scores is missing"),
+], ids=["pooled-above-1", "fold-bool", "fold-scores-missing", "attribute-missing",
+        "per-fold-number", "entry-null"])
+def test_a_report_is_built_only_from_scores_in_the_unit_interval(small_report, edit, message):
+    doc = json.loads(small_report.to_json())
+    edit(doc)
+    with pytest.raises(InvariantViolation) as caught:
+        ExperimentReport.from_dict(doc)
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 import fairbench.importance as importance_mod
 from fairbench.dataset import encode_features, synthesize_cohort
-from fairbench.errors import DimensionMismatch
+from fairbench.errors import DimensionMismatch, InvariantViolation
 from fairbench.importance import permutation_importance
 from fairbench.metrics import macro_f1
 from fairbench.models import ModelSpec, train
@@ -115,6 +115,14 @@ def test_importance_dimension_mismatch():
         permutation_importance([m], X[:, :1], y, n_repeats=1, seed=0)
     with pytest.raises(DimensionMismatch):
         permutation_importance([m], X, y, n_repeats=1, seed=0, column_names=("only_one",))
+
+
+def test_importance_rejects_labels_outside_0_and_1():
+    X, y = separable_with_noise(seed=9)
+    m = train(ModelSpec("tree"), X, y)
+    for labels in (np.where(y == 1, 0.9, 0.0), np.where(y == 1, 2, 0)):
+        with pytest.raises(InvariantViolation, match="y must be 0 or 1"):
+            permutation_importance([m], X, labels, n_repeats=1, seed=0)
 
 
 def one_copy_at_a_time(model, X, y, n_repeats, seed, grouped_columns=None):

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fairbench.errors import EmptyInput, LengthMismatch, NoEvaluableGroups
-from fairbench.metrics import equalized_odds, group_rates, macro_f1, macro_f1_rows
+from fairbench.errors import EmptyInput, InvariantViolation, LengthMismatch, NoEvaluableGroups
+from fairbench.metrics import _as_binary, equalized_odds, group_rates, macro_f1, macro_f1_rows
 
 # ---------------------------------------------------------------------------
 # Independent oracle: per-sample recount with pure-python loops. Kept separate
@@ -89,6 +89,29 @@ def test_macro_f1_length_mismatch():
         macro_f1([1, 0], [1])
     with pytest.raises(LengthMismatch):
         macro_f1([1, 0], [[1, 0]])
+
+
+@pytest.mark.parametrize("score", [
+    lambda: macro_f1([0, 2], [0, 2]),
+    lambda: macro_f1([1, 0], [0.9, 0.2]),  # 0.9 would be truncated to 0
+    lambda: macro_f1([1, 0], [1, -1]),
+    lambda: macro_f1([1, 0], ["1", "0"]),
+    lambda: macro_f1([1, float("nan")], [1, 0]),
+    lambda: macro_f1_rows([1, 2], [[1, 0]]),
+    lambda: group_rates([1, 0, 2], [1, 1, 1], ["a", "a", "b"]),
+    lambda: group_rates([1, 0, 1], [1, 0, 0.5], ["a", "a", "b"]),
+], ids=["true-2", "pred-0.9", "pred--1", "pred-strings", "true-nan", "rows-true-2",
+        "rates-true-2", "rates-pred-0.5"])
+def test_a_label_outside_0_and_1_is_rejected(score):
+    with pytest.raises(InvariantViolation, match="must be 0 or 1"):
+        score()
+
+
+def test_binary_labels_pass_as_they_are():
+    y = np.array([1, 0, 1], dtype=np.int64)
+    assert _as_binary("y", y) is y
+    assert _as_binary("y", [1.0, 0.0, True]).tolist() == [1, 0, 1]
+    assert _as_binary("y", np.array([True, False])).dtype == np.int64
 
 
 def test_macro_f1_empty_input():

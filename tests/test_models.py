@@ -15,6 +15,8 @@ from fairbench.dataset import CLINICAL_COLUMNS, encode_features, synthesize_coho
 from fairbench.errors import (
     DidNotConverge,
     DimensionMismatch,
+    FairbenchError,
+    InvariantViolation,
     NonFiniteInput,
     SingleClassTraining,
 )
@@ -227,6 +229,44 @@ def test_single_class_training_rejected_except_knn():
             train(spec, X, y)
     knn = train(ModelSpec("knn", k_neighbors=1), X, y)
     assert knn.predict(X).tolist() == [1] * 6
+
+
+@pytest.mark.parametrize("labels", [
+    [0.6, 1, 0, 1, 0.2, 1, 0, 0.9],  # would fit [0, 1, 0, 1, 0, 1, 0, 0]
+    [0, 2, 0, 2, 0, 2, 0, 2],
+    [0, 1, 0, 1, 0, 1, 0, -1],
+], ids=["fractions", "0-and-2", "minus-1"])
+@pytest.mark.parametrize("family", ["logr", "knn"])
+def test_training_labels_outside_0_and_1_are_rejected(labels, family):
+    X = np.random.default_rng(0).random((8, 3))
+    spec = ModelSpec("logr") if family == "logr" else ModelSpec("knn", k_neighbors=1)
+    with pytest.raises(InvariantViolation, match="training labels must be 0 or 1") as caught:
+        train(spec, X, labels)
+    assert isinstance(caught.value, FairbenchError)
+
+
+def test_a_knn_model_keeps_the_arrays_it_was_fit_to():
+    X, y = toy_problem()
+    y = y.astype(np.int64)
+    m = train(ModelSpec("knn", k_neighbors=3), X, y)
+    assert m.train_X is X and m.train_y is y
+    svm = train(ModelSpec("svm", kernel="ln"), X, y)
+    assert not np.shares_memory(svm.support_X, X)
+
+
+def test_knn_models_fit_to_equal_but_distinct_arrays_predict_as_alone(monkeypatch):
+    # equal arrays that are not the same objects give each group its own pass
+    X, y, Xq = tied_grid()
+    fitted = [train(ModelSpec("knn", k_neighbors=k), Xt, yt)
+              for k, Xt, yt in ((1, X, y), (4, X.copy(), y), (8, X, y.copy()), (2, X, y))]
+    calls = []
+    votes = models_mod._knn_votes
+    monkeypatch.setattr(models_mod, "_knn_votes",
+                        lambda *args: calls.append(args[3]) or votes(*args))
+    got = predict_many(fitted, Xq)
+    assert calls == [[1, 2], [4], [8]]
+    for m, pred in zip(fitted, got):
+        assert np.array_equal(pred, m.predict(Xq))
 
 
 def test_non_finite_input_rejected():
