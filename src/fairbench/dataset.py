@@ -313,7 +313,27 @@ _MAX_REDRAWS = 64
 # Candidate shapes: mean offsets (the tolerance budget may be spent on the
 # mean to reach an otherwise unreachable median) times concentrations a + b.
 _MU_OFFSETS = np.linspace(-0.8, 0.8, 17) * MOMENT_TOLERANCE
-_CONCENTRATIONS = np.logspace(np.log10(0.5), np.log10(128.0), 64)
+# np.logspace(np.log10(0.5), np.log10(128.0), 64) as numpy computes it with its
+# AVX-512 loops, written out: without them 4 of the 64 values round to other
+# last bits, which moves the Beta shapes chosen for the shipped spec
+_CONCENTRATIONS = np.array([float.fromhex(h) for h in (
+    "0x1.0000000000000p-1", "0x1.178ddeffbf183p-1", "0x1.31468ab0da7fcp-1", "0x1.4d5d0eed46f39p-1",
+    "0x1.6c0929e98c7f1p-1", "0x1.8d87bad53cf76p-1", "0x1.b21b3aa923da0p-1", "0x1.da0c4012ef44dp-1",
+    "0x1.02d507c21068fp+0", "0x1.1aa59c4115e7dp+0", "0x1.34a720b7fa2c1p+0", "0x1.510d3192ce39dp+0",
+    "0x1.70102ae57556fp+0", "0x1.91ed98456b4fep+0", "0x1.b6e8aeee17ed5p+0", "0x1.df4ad32216509p+0",
+    "0x1.05b214e9123f1p+1", "0x1.1dc61bd5651f5p+1", "0x1.381147622f886p+1", "0x1.54c7c62710f17p+1",
+    "0x1.742293d66630ep+1", "0x1.965fea53d6e3dp+1", "0x1.bbc3bd329576ap+1", "0x1.e4984090670ccp+1",
+    "0x1.08973e2c8a9c6p+2", "0x1.20ef768b45ac2p+2", "0x1.3b8519c662a5cp+2", "0x1.588cea3f093bbp+2",
+    "0x1.7840850a207a0p+2", "0x1.9aded4472477cp+2", "0x1.c0ac8bfc26abbp+2", "0x1.e9f4b26ec435dp+2",
+    "0x1.0b849a8455072p+3", "0x1.2421c57792537p+3", "0x1.3f02b3483446dp+3", "0x1.5c5cbbc379084p+3",
+    "0x1.7c6a1f29e2ce4p+3", "0x1.9f6a79c9e0f35p+3", "0x1.c5a3423d6f1e1p+3", "0x1.ef605345339fdp+3",
+    "0x1.0e7a412959a89p+4", "0x1.275d21f62eacbp+4", "0x1.428a2f98d7289p+4", "0x1.603758f1d75b3p+4",
+    "0x1.809f833b6c160p+4", "0x1.a402feeb9c531p+4", "0x1.caa8075760b5bp+4", "0x1.f4db4e142fa24p+4",
+    "0x1.1178499645879p+5", "0x1.2aa1a5aad04f3p+5", "0x1.461baab7ebb42p+5", "0x1.641ce05d40361p+5",
+    "0x1.84e0d2a2017ecp+5", "0x1.a8a8882207bebp+5", "0x1.cfbb031a7419fp+5", "0x1.fa65ce55fc3c1p+5",
+    "0x1.147ecb8844cd1p+6", "0x1.2def6a81ca3b0p+6", "0x1.49b740f45e1c6p+6", "0x1.680d70ef67253p+6",
+    "0x1.892e2f1f775c7p+6", "0x1.ad5b3a4a16c7bp+6", "0x1.d4dc5dc7e48d0p+6", "0x1.fffffffffffffp+6",
+)])
 _Z = np.array([1.0, 3.0])[:, None, None, None]  # sigmas: feasibility, ranking
 _FEASIBLE = 0.95 * MOMENT_TOLERANCE  # a spec needs a 1-sigma score this low
 _NEAR_OPTIMAL = 0.004  # 3-sigma scores this close to the best are candidates

@@ -53,8 +53,8 @@ from .models import (
 )
 from .rng import derive_seed
 from .specfile import (
-    _mapping,
-    _value,
+    _or_none,
+    _walk,
     cohort_spec_to_dict,
     default_cohort_spec,
     load_cohort_spec,
@@ -65,9 +65,6 @@ SENSITIVE_ATTRIBUTES = ("gender", "race", "age")
 # a sanity cap, 100 times the default; it does not bound the importance
 # arrays, which grow with repeats times rows
 MAX_PERMUTATION_REPEATS = 1000
-# ExperimentConfig field -> its key in a config file, where the two differ
-_CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers", "cohort_csv": "cohort.csv",
-                "cohort_seed": "cohort.synthetic.seed"}
 
 
 def default_model_grid() -> tuple[ModelSpec, ...]:
@@ -107,6 +104,31 @@ def _model(entry) -> ModelSpec:
         raise ValueError(f"bad model entry {entry!r}: {exc}") from None
 
 
+# ExperimentConfig field -> its conversion; a cohort_* field left None takes
+# its default (see the field comments)
+_FIELDS = {"cohort_csv": _or_none(_path), "cohort_seed": _or_none(_int),
+           "cohort_spec": _or_none(lambda spec: _checked(CohortSpec, spec, "a CohortSpec")),
+           "k_folds": _positive_int, "master_seed": _int, "n_permutation_repeats": _positive_int,
+           "n_workers": _positive_int, "clamp": _flag, "protocols": _list,
+           "models": lambda entries: tuple(_model(m) for m in _list(entries)),
+           "age_bin_edges": lambda edges: tuple(_finite(e) for e in _list(edges))}
+# ExperimentConfig field -> its key in a config file, where the two differ
+_CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers", "cohort_csv": "cohort.csv",
+                "cohort_seed": "cohort.synthetic.seed"}
+
+
+def _unchecked(value):
+    return value
+
+
+# a config file's sections and keys; ExperimentConfig converts each value, but
+# a spec's, which is the path of the file it is read from
+_CONFIG = {"cohort?": {"csv?": _unchecked,
+                       "synthetic?": {"spec?": _or_none(_path), "seed?": _unchecked}},
+           **{f"{_CONFIG_KEYS.get(name, name)}?": _unchecked for name in _FIELDS
+              if not name.startswith("cohort_")}}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     cohort_csv: str | None = None  # None -> a synthetic cohort
@@ -124,22 +146,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Every field converted and checked, from a document or a library caller."""
-        conversions = {"cohort_csv": _path, "cohort_seed": _int,
-                       "cohort_spec": lambda spec: _checked(CohortSpec, spec, "a CohortSpec"),
-                       "k_folds": _positive_int, "n_permutation_repeats": _positive_int,
-                       "n_workers": _positive_int, "master_seed": _int, "clamp": _flag,
-                       "models": lambda entries: tuple(_model(m) for m in _list(entries)),
-                       "protocols": _list,
-                       "age_bin_edges": lambda edges: tuple(_finite(e) for e in _list(edges))}
-        for name, convert in conversions.items():
-            value = getattr(self, name)
-            if value is None and name.startswith("cohort_"):  # see the field comments
-                continue
-            try:
-                object.__setattr__(self, name, convert(value))
-            except (TypeError, ValueError, ConfigError) as exc:
-                key = f" (config key {_CONFIG_KEYS[name]!r})" if name in _CONFIG_KEYS else ""
-                raise ConfigError(f"bad value for {name}{key}: {exc}") from None
+        for name, convert in _FIELDS.items():
+            key = f" (config key {_CONFIG_KEYS[name]!r})" if name in _CONFIG_KEYS else ""
+            object.__setattr__(self, name, _walk(getattr(self, name), convert, name + key))
         if self.cohort_csv is not None and (self.cohort_spec is not None
                                             or self.cohort_seed is not None):
             raise ConfigError("a CSV cohort (cohort_csv) takes no cohort_spec or cohort_seed")
@@ -176,6 +185,31 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _must(holds, what: str):
+    """A converter that keeps a value ``holds`` is true of, and words any
+    other as not being ``what``."""
+    def check(value):
+        if not holds(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _number_in(lo, hi):
+    return _must(lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real)
+                 and lo <= v <= hi, f"a number in [{lo}, {hi}]")
+
+
+_SCORE = _number_in(0, 1)
+# the leaves of a report entry checked whenever a report is built: its fold
+# scores, mean score and pooled and per-fold fairness ratios
+_ENTRY_SCORES = {
+    "fold_scores": [_SCORE], "mean_score": _SCORE,
+    "fairness": {attr: {"pooled": _SCORE, "per_fold": [_SCORE]} for attr in SENSITIVE_ATTRIBUTES},
+    "*": _unchecked,
+}
+
+
 @dataclass
 class ExperimentReport:
     """A study's report. Construction checks that every fold score, mean score
@@ -189,15 +223,7 @@ class ExperimentReport:
     directional_findings: dict
 
     def __post_init__(self):
-        keys = [("fold_scores", None), ("mean_score",)]
-        keys += [("fairness", attr, "pooled") for attr in SENSITIVE_ATTRIBUTES]
-        keys += [("fairness", attr, "per_fold", None) for attr in SENSITIVE_ATTRIBUTES]
-        for where, entry in _leaves(self.entries, (None,), "entries"):
-            for path, value in (leaf for k in keys for leaf in _leaves(entry, k, where)):
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not 0.0 <= value <= 1.0):
-                    raise InvariantViolation(f"{path} must be a number in [0, 1], "
-                                             f"got {value!r}")
+        _walk(self.entries, [_ENTRY_SCORES], "entries", InvariantViolation, "{path} {exc}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -214,23 +240,6 @@ class ExperimentReport:
             if e["model"] == model and e["protocol"] == protocol:
                 return e
         raise KeyError(f"no entry for ({model}, {protocol})")
-
-
-def _leaves(doc, keys: tuple, path: str):
-    """(path, value) of each value at ``keys`` under ``doc``, found at ``path``:
-    a key names a mapping's item, None each item of a list. A missing item or
-    a container of another kind is an InvariantViolation naming its path."""
-    if not keys:
-        yield path, doc
-    elif keys[0] is None:
-        if not isinstance(doc, list):
-            raise InvariantViolation(f"{path} must be a list, got {type(doc).__name__}")
-        for i, item in enumerate(doc):
-            yield from _leaves(item, keys[1:], f"{path}[{i}]")
-    elif isinstance(doc, dict) and keys[0] in doc:
-        yield from _leaves(doc[keys[0]], keys[1:], f"{path}.{keys[0]}")
-    else:
-        raise InvariantViolation(f"{path}.{keys[0]} is missing")
 
 
 @dataclass
@@ -403,23 +412,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from the YAML document schema (see README): read its
     sections, rename its keys and load the cohort spec file; every value is
     converted by ExperimentConfig itself."""
-    doc = _mapping(doc, "config", {"cohort", "k_folds", "seed", "models", "protocols",
-                                   "n_permutation_repeats", "age_bin_edges", "clamp",
-                                   "workers"})
-    fields = {key: name for name, key in _CONFIG_KEYS.items()}
-    kwargs = {fields.get(key, key): value for key, value in doc.items() if key != "cohort"}
-
-    cohort = _mapping(doc.get("cohort"), "cohort", {"csv", "synthetic"})
+    doc = _walk(doc, _CONFIG)
+    cohort = doc.pop("cohort", {})
     if "csv" in cohort and "synthetic" in cohort:
         raise ConfigError("cohort must give either 'csv' or 'synthetic', not both")
-    if "csv" in cohort:
-        kwargs["cohort_csv"] = cohort["csv"]
-    elif "synthetic" in cohort:
-        synth = _mapping(cohort["synthetic"], "cohort.synthetic", {"spec", "seed"})
-        if synth.get("spec") is not None:
-            kwargs["cohort_spec"] = load_cohort_spec(_value(_path, synth, "spec",
-                                                            "cohort.synthetic"))
-        kwargs["cohort_seed"] = synth.get("seed")
+    synthetic = cohort.get("synthetic", {})
+    fields = {key: name for name, key in _CONFIG_KEYS.items()}
+    kwargs = {fields.get(key, key): value for key, value in doc.items()}
+    kwargs.update(cohort_csv=cohort.get("csv"), cohort_seed=synthetic.get("seed"))
+    if synthetic.get("spec") is not None:
+        kwargs["cohort_spec"] = load_cohort_spec(synthetic["spec"])
     return ExperimentConfig(**kwargs)
 
 

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import AWARE, UNAWARE
-from .errors import FairbenchError, InvariantViolation
-from .experiment import SENSITIVE_ATTRIBUTES, ExperimentReport
+from .dataset import AWARE, PROTOCOLS, UNAWARE
+from .errors import ConfigError, FairbenchError, InvariantViolation
+from .experiment import (
+    _ENTRY_SCORES,
+    SENSITIVE_ATTRIBUTES,
+    ExperimentReport,
+    _must,
+    _number_in,
+    _unchecked,
+)
+from .models import parse_model_name
+from .specfile import _walk
 
 PROTOCOL_TITLES = {AWARE: "Demographic-aware", UNAWARE: "Demographic-unaware"}
 
@@ -176,6 +184,38 @@ def _svg_barchart(title: str, pairs: list[tuple[str, float]]) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _is_model_name(name) -> bool:
+    try:
+        return isinstance(name, str) and bool(parse_model_name(name))
+    except ConfigError:
+        return False
+
+
+_STRING = _must(lambda value: isinstance(value, str), "a string")
+_PROTOCOL = _must(lambda protocol: protocol in PROTOCOLS, f"one of {list(PROTOCOLS)}")
+_FOLD_IMPORTANCE = {
+    "features": {"*": {"mean_drop": _number_in(-1, 1), "std_drop": _number_in(0, 1),
+                       "*": _unchecked}},
+    "*": _unchecked,
+}
+# a stored report as it is read back: each entry's scores as a study checks
+# them, and every other value that rendering it reads
+_REPORT = {
+    "provenance": {"config": {"k_folds": _must(lambda k: type(k) is int, "an integer"),
+                              "protocols": [_PROTOCOL], "*": _unchecked},
+                   "cohort_source": _unchecked,
+                   "class_counts": {"ITP": _unchecked, "NonITP": _unchecked},
+                   "*": _unchecked},
+    "fold_flags": [{"small_race_groups": [_STRING], "*": _unchecked}],
+    "directional_findings": _unchecked,
+    "entries": [{
+        **_ENTRY_SCORES,
+        "model": _must(_is_model_name, "a model name"), "label": _STRING, "protocol": _PROTOCOL,
+        "importance": {"train": [_FOLD_IMPORTANCE], "test": [_FOLD_IMPORTANCE]},
+    }],
+}
+
+
 def load_report_json(path: str | Path) -> ExperimentReport:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -183,12 +223,23 @@ def load_report_json(path: str | Path) -> ExperimentReport:
         raise FairbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # not UTF-8 or not JSON
         raise FairbenchError(f"{path} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FairbenchError(f"{path} is not a report: expected a JSON object")
-    missing = [f.name for f in fields(ExperimentReport) if f.name not in doc]
-    if missing:
-        raise FairbenchError(f"{path} is not a report: missing {missing}")
     try:
+        doc = _walk(doc, _REPORT, "", InvariantViolation, "{path} {exc}")
+        config, entries = doc["provenance"]["config"], doc["entries"]
+        pairs = {(e["model"], e["protocol"]) for e in entries}
+        missing = sorted({(m, p) for m, _ in pairs for p in config["protocols"]} - pairs)
+        if missing:
+            raise InvariantViolation("entries has no entry for {} under {}, one of "
+                                     "provenance.config.protocols".format(*missing[0]))
+        for i, entry in enumerate(entries):
+            if len(entry["fold_scores"]) != config["k_folds"]:
+                raise InvariantViolation(f"entries[{i}].fold_scores must have "
+                                         f"provenance.config.k_folds ({config['k_folds']}) items")
+            for split, folds in entry["importance"].items():
+                names = [sorted(fold["features"]) for fold in folds]
+                if not names or any(n != names[0] for n in names):
+                    raise InvariantViolation(f"entries[{i}].importance.{split} must be one or "
+                                             f"more folds that name the same features")
         return ExperimentReport.from_dict(doc)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path} is not a report: {exc}") from None

@@ -1,5 +1,6 @@
-"""The reader shared by the two human-edited YAML documents (the experiment
-config and the cohort spec), and the cohort-spec parser built on it."""
+"""The schema walker every document fairbench reads goes through (the
+experiment config, the cohort spec and a stored report), the YAML reader of
+the two human-edited ones, and the cohort-spec parser built on them."""
 
 from __future__ import annotations
 
@@ -17,27 +18,41 @@ from .models import _finite, _positive_int
 MAX_CLASS_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
-def _mapping(value, key: str, known) -> dict:
-    """A document section; None reads as empty, keys outside known are errors."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a mapping, got {value!r}")
-    unknown = set(value) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {key!r}: {sorted(unknown, key=str)}")
-    return value
+def _walk(doc, schema, path: str = "", error=ConfigError,
+          bad_value: str = "bad value for {path}: {exc}"):
+    """``doc`` checked and converted by ``schema``: a mapping of key to schema
+    (a key ending in "?" may be left out, "*" takes every other key, and None
+    reads as empty), a one-item list for each item of a list, or a converter.
+    The first bad value is one ``error`` naming its path, such as
+    classes.ITP.size; ``bad_value`` words what a converter raised."""
+    if isinstance(schema, list):
+        if not isinstance(doc, list):
+            raise error(f"{path} must be a list, got {type(doc).__name__}")
+        return [_walk(item, schema[0], f"{path}[{i}]", error, bad_value)
+                for i, item in enumerate(doc)]
+    if not isinstance(schema, dict):
+        try:
+            return schema(doc)
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise error(bad_value.format(path=path, exc=exc)) from None
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise error(f"{path or 'the document'} must be a mapping, got {type(doc).__name__}")
+    keys = {key.rstrip("?"): key for key in schema}
+    unknown = [key for key in doc if key not in keys]
+    if unknown and "*" not in keys:
+        raise error(f"unknown key(s) in {path or 'the document'}: {sorted(unknown, key=str)}")
+    prefix = f"{path}." if path else ""
+    missing = [name for name, key in keys.items() if name not in doc and key[-1] not in "?*"]
+    if missing:
+        raise error(f"{prefix}{missing[0]} is missing")
+    return {key: _walk(value, schema[keys.get(key, "*")], f"{prefix}{key}", error, bad_value)
+            for key, value in doc.items()}
 
 
-def _value(convert, section: dict, key: str, where: str):
-    """section[key] through convert; a missing or malformed value is a
-    ConfigError naming its key."""
-    if key not in section:
-        raise ConfigError(f"{where!r} is missing {key!r}")
-    try:
-        return convert(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for '{where}.{key}': {exc}") from None
+def _or_none(convert):
+    """``convert``, but None stays None."""
+    return lambda value: None if value is None else convert(value)
 
 
 def _class_size(value) -> int:
@@ -49,39 +64,25 @@ def _class_size(value) -> int:
     return size
 
 
+_CLASS = {
+    "size": _class_size,
+    "gender": {f"{g}?": _finite for g in GENDERS},
+    "race": {f"{r}?": _finite for r in RACES},
+    "variables": {var: {"min": _finite, "max": _finite,
+                        "median?": _or_none(_finite), "mean?": _or_none(_finite)}
+                  for var in NUMERIC_FIELDS},
+}
+_COHORT_SPEC = {"classes": {"ITP": _CLASS, "NonITP": _CLASS}}
+
+
 def cohort_spec_from_dict(doc: dict) -> CohortSpec:
-    doc = _mapping(doc, "cohort spec", {"classes"})
-    classes = _mapping(doc.get("classes"), "classes", {"ITP", "NonITP"})
-    for required in ("ITP", "NonITP"):
-        if required not in classes:
-            raise ConfigError(f"cohort spec must define class {required!r}")
-    return CohortSpec(itp=_class_spec(classes["ITP"], "classes.ITP"),
-                      non_itp=_class_spec(classes["NonITP"], "classes.NonITP"))
-
-
-def _class_spec(doc, where: str) -> ClassSpec:
-    doc = _mapping(doc, where, {"size", "gender", "race", "variables"})
-
-    def proportions(key: str, known) -> dict[str, float]:
-        section = _mapping(doc.get(key), f"{where}.{key}", known)
-        return {k: _value(_finite, section, k, f"{where}.{key}") for k in section}
-
-    variables = _mapping(doc.get("variables"), f"{where}.variables", NUMERIC_FIELDS)
-    return ClassSpec(
-        size=_value(_class_size, doc, "size", where),
-        gender=proportions("gender", GENDERS),
-        race=proportions("race", RACES),
-        variables={var: _stat_block(block, f"{where}.variables.{var}")
-                   for var, block in variables.items()},
-    )
-
-
-def _stat_block(doc, where: str) -> StatBlock:
-    doc = _mapping(doc, where, {"min", "max", "median", "mean"})
-    optional = {k: None if doc.get(k) is None else _value(_finite, doc, k, where)
-                for k in ("median", "mean")}
-    return StatBlock(lo=_value(_finite, doc, "min", where),
-                     hi=_value(_finite, doc, "max", where), **optional)
+    classes = _walk(doc, _COHORT_SPEC, bad_value="bad value for {path!r}: {exc}")["classes"]
+    itp, non_itp = (
+        ClassSpec(size=c["size"], gender=c["gender"], race=c["race"], variables={
+            var: StatBlock(b["min"], b["max"], b.get("median"), b.get("mean"))
+            for var, b in c["variables"].items()})
+        for c in (classes["ITP"], classes["NonITP"]))
+    return CohortSpec(itp=itp, non_itp=non_itp)
 
 
 def cohort_spec_to_dict(spec: CohortSpec) -> dict:

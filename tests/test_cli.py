@@ -239,19 +239,27 @@ def test_run_unknown_format_exits_1_before_the_study(tmp_path, capsys, monkeypat
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "quick_report.json"
 
 
+DELETE = object()
+
+
 def edited_report(*edits) -> str:
     """The golden quick report with each (keys, value) edit made; a value of
-    None deletes the item."""
+    DELETE deletes the item."""
     doc = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
     for keys, value in edits:
         parent = doc
         for key in keys[:-1]:
             parent = parent[key]
-        if value is None:
+        if value is DELETE:
             del parent[keys[-1]]
         else:
             parent[keys[-1]] = value
     return json.dumps(doc)
+
+
+# the importance record of one feature in one fold of the golden quick report
+MEAN_DROP = ("entries", 3, "importance", "test", 2, "features", "alt")
+MEAN_DROP_PATH = "entries[3].importance.test[2].features.alt"
 
 
 @pytest.mark.parametrize("text, named", [
@@ -269,11 +277,38 @@ def edited_report(*edits) -> str:
                  "entries[9].fairness.age.per_fold[4] must be", id="per-fold-string"),
     pytest.param(edited_report((("entries", 3, "fairness", "gender", "per_fold", 0), float("nan"))),
                  "entries[3].fairness.gender.per_fold[0] must be", id="per-fold-nan"),
-    pytest.param(edited_report((("entries", 0, "mean_score"), None)),
+    pytest.param(edited_report((("entries", 0, "mean_score"), DELETE)),
                  "entries[0].mean_score is missing", id="mean-missing"),
-    pytest.param(edited_report((("entries", 4, "fairness"), None)),
+    pytest.param(edited_report((("entries", 4, "fairness"), DELETE)),
                  "entries[4].fairness is missing", id="fairness-missing"),
     pytest.param(edited_report((("entries",), {})), "entries must be a list", id="entries-mapping"),
+    # each of these reached the renderers: md or svg exited 2, or for k_folds 4
+    # rendered a table of 4 fold columns over 5 fold scores
+    *[pytest.param(edited_report(((*MEAN_DROP, "mean_drop"), value)),
+                   f"{MEAN_DROP_PATH}.mean_drop must be a number in [-1, 1], got {value!r}",
+                   id=f"mean-drop-{name}")
+      for value, name in ((None, "null"), ("x", "string"), ([1], "list"), ({"a": 1}, "mapping"),
+                          (float("inf"), "inf"), (1e308, "1e308"))],
+    pytest.param(edited_report((("entries", 1, "protocol"), "x")),
+                 "entries[1].protocol must be one of ['aware', 'unaware'], got 'x'",
+                 id="protocol-x"),
+    pytest.param(edited_report((("entries", 0, "label"), None)),
+                 "entries[0].label must be a string, got None", id="label-None"),
+    pytest.param(edited_report((("entries", 2, "model"), [1])),
+                 "entries[2].model must be a model name, got [1]", id="model-list"),
+    pytest.param(edited_report((MEAN_DROP, DELETE)),
+                 "entries[3].importance.test must be one or more folds that name the same "
+                 "features", id="fold-without-a-feature"),
+    pytest.param(edited_report((("entries", 1, "protocol"), "aware")),
+                 "entries has no entry for logr under unaware", id="protocol-swapped"),
+    pytest.param(edited_report((("provenance", "config", "k_folds"), "5")),
+                 "provenance.config.k_folds must be an integer, got '5'", id="k-folds-string"),
+    pytest.param(edited_report((("provenance", "config", "k_folds"), 4)),
+                 "entries[0].fold_scores must have provenance.config.k_folds (4) items",
+                 id="k-folds-4"),
+    pytest.param(edited_report((("fold_flags", 1, "small_race_groups", 0), 1)),
+                 "fold_flags[1].small_race_groups[0] must be a string, got 1",
+                 id="race-group-int"),
 ])
 def test_report_of_a_malformed_file_exits_1(tmp_path, capsys, text, named):
     path = tmp_path / "report.json"
@@ -351,19 +386,31 @@ def _itp(doc: dict) -> dict:
     return doc["classes"]["ITP"]
 
 
-# one-key edits of the shipped calibration
+# one-key edits of the shipped calibration, each with the part of its message
+# that names the path of the bad value
 SPEC_EDITS = {
-    "no-classes": lambda doc: doc.update(classes={}),
-    "classes-not-a-mapping": lambda doc: doc.update(classes=5),
-    "gender-list": lambda doc: _itp(doc).update(gender=["F", "M"]),
-    "variables-list": lambda doc: _itp(doc).update(variables=[1]),
-    "fractional-size": lambda doc: _itp(doc).update(size=100.7),
-    "string-size": lambda doc: _itp(doc).update(size="100"),
-    "string-proportion": lambda doc: _itp(doc)["gender"].update(F="0.47"),
-    "block-key-typo": lambda doc: _itp(doc)["variables"]["alt"].update(
+    "no-classes": (lambda doc: doc.update(classes={}), "classes.ITP is missing"),
+    "classes-not-a-mapping": (lambda doc: doc.update(classes=5),
+                              "classes must be a mapping, got int"),
+    "gender-list": (lambda doc: _itp(doc).update(gender=["F", "M"]),
+                    "classes.ITP.gender must be a mapping, got list"),
+    "variables-list": (lambda doc: _itp(doc).update(variables=[1]),
+                       "classes.ITP.variables must be a mapping, got list"),
+    "fractional-size": (lambda doc: _itp(doc).update(size=100.7), "'classes.ITP.size'"),
+    "string-size": (lambda doc: _itp(doc).update(size="100"), "'classes.ITP.size'"),
+    "string-proportion": (lambda doc: _itp(doc)["gender"].update(F="0.47"),
+                          "'classes.ITP.gender.F'"),
+    "block-key-typo": (lambda doc: _itp(doc)["variables"]["alt"].update(
         meen=_itp(doc)["variables"]["alt"].pop("mean")),
-    "class-key-typo": lambda doc: _itp(doc).update(szie=100),
-    "extra-class": lambda doc: doc["classes"].update(Other=doc["classes"]["NonITP"]),
+        "unknown key(s) in classes.ITP.variables.alt: ['meen']"),
+    "class-key-typo": (lambda doc: _itp(doc).update(szie=100),
+                       "unknown key(s) in classes.ITP: ['szie']"),
+    "extra-class": (lambda doc: doc["classes"].update(Other=doc["classes"]["NonITP"]),
+                    "unknown key(s) in classes: ['Other']"),
+    "min-missing": (lambda doc: _itp(doc)["variables"]["alt"].pop("min"),
+                    "classes.ITP.variables.alt.min is missing"),
+    "block-missing": (lambda doc: _itp(doc)["variables"].pop("alt"),
+                      "classes.ITP.variables.alt is missing"),
 }
 
 
@@ -374,19 +421,20 @@ def write_edited_spec(path, edit) -> None:
     path.write_text(yaml.safe_dump(doc))
 
 
-@pytest.mark.parametrize("edit", SPEC_EDITS.values(), ids=SPEC_EDITS.keys())
-def test_synth_invalid_spec_exits_1(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, named", SPEC_EDITS.values(), ids=SPEC_EDITS.keys())
+def test_synth_invalid_spec_exits_1(tmp_path, capsys, edit, named):
     spec = tmp_path / "spec.yaml"
     write_edited_spec(spec, edit)
     assert main(["synth", "--spec", str(spec), "--seed", "1",
                  "--out", str(tmp_path / "c.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert not (tmp_path / "c.csv").exists()
 
 
 def test_run_with_an_invalid_spec_exits_1(tmp_path, capsys):
     spec = tmp_path / "spec.yaml"
-    write_edited_spec(spec, SPEC_EDITS["fractional-size"])
+    write_edited_spec(spec, SPEC_EDITS["fractional-size"][0])
     config = tmp_path / "config.yaml"
     config.write_text(f"cohort: {{synthetic: {{spec: {spec}}}}}\n")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1

@@ -17,12 +17,16 @@ study.
 """
 
 import hashlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fairbench.cli import main
+import fairbench
+from fairbench.cli import host_facts, main
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -128,3 +132,21 @@ def test_golden_output(name, tmp_path, tmp_path_factory, monkeypatch):
         golden = ROOT / "tests" / "golden" / "quick_report.json"
         assert (out / output).read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
     assert _digest(out, output) == sha
+
+
+def test_synth_row_holds_with_the_avx512_loops_off(tmp_path):
+    # numpy's np.logspace gave 4 of the generator's 64 Beta concentrations
+    # other last bits without its AVX-512 loops, and the seed-7 cohort another
+    # digest (026f4a386af6a508)
+    off = [t for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if t in host_facts()["numpy_simd"]]
+    src = str(Path(fairbench.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "cohort.csv"
+    child = ("import json, sys; from fairbench.cli import host_facts, main; "
+             "print(json.dumps(host_facts()['numpy_simd'])); sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", child, "synth", "--seed", "7", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert not set(off) & set(json.loads(proc.stdout.splitlines()[0]))
+    assert hashlib.sha256(out.read_bytes()).hexdigest().startswith(ROWS["synth"][-1])
