@@ -2,9 +2,9 @@
 
 For every fold the scaler is fitted on the training split only, each
 configured model is trained and scored on the held-out fold, equalized odds is
-computed per sensitive attribute (pooled over the out-of-fold predictions and
-per fold), and permutation importance is evaluated on both splits. The
-resulting report is fully deterministic given the config: all seeds derive
+computed per sensitive attribute (pooled over the folds' summed confusion
+counts and per fold), and permutation importance is evaluated on both splits.
+The resulting report is fully deterministic given the config: all seeds derive
 from one master seed via ``rng.derive_seed`` and results are assembled in grid
 order regardless of worker count.
 """
@@ -40,7 +40,8 @@ from .dataset import (
 )
 from .errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
 from .importance import permutation_importance
-from .metrics import equalized_odds, group_rates, macro_f1
+# group_rates is no longer called here, but perfbench/spans.py patches it by name (ROADMAP item 1)
+from .metrics import confusion_counts, equalized_odds, group_rates, macro_f1, rates_from_counts
 from .models import (
     ModelSpec,
     _finite,
@@ -292,8 +293,8 @@ def prepare_folds(cohort: Cohort, config: ExperimentConfig,
 def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _FoldData,
                    master_seed: int, n_repeats: int) -> list[tuple]:
     """Every model's results on one (protocol, fold) pair, in ``specs`` order:
-    (test labels, fold score, importance by split). Equalized odds is left to
-    ``_entry``, which pools it over the folds.
+    ({attribute: {group: test counts [tn, fp, fn, tp]}}, fold score,
+    importance by split). ``_entry`` pools equalized odds over the folds.
 
     The test-split prediction doubles as that split's importance baseline, and
     every model scores the same shuffled copies of each split, drawn from
@@ -322,22 +323,27 @@ def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _Fol
             seed=derive_seed(master_seed, "importance", protocol, f, split),
             column_names=fd.column_names, grouped_columns=grouped, predictions=predictions,
         )
-    return [(y_hat, macro_f1(fd.y_test, y_hat),
+    tables = {attr: confusion_counts(fd.y_test, y_hats, groups)
+              for attr, groups in fd.test_groups.items()}
+    return [({attr: dict(zip(keys, cells[m].tolist())) for attr, (keys, cells) in tables.items()},
+             macro_f1(fd.y_test, y_hat),
              {split: {"split": split, **res[m]} for split, res in importance.items()})
             for m, y_hat in enumerate(y_hats)]
 
 
-def _entry(spec: ModelSpec, protocol: str, folds: list[_FoldData], per_fold: list[tuple]) -> dict:
-    """One (model, protocol) report entry from the model's (test labels, fold
-    score, importance by split) on each fold. Its equalized odds per attribute
-    is computed here, pooled over the concatenated folds and per fold."""
-    y_hats, fold_scores, importance = zip(*per_fold)
+def _entry(spec: ModelSpec, protocol: str, per_fold: list[tuple]) -> dict:
+    """One (model, protocol) report entry from the model's results of
+    ``_evaluate_pair`` on each fold. Its equalized odds per attribute is
+    computed here, pooled over the folds' summed counts and per fold."""
+    counts, fold_scores, importance = zip(*per_fold)
     fairness = {}
     for attr in SENSITIVE_ATTRIBUTES:
-        parts = [(fd.y_test, y_hat, fd.test_groups[attr]) for fd, y_hat in zip(folds, y_hats)]
-        # the concatenated folds first, then each fold
-        pooled, *per_fold_eo = [equalized_odds(group_rates(*arrays))
-                                for arrays in (map(np.concatenate, zip(*parts)), *parts)]
+        keys = sorted(set().union(*(fold[attr] for fold in counts)))
+        # (fold, group, cell); a group missing from a fold counts zero there
+        table = np.array([[fold[attr].get(key, [0] * 4) for key in keys] for fold in counts])
+        # the summed folds first, then each fold
+        pooled, *per_fold_eo = [equalized_odds(rates_from_counts(keys, cells))
+                                for cells in (table.sum(axis=0), *table)]
         fairness[attr] = {"pooled": pooled, "per_fold": per_fold_eo}
     return {
         "model": spec.name,
@@ -370,8 +376,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         results = dict(zip(pairs, map(_evaluate_pair, *args)))
     # assembled in grid order, whatever order the units finished in
     entries = [
-        _entry(spec, protocol, folds_by_protocol[protocol],
-               [results[protocol, f][m] for f in range(config.k_folds)])
+        _entry(spec, protocol, [results[protocol, f][m] for f in range(config.k_folds)])
         for m, spec in enumerate(config.models)
         for protocol in config.protocols
     ]

@@ -8,7 +8,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .metrics import _as_binary, macro_f1, macro_f1_rows
+# macro_f1 is no longer called here, but perfbench/spans.py patches it by name (ROADMAP item 1)
+from .metrics import _as_binary, confusion_counts, macro_f1, macro_f1_from_counts
 from .models import predict_many
 from .rng import derive_rng
 
@@ -68,22 +69,23 @@ def permutation_importance(
     Only the changed rows of a shuffled copy are predicted: a row whose
     shuffled values equal its own keeps its baseline label, and a changed row
     that recurs in several repeats of a target (same row, same new values) is
-    predicted once. The distinct rows of successive targets are predicted
-    together, in one predict_many call per ``CHUNK_ROWS`` rows (or per target
-    larger than that), and each model cuts them into the blocks of one
-    iterator, models._row_blocks. So ``predict`` must be row-independent: the
-    label of a row may not depend on the other rows passed with it. All five
-    model families are in their arithmetic, but not at the bit level. A KNN
-    distance and an SVM kernel value come from a matrix product (GEMM), and
-    with OpenBLAS 0.3.31 on x86-64 a row's bits can change with the number of
-    rows multiplied with it when the training side has a column count that is
-    not a multiple of 8 (seen at 300, 1199, 1204, 1206 and 1500 training rows,
-    not at 120 or 1200). A one-row block would go to gemv, the matrix-vector
-    product, whose bits differ from GEMM's, so the iterator makes a lone row
-    a block of two. The products that finish the SVM and logistic decisions
-    are einsum loops, whose row bits do not change with the block height;
-    gemv's did, at every size tried. A label can change only on a near-exact
-    tie.
+    predicted once. A copy is scored from the baseline's confusion counts and
+    the cells its flipped labels move between. The distinct rows of successive
+    targets are predicted together, in one predict_many call per
+    ``CHUNK_ROWS`` rows (or per target larger than that), and each model cuts
+    them into the blocks of one iterator, models._row_blocks. So ``predict``
+    must be row-independent: the label of a row may not depend on the other
+    rows passed with it. All five model families are in their arithmetic, but
+    not at the bit level. A KNN distance and an SVM kernel value come from a
+    matrix product (GEMM), and with OpenBLAS 0.3.31 on x86-64 a row's bits can
+    change with the number of rows multiplied with it when the training side
+    has a column count that is not a multiple of 8 (seen at 300, 1199, 1204,
+    1206 and 1500 training rows, not at 120 or 1200). A one-row block would go
+    to gemv, the matrix-vector product, whose bits differ from GEMM's, so the
+    iterator makes a lone row a block of two. The products that finish the SVM
+    and logistic decisions are einsum loops, whose row bits do not change with
+    the block height; gemv's did, at every size tried. A label can change only
+    on a near-exact tie.
     """
     X = np.asarray(X, dtype=float)
     y = _as_binary("y", y)
@@ -103,14 +105,15 @@ def permutation_importance(
     n = len(y)
     base = np.array(predict_many(models, X) if predictions is None else predictions,
                     dtype=np.int8).reshape(len(models), n)
-    baselines = [macro_f1(y, pred) for pred in base]
+    _, base_counts = confusion_counts(y, base)  # (model, 1, cell)
     targets: list[tuple[str, int, tuple[int, ...]]] = [
         (name, j, (j,)) for j, name in enumerate(column_names)
     ]
     for gi, (name, cols) in enumerate(sorted((grouped_columns or {}).items())):
         targets.append((name, d + gi, tuple(int(c) for c in cols)))
 
-    scores = np.empty((len(models), len(targets), n_repeats))
+    # flips[model, target, repeat, cell]: changed entries whose label left that cell
+    flips = np.zeros((len(models), len(targets), n_repeats, 4), dtype=np.int64)
     # targets whose distinct changed rows await prediction, as
     # (target, changed mask, row of each changed entry in ``rows``, rows)
     pending: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -119,13 +122,14 @@ def permutation_importance(
         batch = np.concatenate([rows for *_, rows in pending])
         labels = np.array(predict_many(models, batch) if len(batch) else [],
                           dtype=np.int8).reshape(len(models), len(batch))
-        offset = 0
+        index, offset = [], 0
         for t, changed, inverse, rows in pending:
-            # every copy of the target: the baseline labels, changed rows relabelled
-            block = np.repeat(base[:, None, :], n_repeats, axis=1)
-            block[:, changed] = labels[:, offset + inverse]
+            repeat, row = np.nonzero(changed)  # each changed entry, in mask order
+            m, k = np.nonzero(labels[:, offset + inverse] != base[:, row])  # its flips
+            index.append(((m * len(targets) + t) * n_repeats + repeat[k]) * 4
+                         + 2 * y[row[k]] + base[m, row[k]])
             offset += len(rows)
-            scores[:, t] = macro_f1_rows(y, block.reshape(-1, n)).reshape(-1, n_repeats)
+        flips[:] += np.bincount(np.concatenate(index), minlength=flips.size).reshape(flips.shape)
         pending.clear()
 
     for t, (_, stream_key, cols) in enumerate(targets):
@@ -137,7 +141,10 @@ def permutation_importance(
         pending.append((t, changed, inverse, rows))
     flush()
 
-    drops = np.array(baselines)[:, None, None] - scores
+    baselines = macro_f1_from_counts(base_counts[:, 0])
+    # a flip moves a count from its cell 2 * truth + label to the other label's
+    drops = baselines[:, None, None] - macro_f1_from_counts(
+        base_counts[:, None] + flips[..., [1, 0, 3, 2]] - flips)
     means, stds = drops.mean(axis=-1).tolist(), drops.std(axis=-1).tolist()
     return [
         {"baseline_score": float(baseline),

@@ -68,8 +68,9 @@ def _grid(report: ExperimentReport) -> tuple[list[str], list[tuple[str, list[dic
 
 
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
-    """A markdown table's lines: the header, its separator, then the rows."""
-    lines = ["| " + " | ".join(cells) + " |" for cells in [header, *rows]]
+    """A markdown table's lines: header, separator, rows; a ``|`` in a cell is escaped."""
+    lines = ["| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+             for cells in [header, *rows]]
     lines.insert(1, "|" + "---|" * len(header))
     return lines
 
@@ -156,6 +157,11 @@ def _emit_svgs(report: ExperimentReport, out_dir: Path) -> list[Path]:
     return written
 
 
+def _xml(text: str) -> str:
+    """``text`` as XML character data; xml.sax.saxutils would import urllib (7 MB)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_barchart(title: str, pairs: list[tuple[str, float]]) -> str:
     bar_h, gap, label_w, chart_w, top = 20, 6, 150, 420, 34
     height = top + len(pairs) * (bar_h + gap) + 12
@@ -165,13 +171,13 @@ def _svg_barchart(title: str, pairs: list[tuple[str, float]]) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="sans-serif" font-size="12">',
-        f'<text x="8" y="18" font-size="14" font-weight="bold">{title}</text>',
+        f'<text x="8" y="18" font-size="14" font-weight="bold">{_xml(title)}</text>',
     ]
     y = top
     for name, value in pairs:
         w = int(round(chart_w * max(value, 0.0) / vmax)) if vmax > 0 else 0
         parts.append(
-            f'<text x="{label_w - 6}" y="{y + bar_h - 5}" text-anchor="end">{name}</text>'
+            f'<text x="{label_w - 6}" y="{y + bar_h - 5}" text-anchor="end">{_xml(name)}</text>'
         )
         parts.append(
             f'<rect x="{label_w}" y="{y}" width="{w}" height="{bar_h}" fill="#4878a8"/>'
@@ -232,9 +238,15 @@ def load_report_json(path: str | Path) -> ExperimentReport:
             raise InvariantViolation("entries has no entry for {} under {}, one of "
                                      "provenance.config.protocols".format(*missing[0]))
         for i, entry in enumerate(entries):
-            if len(entry["fold_scores"]) != config["k_folds"]:
-                raise InvariantViolation(f"entries[{i}].fold_scores must have "
-                                         f"provenance.config.k_folds ({config['k_folds']}) items")
+            fold_lists = [("fold_scores", entry["fold_scores"])]
+            fold_lists += [(f"fairness.{attr}.per_fold", fair["per_fold"])
+                           for attr, fair in entry["fairness"].items()]
+            fold_lists += [(f"importance.{split}", folds)
+                           for split, folds in entry["importance"].items()]
+            for key, items in fold_lists:
+                if len(items) != config["k_folds"]:
+                    raise InvariantViolation(f"entries[{i}].{key} must have provenance.config"
+                                             f".k_folds ({config['k_folds']}) items")
             for split, folds in entry["importance"].items():
                 names = [sorted(fold["features"]) for fold in folds]
                 if not names or any(n != names[0] for n in names):

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 import yaml
@@ -306,6 +308,13 @@ MEAN_DROP_PATH = "entries[3].importance.test[2].features.alt"
     pytest.param(edited_report((("provenance", "config", "k_folds"), 4)),
                  "entries[0].fold_scores must have provenance.config.k_folds (4) items",
                  id="k-folds-4"),
+    # short fold lists rendered a ragged table
+    pytest.param(edited_report((("entries", 2, "fairness", "age", "per_fold", 0), DELETE)),
+                 "entries[2].fairness.age.per_fold must have provenance.config.k_folds (5) items",
+                 id="per-fold-short"),
+    pytest.param(edited_report((("entries", 1, "importance", "train", 4), DELETE)),
+                 "entries[1].importance.train must have provenance.config.k_folds (5) items",
+                 id="importance-short"),
     pytest.param(edited_report((("fold_flags", 1, "small_race_groups", 0), 1)),
                  "fold_flags[1].small_race_groups[0] must be a string, got 1",
                  id="race-group-int"),
@@ -320,6 +329,35 @@ def test_report_of_a_malformed_file_exits_1(tmp_path, capsys, text, named):
         assert err.startswith("error: ") and str(path) in err
         assert named is None or named in err
         assert not (tmp_path / "o").exists()
+
+
+def test_rendered_labels_and_feature_names_are_escaped(tmp_path):
+    # the labels and a feature name of logr's entries carry XML and table markup
+    doc = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+    label, feature = "A & <B> | C", "alt <&> | x"
+    for entry in doc["entries"][:2]:
+        entry["label"] = label
+        for folds in entry["importance"].values():
+            for fold in folds:
+                fold["features"][feature] = fold["features"].pop("alt")
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["report", "--in", str(path), "--out", str(out), "--formats", "md,svg"]) == 0
+    svgs = sorted(out.glob("*.svg"))
+    assert len(svgs) == 2 * len(doc["entries"])
+    texts = {}
+    for svg in svgs:
+        nodes = minidom.parse(str(svg)).getElementsByTagName("text")
+        texts[svg.name] = [node.firstChild.data for node in nodes]
+    assert texts["importance_logr_aware_test.svg"][0] == f"{label} (Demographic-aware), test split"
+    assert feature in texts["importance_logr_unaware_train.svg"]
+    for md in ("performance.md", "fairness.md"):
+        text = (out / md).read_text()
+        assert label.replace("|", "\\|") in text
+        for table in re.findall(r"(?:^\|.*\n)+", text, re.MULTILINE):
+            # every row has the header's cells, counting unescaped bars
+            assert len({len(re.split(r"(?<!\\)\|", row)) for row in table.splitlines()}) == 1
 
 
 def test_run_unknown_config_key_exits_1(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fairbench import errors, experiment, importance, models
+from fairbench import errors, experiment, importance, metrics, models
 from fairbench.cli import main
 from fairbench.dataset import (
     AWARE,
@@ -479,6 +479,44 @@ def test_the_knn_models_of_a_fold_share_one_neighbour_pass(monkeypatch):
     experiment._evaluate_pair(cfg.models, AWARE, 0, fd, cfg.master_seed, 2)
     assert len(calls) >= 4  # the test split, and a baseline and a flush per split at least
     assert served == [[1, 2, 4, 8, 12]] * len(calls)
+
+
+def test_pooled_fairness_of_summed_counts_equals_that_of_the_concatenated_folds():
+    # "c" is missing from fold 0 and "b" from fold 1, and "c" has no positives
+    # anywhere: its TPR is None pooled and in each fold. No fold and no pair
+    # of folds gives the pooled 0.625
+    folds = [([0, 0, 1, 0, 1, 1], [1, 1, 0, 1, 1, 0], ["a", "b", "b", "a", "a", "a"]),
+             ([0, 0, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1], ["a", "c", "c", "a", "a", "a"]),
+             ([0, 0, 0, 1, 1, 0], [1, 0, 1, 1, 1, 1], ["b", "c", "c", "a", "b", "a"])]
+    per_fold = []
+    for y_true, y_pred, groups in folds:
+        counts = {}
+        for attr in experiment.SENSITIVE_ATTRIBUTES:
+            keys, cells = metrics.confusion_counts(y_true, [y_pred], groups)
+            counts[attr] = dict(zip(keys, cells[0].tolist()))
+        per_fold.append((counts, 0.5, {"train": {}, "test": {}}))
+    entry = experiment._entry(ModelSpec("tree"), AWARE, per_fold)
+    y_true, y_pred, groups = (sum(parts, []) for parts in zip(*folds))
+    pooled = metrics.group_rates(y_true, y_pred, groups)
+    assert list(pooled) == ["a", "b", "c"] and pooled["c"][0] is None
+    assert metrics.equalized_odds(pooled) == 0.625
+    summed = sum(np.array([counts["age"].get(key, [0] * 4) for key in pooled])
+                 for counts, _, _ in per_fold)
+    assert metrics.rates_from_counts(list(pooled), summed) == pooled
+    for attr in experiment.SENSITIVE_ATTRIBUTES:
+        assert entry["fairness"][attr] == {
+            "pooled": metrics.equalized_odds(pooled),
+            "per_fold": [metrics.equalized_odds(metrics.group_rates(*fold)) for fold in folds]}
+
+
+def test_each_entry_of_the_quick_study_is_the_same_when_its_model_runs_alone():
+    cfg = experiment.load_experiment_config(Path(__file__).parents[1] / "configs" / "quick.yaml")
+    grid = run_experiment(cfg)
+    for model in cfg.models:
+        alone = run_experiment(replace(cfg, models=(model,)))
+        for entry in alone.entries:
+            in_grid = grid.entry(entry["model"], entry["protocol"])
+            assert json.dumps(entry, sort_keys=True) == json.dumps(in_grid, sort_keys=True)
 
 
 @pytest.mark.parametrize("score, path", [

@@ -3,12 +3,29 @@ import pytest
 
 import fairbench.importance as importance_mod
 from fairbench.dataset import encode_features, synthesize_cohort
-from fairbench.errors import DimensionMismatch, InvariantViolation
+from fairbench.errors import DimensionMismatch, EmptyInput, InvariantViolation, LengthMismatch
 from fairbench.importance import permutation_importance
-from fairbench.metrics import macro_f1
-from fairbench.models import ModelSpec, train
+from fairbench.metrics import _as_binary, _f1, macro_f1
+from fairbench.models import ModelSpec, predict_many, train
 from fairbench.report import mean_importance
 from fairbench.specfile import default_cohort_spec
+
+
+def macro_f1_rows(y_true, y_pred) -> np.ndarray:
+    """Reference: ``macro_f1(y_true, row)`` for every row of the 2-D ``y_pred``,
+    counting class 1's confusion cells per row and deriving class 0's."""
+    yt = _as_binary("y_true", y_true)
+    yp = np.asarray(y_pred).astype(np.int64)
+    if yp.ndim != 2 or yp.shape[1] != len(yt):
+        raise LengthMismatch(f"y_pred must have shape (m, {len(yt)}), got {yp.shape}")
+    if len(yt) == 0:
+        raise EmptyInput("cannot count an empty prediction vector")
+    pos_t, pos_p = yt == 1, yp == 1
+    tp = np.count_nonzero(pos_t & pos_p, axis=1)
+    fp = np.count_nonzero(~pos_t & pos_p, axis=1)
+    fn = np.count_nonzero(pos_t & ~pos_p, axis=1)
+    tn = len(yt) - tp - fp - fn
+    return 0.5 * (_f1(tp, fp, fn) + _f1(tn, fn, fp))
 
 
 def separable_with_noise(n=80, seed=0):
@@ -349,3 +366,53 @@ def test_the_identity_permutation_sends_only_the_baseline(monkeypatch):
     m = train(ModelSpec("tree"), X, y)
     permutation_importance([m], X, y, n_repeats=3, seed=0)
     assert rows == [len(y)]
+
+
+def block_scored_importance(models, X, y, n_repeats, seed, grouped_columns=None):
+    """Reference: every shuffled copy predicted whole, and each target's
+    (model, repeat, row) block of labels scored with ``macro_f1_rows``. Also
+    the confusion cells (2 * truth + label) that some label flipped into."""
+    n, d = X.shape
+    base = np.array(predict_many(models, X), dtype=np.int8)
+    baselines = macro_f1_rows(y, base)
+    targets = [(f"x{j}", j, (j,)) for j in range(d)]
+    for gi, (name, cols) in enumerate(sorted((grouped_columns or {}).items())):
+        targets.append((name, d + gi, cols))
+    records = [{"baseline_score": float(b), "features": {}} for b in baselines]
+    entered = set()
+    for name, stream_key, cols in targets:
+        block = np.empty((len(models), n_repeats, n), dtype=np.int8)
+        for r in range(n_repeats):
+            perm = importance_mod._rng_for(seed, stream_key, r).permutation(n)
+            shuffled = X.copy()
+            shuffled[:, cols] = shuffled[np.ix_(perm, cols)]
+            block[:, r] = predict_many(models, shuffled)
+        entered.update((2 * y + block)[block != base[:, None]].tolist())
+        scores = macro_f1_rows(y, block.reshape(-1, n)).reshape(len(models), n_repeats)
+        for record, drops in zip(records, baselines[:, None] - scores):
+            record["features"][name] = {"mean_drop": float(drops.mean()),
+                                        "std_drop": float(drops.std()), "repeats": n_repeats}
+    return records, entered
+
+
+@pytest.mark.parametrize("identity_first", [False, True])
+@pytest.mark.parametrize("chunk_rows", [4096, 50, 7])  # one call, calls across targets, a target each
+@pytest.mark.parametrize("grouped", [None, {"onehot (grouped)": (3, 4, 5)}])
+def test_counts_scored_importance_equals_the_block_scored_reference(monkeypatch, grouped,
+                                                                    chunk_rows, identity_first):
+    class _IdentityRng:
+        def permutation(self, n):
+            return np.arange(n)
+
+    rng_for = importance_mod._rng_for
+    if identity_first:  # repeat 0 of every target leaves its copy unchanged
+        monkeypatch.setattr(importance_mod, "_rng_for", lambda seed, key, r:
+                            _IdentityRng() if r == 0 else rng_for(seed, key, r))
+    monkeypatch.setattr(importance_mod, "CHUNK_ROWS", chunk_rows)
+    X_train, y_train = noisy_with_onehot(60, seed=1)
+    X, y = noisy_with_onehot(25, seed=2)
+    fitted = [train(spec, X_train, y_train) for spec in FAMILIES]
+    got = permutation_importance(fitted, X, y, n_repeats=3, seed=7, grouped_columns=grouped)
+    want, entered = block_scored_importance(fitted, X, y, 3, 7, grouped)
+    assert got == want
+    assert entered == {0, 1, 2, 3}  # a flip into tn, fp, fn and tp

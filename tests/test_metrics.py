@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from fairbench.errors import EmptyInput, InvariantViolation, LengthMismatch, NoEvaluableGroups
-from fairbench.metrics import _as_binary, equalized_odds, group_rates, macro_f1, macro_f1_rows
+from fairbench.metrics import (
+    _as_binary,
+    confusion_counts,
+    equalized_odds,
+    group_rates,
+    macro_f1,
+    macro_f1_from_counts,
+    rates_from_counts,
+)
+from test_importance import macro_f1_rows
 
 # ---------------------------------------------------------------------------
 # Independent oracle: per-sample recount with pure-python loops. Kept separate
@@ -97,7 +106,7 @@ def test_macro_f1_length_mismatch():
     lambda: macro_f1([1, 0], [1, -1]),
     lambda: macro_f1([1, 0], ["1", "0"]),
     lambda: macro_f1([1, float("nan")], [1, 0]),
-    lambda: macro_f1_rows([1, 2], [[1, 0]]),
+    lambda: confusion_counts([1, 2], [[1, 0]]),
     lambda: group_rates([1, 0, 2], [1, 1, 1], ["a", "a", "b"]),
     lambda: group_rates([1, 0, 1], [1, 0, 0.5], ["a", "a", "b"]),
 ], ids=["true-2", "pred-0.9", "pred--1", "pred-strings", "true-nan", "rows-true-2",
@@ -191,6 +200,8 @@ def test_macro_f1_rows_equals_macro_f1_row_by_row():
         got = macro_f1_rows(yt, pred)
         assert got.tolist() == [oracle_macro_f1(yt, row) for row in rows]
         assert got.tolist() == [macro_f1(yt, row) for row in rows]
+        # the counts of every row at once, as importance scores its baselines
+        assert macro_f1_from_counts(confusion_counts(yt, pred)[1][:, 0]).tolist() == got.tolist()
     for label in (0, 1):  # single-class truth
         same = np.full(6, label)
         assert macro_f1_rows(same, rows).tolist() == [oracle_macro_f1(same, row) for row in rows]
@@ -203,12 +214,31 @@ def test_macro_f1_rows_equals_macro_f1_row_by_row():
 
 
 def test_macro_f1_rows_shape_checks():
-    with pytest.raises(LengthMismatch):
-        macro_f1_rows([1, 0, 1], [[1, 0]])
-    with pytest.raises(LengthMismatch):
-        macro_f1_rows([1, 0], [1, 0])
+    # the reference and the counts take the same shapes
+    for count in (macro_f1_rows, confusion_counts):
+        with pytest.raises(LengthMismatch):
+            count([1, 0, 1], [[1, 0]])
+        with pytest.raises(LengthMismatch):
+            count([1, 0], [1, 0])
     with pytest.raises(EmptyInput):
         macro_f1_rows([], np.zeros((2, 0)))
+    with pytest.raises(LengthMismatch):
+        confusion_counts([1, 0], [[1, 0]], ["a"])
+    assert confusion_counts([], np.zeros((2, 0)))[1].tolist() == [[[0] * 4]] * 2
+
+
+def test_confusion_counts_fill_cell_2_truth_plus_label_per_row_and_group():
+    y_true = [0, 0, 1, 1, 1, 0]
+    rows = [[0, 1, 0, 1, 1, 0],
+            [1, 1, 1, 1, 0, 0]]
+    keys, counts = confusion_counts(y_true, rows, [2, 1, 1, 2, 2, 1])
+    assert keys == ["1", "2"] and counts.dtype == np.int64
+    # (tn, fp, fn, tp) per group: "1" holds rows 1, 2, 5 and "2" rows 0, 3, 4
+    assert counts.tolist() == [[[1, 1, 1, 0], [1, 0, 0, 2]],
+                               [[1, 1, 0, 1], [0, 1, 1, 1]]]
+    _, whole = confusion_counts(y_true, rows)
+    assert whole.tolist() == counts.sum(axis=1, keepdims=True).tolist()
+    assert rates_from_counts(keys, counts[1]) == group_rates(y_true, rows[1], [2, 1, 1, 2, 2, 1])
 
 
 def test_metrics_invariant_under_sample_order():
