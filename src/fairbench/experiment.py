@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
@@ -197,26 +196,53 @@ def _must(holds, what: str):
 
 
 def _number_in(lo, hi):
-    return _must(lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real)
+    """A number JSON can write (an int or a float, not a bool) in [lo, hi]."""
+    return _must(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
                  and lo <= v <= hi, f"a number in [{lo}, {hi}]")
 
 
+def _is_model_name(name) -> bool:
+    try:
+        return isinstance(name, str) and bool(parse_model_name(name))
+    except ConfigError:
+        return False
+
+
 _SCORE = _number_in(0, 1)
-# the leaves of a report entry checked whenever a report is built: its fold
-# scores, mean score and pooled and per-fold fairness ratios
-_ENTRY_SCORES = {
-    "fold_scores": [_SCORE], "mean_score": _SCORE,
-    "fairness": {attr: {"pooled": _SCORE, "per_fold": [_SCORE]} for attr in SENSITIVE_ATTRIBUTES},
+_STRING = _must(lambda value: isinstance(value, str), "a string")
+_PROTOCOL = _must(lambda protocol: protocol in PROTOCOLS, f"one of {list(PROTOCOLS)}")
+_FOLD_IMPORTANCE = {
+    "features": {"*": {"mean_drop": _number_in(-1, 1), "std_drop": _number_in(0, 1),
+                       "*": _unchecked}},
     "*": _unchecked,
+}
+# the report: every value rendering reads, each fold score, mean score and
+# pooled or per-fold fairness ratio a number in [0, 1]
+_REPORT = {
+    "provenance": {"config": {"k_folds": _must(lambda k: type(k) is int, "an integer"),
+                              "models": [_STRING], "protocols": [_PROTOCOL], "*": _unchecked},
+                   "cohort_source": _unchecked,
+                   "class_counts": {"ITP": _unchecked, "NonITP": _unchecked},
+                   "*": _unchecked},
+    "fold_flags": [{"small_race_groups": [_STRING], "*": _unchecked}],
+    "directional_findings": _unchecked,
+    "entries": [{
+        "fold_scores": [_SCORE], "mean_score": _SCORE,
+        "fairness": {attr: {"pooled": _SCORE, "per_fold": [_SCORE]}
+                     for attr in SENSITIVE_ATTRIBUTES},
+        "model": _must(_is_model_name, "a model name"), "label": _STRING, "protocol": _PROTOCOL,
+        "importance": {"train": [_FOLD_IMPORTANCE], "test": [_FOLD_IMPORTANCE]},
+        "*": _unchecked,
+    }],
 }
 
 
 @dataclass
 class ExperimentReport:
-    """A study's report. Construction checks that every fold score, mean score
-    and pooled or per-fold fairness ratio of its entries is a number in [0, 1];
-    an InvariantViolation names the first that is missing or is not by its
-    path, such as entries[0].mean_score."""
+    """A study's report, built by ``run_experiment`` or read from a file; both
+    are checked here, on construction, by one schema and the rules across its
+    fields. An InvariantViolation names the first bad value by its path, such
+    as entries[0].mean_score."""
 
     provenance: dict
     fold_flags: list[dict]
@@ -224,7 +250,41 @@ class ExperimentReport:
     directional_findings: dict
 
     def __post_init__(self):
-        _walk(self.entries, [_ENTRY_SCORES], "entries", InvariantViolation, "{path} {exc}")
+        # keep the walked report, in which a None where a mapping is due reads as empty
+        vars(self).update(_walk(self.to_dict(), _REPORT, "", InvariantViolation, "{path} {exc}"))
+        config = self.provenance["config"]
+        for key in ("models", "protocols"):
+            if not config[key] or len(set(config[key])) < len(config[key]):
+                raise InvariantViolation(f"provenance.config.{key} must be a non-empty list "
+                                         f"with no repeats, got {config[key]}")
+        pairs = [(e["model"], e["protocol"]) for e in self.entries]
+        grid = [(m, p) for m in config["models"] for p in config["protocols"]]
+        for model, protocol in grid:
+            if (model, protocol) not in pairs:
+                raise InvariantViolation(f"entries has no entry for {model} under {protocol}, "
+                                         f"a pair of provenance.config's models and protocols")
+        for i, (model, protocol) in enumerate(pairs):
+            if (model, protocol) not in grid:
+                raise InvariantViolation(f"entries[{i}] is for {model} under {protocol}, "
+                                         f"which provenance.config does not name")
+            if (model, protocol) in pairs[:i]:
+                raise InvariantViolation(f"entries[{i}] repeats the entry for {model} "
+                                         f"under {protocol}")
+        for i, entry in enumerate(self.entries):
+            fold_lists = [("fold_scores", entry["fold_scores"])]
+            fold_lists += [(f"fairness.{attr}.per_fold", fair["per_fold"])
+                           for attr, fair in entry["fairness"].items()]
+            fold_lists += [(f"importance.{split}", folds)
+                           for split, folds in entry["importance"].items()]
+            for key, items in fold_lists:
+                if len(items) != config["k_folds"]:
+                    raise InvariantViolation(f"entries[{i}].{key} must have provenance.config"
+                                             f".k_folds ({config['k_folds']}) items")
+            for split, folds in entry["importance"].items():
+                names = [sorted(fold["features"]) for fold in folds]
+                if not names or any(n != names[0] for n in names):
+                    raise InvariantViolation(f"entries[{i}].importance.{split} must be one or "
+                                             f"more folds that name the same features")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -234,7 +294,8 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentReport":
-        return cls(**{f.name: doc[f.name] for f in dataclass_fields(cls)})
+        """The report of a document, such as a decoded report.json."""
+        return cls(**_walk(doc, dict.fromkeys(_REPORT, _unchecked), "", InvariantViolation))
 
     def entry(self, model: str, protocol: str) -> dict:
         for e in self.entries:

@@ -8,17 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import AWARE, PROTOCOLS, UNAWARE
-from .errors import ConfigError, FairbenchError, InvariantViolation
-from .experiment import (
-    _ENTRY_SCORES,
-    SENSITIVE_ATTRIBUTES,
-    ExperimentReport,
-    _must,
-    _number_in,
-    _unchecked,
-)
-from .models import parse_model_name
-from .specfile import _walk
+from .errors import FairbenchError, InvariantViolation
+from .experiment import SENSITIVE_ATTRIBUTES, ExperimentReport
 
 PROTOCOL_TITLES = {AWARE: "Demographic-aware", UNAWARE: "Demographic-unaware"}
 
@@ -57,14 +48,12 @@ def _pct(v: float) -> str:
 
 
 def _grid(report: ExperimentReport) -> tuple[list[str], list[tuple[str, list[dict]]]]:
-    """The report's protocols and its rows: each (model, label) in first-seen
-    order, with its label and its first entry under each protocol."""
-    rows, cells = {}, {}
-    for e in report.entries:
-        rows.setdefault((e["model"], e["label"]))
-        cells.setdefault((e["model"], e["protocol"]), e)
-    protocols = list(report.provenance["config"]["protocols"])
-    return protocols, [(label, [cells[model, p] for p in protocols]) for model, label in rows]
+    """The report's protocols and its rows: each configured model, in the
+    config's order, with its label and its entry under each protocol."""
+    config = report.provenance["config"]
+    protocols = config["protocols"]
+    return protocols, [(report.entry(m, protocols[0])["label"],
+                        [report.entry(m, p) for p in protocols]) for m in config["models"]]
 
 
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -190,68 +179,37 @@ def _svg_barchart(title: str, pairs: list[tuple[str, float]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _is_model_name(name) -> bool:
-    try:
-        return isinstance(name, str) and bool(parse_model_name(name))
-    except ConfigError:
-        return False
+# the most levels of lists and mappings a stored report may nest; a report
+# nests 8, and writing one back as JSON recurses once per level
+MAX_REPORT_DEPTH = 64
 
 
-_STRING = _must(lambda value: isinstance(value, str), "a string")
-_PROTOCOL = _must(lambda protocol: protocol in PROTOCOLS, f"one of {list(PROTOCOLS)}")
-_FOLD_IMPORTANCE = {
-    "features": {"*": {"mean_drop": _number_in(-1, 1), "std_drop": _number_in(0, 1),
-                       "*": _unchecked}},
-    "*": _unchecked,
-}
-# a stored report as it is read back: each entry's scores as a study checks
-# them, and every other value that rendering it reads
-_REPORT = {
-    "provenance": {"config": {"k_folds": _must(lambda k: type(k) is int, "an integer"),
-                              "protocols": [_PROTOCOL], "*": _unchecked},
-                   "cohort_source": _unchecked,
-                   "class_counts": {"ITP": _unchecked, "NonITP": _unchecked},
-                   "*": _unchecked},
-    "fold_flags": [{"small_race_groups": [_STRING], "*": _unchecked}],
-    "directional_findings": _unchecked,
-    "entries": [{
-        **_ENTRY_SCORES,
-        "model": _must(_is_model_name, "a model name"), "label": _STRING, "protocol": _PROTOCOL,
-        "importance": {"train": [_FOLD_IMPORTANCE], "test": [_FOLD_IMPORTANCE]},
-    }],
-}
+def _depth(doc) -> int:
+    """How many levels of lists and mappings ``doc`` nests, counted one level
+    at a time, so that a deep document cannot exhaust the stack."""
+    depth, level = 0, [doc]
+    while level := [node for node in level if isinstance(node, (dict, list))]:
+        depth += 1
+        level = [child for node in level
+                 for child in (node.values() if isinstance(node, dict) else node)]
+    return depth
 
 
 def load_report_json(path: str | Path) -> ExperimentReport:
+    """The report a report.json holds, checked as ``ExperimentReport`` checks
+    every report; a file that is not one is an error naming it."""
+    too_deep = FairbenchError(f"{path} nests more than {MAX_REPORT_DEPTH} levels deep")
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FairbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # not UTF-8 or not JSON
         raise FairbenchError(f"{path} is not JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per level too
+        raise too_deep from None
+    if _depth(doc) > MAX_REPORT_DEPTH:
+        raise too_deep
     try:
-        doc = _walk(doc, _REPORT, "", InvariantViolation, "{path} {exc}")
-        config, entries = doc["provenance"]["config"], doc["entries"]
-        pairs = {(e["model"], e["protocol"]) for e in entries}
-        missing = sorted({(m, p) for m, _ in pairs for p in config["protocols"]} - pairs)
-        if missing:
-            raise InvariantViolation("entries has no entry for {} under {}, one of "
-                                     "provenance.config.protocols".format(*missing[0]))
-        for i, entry in enumerate(entries):
-            fold_lists = [("fold_scores", entry["fold_scores"])]
-            fold_lists += [(f"fairness.{attr}.per_fold", fair["per_fold"])
-                           for attr, fair in entry["fairness"].items()]
-            fold_lists += [(f"importance.{split}", folds)
-                           for split, folds in entry["importance"].items()]
-            for key, items in fold_lists:
-                if len(items) != config["k_folds"]:
-                    raise InvariantViolation(f"entries[{i}].{key} must have provenance.config"
-                                             f".k_folds ({config['k_folds']}) items")
-            for split, folds in entry["importance"].items():
-                names = [sorted(fold["features"]) for fold in folds]
-                if not names or any(n != names[0] for n in names):
-                    raise InvariantViolation(f"entries[{i}].importance.{split} must be one or "
-                                             f"more folds that name the same features")
         return ExperimentReport.from_dict(doc)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path} is not a report: {exc}") from None

@@ -103,8 +103,8 @@ def cohort_spec_to_dict(spec: CohortSpec) -> dict:
 
 
 def load_yaml(path: str | Path):
-    """The document of a YAML file; a file that cannot be read, or is not
-    UTF-8 YAML, is a ConfigError naming it."""
+    """The document of a YAML file; a file that cannot be read, is not UTF-8
+    YAML or nests too deeply for the parser, is a ConfigError naming it."""
     try:
         with Path(path).open(encoding="utf-8") as fh:
             return yaml.safe_load(fh)
@@ -112,6 +112,8 @@ def load_yaml(path: str | Path):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid UTF-8 YAML: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply to read") from None
 
 
 def load_cohort_spec(path: str | Path) -> CohortSpec:

@@ -14,6 +14,9 @@ import yaml
 from fairbench import cli
 from fairbench.cli import main
 from fairbench.dataset import CSV_HEADER, load_cohort_csv
+from fairbench.errors import InvariantViolation
+from fairbench.experiment import ExperimentReport
+from fairbench.report import load_report_json
 from fairbench.specfile import MAX_CLASS_SIZE
 
 
@@ -216,6 +219,7 @@ def test_run_invalid_config_exits_1(tmp_path):
     'models: ["rf[bogus=1]"]',
     'models: ["rf[n_trees=30"]',
     'models: ["dt[max_depth=2.5]"]',
+    pytest.param("k_folds: " + "[" * 5000, id="nested-5000"),
 ])
 def test_run_malformed_config_value_exits_1(tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"
@@ -264,10 +268,20 @@ MEAN_DROP = ("entries", 3, "importance", "test", 2, "features", "alt")
 MEAN_DROP_PATH = "entries[3].importance.test[2].features.alt"
 
 
-@pytest.mark.parametrize("text, named", [
-    pytest.param("{}", None, id="{}"),
+GOLDEN_ENTRIES = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))["entries"]
+
+
+def nested_findings(depth: int) -> str:
+    """The golden quick report with directional_findings ``depth`` lists deep,
+    written as text: encoding so deep a list could exhaust the test's stack."""
+    return edited_report((("directional_findings",), 0)).replace(
+        '"directional_findings": 0', '"directional_findings": ' + "[" * depth + "]" * depth)
+
+REPORT_CASES = [
+    pytest.param("{}", "provenance is missing", id="{}"),
+    pytest.param("[" * 2000, "nests more than 64 levels deep", id="nested-2000"),
     pytest.param("not json", None, id="not json"),
-    pytest.param("[1, 2]", None, id="[1, 2]"),
+    pytest.param("[1, 2]", "the document must be a mapping, got list", id="[1, 2]"),
     pytest.param(edited_report((("entries", 0, "mean_score"), 2.0),
                                (("entries", 1, "fold_scores", 0), -0.5)),
                  "entries[0].mean_score must be a number in [0, 1], got 2.0", id="mean-2-fold--0.5"),
@@ -318,7 +332,47 @@ MEAN_DROP_PATH = "entries[3].importance.test[2].features.alt"
     pytest.param(edited_report((("fold_flags", 1, "small_race_groups", 0), 1)),
                  "fold_flags[1].small_race_groups[0] must be a string, got 1",
                  id="race-group-int"),
-])
+    # each of these exited 0: the entries must be the grid the config names
+    pytest.param(edited_report((("entries", 0), DELETE), (("entries", 0), DELETE)),
+                 "entries has no entry for logr under aware", id="logr-deleted"),
+    pytest.param(edited_report((("entries",), [])),
+                 "entries has no entry for logr under aware", id="entries-empty"),
+    pytest.param(edited_report((("entries",), GOLDEN_ENTRIES + GOLDEN_ENTRIES[:1])),
+                 "entries[10] repeats the entry for logr under aware", id="entry-0-twice"),
+    pytest.param(edited_report((("entries", 0, "model"), "knn-3"),
+                               (("entries", 1, "model"), "knn-3")),
+                 "entries has no entry for logr under aware", id="logr-renamed"),
+    pytest.param(edited_report((("provenance", "config", "models"),
+                                ["svm-rbf", "knn-2", "dt", "rf"])),
+                 "entries[0] is for logr under aware, which provenance.config does not name",
+                 id="model-not-configured"),
+    # a null feature mapping reads as empty; the grid's lists are non-empty and
+    # repeat nothing; a value may not nest too deeply to write back
+    pytest.param(edited_report((("entries", 0, "importance", "train", 0, "features"), None)),
+                 "entries[0].importance.train must be one or more folds that name the same "
+                 "features", id="features-null"),
+    pytest.param(edited_report((("provenance", "config", "protocols"), []), (("entries",), [])),
+                 "provenance.config.protocols must be a non-empty list with no repeats, got []",
+                 id="protocols-empty"),
+    pytest.param(edited_report((("provenance", "config", "models"), []), (("entries",), [])),
+                 "provenance.config.models must be a non-empty list with no repeats, got []",
+                 id="models-empty"),
+    pytest.param(edited_report((("provenance", "config", "models"),
+                                ["logr", "svm-rbf", "knn-2", "dt", "rf", "logr"])),
+                 "provenance.config.models must be a non-empty list with no repeats, got "
+                 "['logr', 'svm-rbf', 'knn-2', 'dt', 'rf', 'logr']", id="models-repeated"),
+    pytest.param(edited_report((("provenance", "config", "protocols"), ["aware", "unaware",
+                                                                        "aware"])),
+                 "provenance.config.protocols must be a non-empty list with no repeats, got "
+                 "['aware', 'unaware', 'aware']", id="protocols-repeated"),
+    pytest.param(nested_findings(64), "nests more than 64 levels deep", id="findings-nested-64"),
+    pytest.param(nested_findings(990), "nests more than 64 levels deep", id="findings-nested-990"),
+]
+# the cases a reader rejects before it builds a report
+NOT_A_DOCUMENT = ("not json", "nested-2000", "findings-nested-64", "findings-nested-990")
+
+
+@pytest.mark.parametrize("text, named", REPORT_CASES)
 def test_report_of_a_malformed_file_exits_1(tmp_path, capsys, text, named):
     path = tmp_path / "report.json"
     path.write_text(text)
@@ -329,6 +383,26 @@ def test_report_of_a_malformed_file_exits_1(tmp_path, capsys, text, named):
         assert err.startswith("error: ") and str(path) in err
         assert named is None or named in err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, named", [case for case in REPORT_CASES
+                                         if case.id not in NOT_A_DOCUMENT])
+def test_a_report_read_and_a_report_built_fail_with_one_message(tmp_path, capsys, text, named):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "o")]) == 1
+    with pytest.raises(InvariantViolation) as caught:
+        ExperimentReport.from_dict(json.loads(text))
+    assert capsys.readouterr().err == f"error: {path} is not a report: {caught.value}\n"
+
+
+def test_a_report_nested_as_deeply_as_allowed_renders(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(nested_findings(63))  # 64 levels, the report's own included
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "o"),
+                 "--formats", "md,json,svg"]) == 0
+    assert load_report_json(tmp_path / "o" / "report.json").to_dict() == json.loads(
+        path.read_text())
 
 
 def test_rendered_labels_and_feature_names_are_escaped(tmp_path):
@@ -480,7 +554,9 @@ def test_run_with_an_invalid_spec_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "classes.ITP.size" in err
 
 
-@pytest.mark.parametrize("content", [b"k_folds: [1\n", b"classes: \xff\n"], ids=["syntax", "bytes"])
+@pytest.mark.parametrize("content", [b"k_folds: [1\n", b"classes: \xff\n",
+                                     b"classes: " + b"[" * 5000],
+                         ids=["syntax", "bytes", "nested-5000"])
 def test_synth_spec_that_is_not_utf8_yaml_exits_1(tmp_path, capsys, content):
     spec = tmp_path / "spec.yaml"
     spec.write_bytes(content)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,16 @@ def test_a_study_with_a_score_outside_the_unit_interval_fails(monkeypatch, score
         run_experiment(cfg)
 
 
+def test_a_study_checks_its_report_across_fields(monkeypatch):
+    entry = experiment._entry
+    monkeypatch.setattr(experiment, "_entry",
+                        lambda spec, protocol, per_fold: entry(spec, protocol, per_fold[1:]))
+    cfg = small_config(k_folds=2, protocols=(UNAWARE,), models=(ModelSpec("tree"),))
+    with pytest.raises(InvariantViolation, match=re.escape(
+            "entries[0].fold_scores must have provenance.config.k_folds (2) items")):
+        run_experiment(cfg)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["entries"][1]["fairness"]["race"].update(pooled=1.0000001),
      "entries[1].fairness.race.pooled must be a number in [0, 1], got 1.0000001"),
@@ -541,8 +552,13 @@ def test_a_study_with_a_score_outside_the_unit_interval_fails(monkeypatch, score
     (lambda d: d["entries"][0]["fairness"]["gender"].update(per_fold=0.5),
      "entries[0].fairness.gender.per_fold must be a list, got float"),
     (lambda d: d.update(entries=[None]), "entries[0].fold_scores is missing"),
+    # numbers JSON cannot write: to_json() raised TypeError
+    (lambda d: d["entries"][0].update(mean_score=np.float32(0.5)),
+     "entries[0].mean_score must be a number in [0, 1], got np.float32(0.5)"),
+    (lambda d: d["entries"][1]["fairness"]["age"].update(pooled=Fraction(1, 2)),
+     "entries[1].fairness.age.pooled must be a number in [0, 1], got Fraction(1, 2)"),
 ], ids=["pooled-above-1", "fold-bool", "fold-scores-missing", "attribute-missing",
-        "per-fold-number", "entry-null"])
+        "per-fold-number", "entry-null", "float32", "fraction"])
 def test_a_report_is_built_only_from_scores_in_the_unit_interval(small_report, edit, message):
     doc = json.loads(small_report.to_json())
     edit(doc)
@@ -599,6 +615,9 @@ def test_report_json_round_trip(small_report):
     again = ExperimentReport.from_dict(doc)
     assert again.to_json() == small_report.to_json()
     assert again.to_dict() == small_report.to_dict()
+    # a float64 is a float, which JSON writes
+    doc["entries"][0]["mean_score"] = np.float64(doc["entries"][0]["mean_score"])
+    assert ExperimentReport.from_dict(doc).to_json() == small_report.to_json()
 
 
 def test_runs_are_deterministic(small_report):

@@ -1,16 +1,20 @@
-"""Seeded fuzz test of three input readers: the experiment config, the cohort
-spec and the cohort CSV. Each case changes one leaf of a valid input (a value
-of a YAML document, a cell of the CSV, header included) to one hostile value
-and runs the CLI in process: ``run`` on a 2-fold logr-and-dt study with one
-repeat for a config or CSV case, ``synth --spec`` for a spec case. Every case
-must exit 0 or 1, an exit 1 with a message, and none may log a traceback. The
-seed and the case count are fixed, so a new exit 2 fails the same way on every
-run. The config's ``workers`` is never set, so no case forks a pool."""
+"""Seeded fuzz test of four input readers: the experiment config, the cohort
+spec, the cohort CSV and a stored report. Each case changes one leaf of a
+valid input (a value of a YAML or JSON document, a cell of the CSV, header
+included) to one hostile value and runs the CLI in process: ``run`` on a
+2-fold logr-and-dt study with one repeat for a config or CSV case, ``synth
+--spec`` for a spec case, and ``report --in`` of the golden quick report to
+every format for a report case. Every case must exit 0 or 1, an exit 1 with a
+message, and none may log a traceback. The seed and the case count are fixed,
+so a new exit 2 fails the same way on every run. The config's ``workers`` is
+never set, so no case forks a pool."""
 
 import copy
 import csv
+import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -101,3 +105,13 @@ def test_cohort_csv_cases(tmp_path, capsys, caplog, cohort_rows):
         with (tmp_path / "cohort.csv").open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)  # None as an empty cell, the rest by str()
         run_config(tmp_path, config, capsys, caplog, (path, value))
+
+
+def test_report_cases(tmp_path, capsys, caplog):
+    golden = Path(__file__).parent / "golden" / "quick_report.json"
+    for path, value, doc in mutants(json.loads(golden.read_text(encoding="utf-8")), "report"):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["report", "--in", str(report), "--out", str(tmp_path / "out"),
+                     "--formats", "md,json,svg"])
+        check_exit(code, capsys, caplog, (path, value))
