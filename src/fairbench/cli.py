@@ -79,7 +79,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, argv: list[str]) -> int:
     config = load_experiment_config(args.config)
     formats = _parse_formats(args.formats)
 
@@ -98,7 +98,7 @@ def _cmd_run(args) -> int:
         "toolkit_version": __version__,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "argv": sys.argv[1:],
+        "argv": argv,
         "config_hash": report.provenance["config_hash"],
         "blas": _blas_build(),
         "host": host_facts(),
@@ -166,12 +166,13 @@ def _parse_formats(text: str) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.command == "synth":
             return _cmd_synth(args)
         if args.command == "run":
-            return _cmd_run(args)
+            return _cmd_run(args, argv)
         return _cmd_report(args)
     except FairbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

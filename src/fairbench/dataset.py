@@ -177,13 +177,14 @@ def load_cohort_csv(path: str | Path) -> Cohort:
     path = Path(path)
     try:
         data = path.read_bytes()
-        text = data.decode("utf-8-sig")
+        data.decode("utf-8-sig")  # checked whole, so the error names the first bad byte
     except OSError as exc:
         raise FairbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise FairbenchError(f"{path}: not a UTF-8 CSV: {exc}") from exc
     source = f"csv:{path} sha256:{hashlib.sha256(data).hexdigest()[:16]}"
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # read from the bytes: a StringIO of the text would hold 4 bytes a character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
         header = next(reader, [])
         repeated = {name for name in header if header.count(name) > 1}

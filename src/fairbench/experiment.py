@@ -39,7 +39,7 @@ from .dataset import (
 )
 from .errors import ConfigError, FairbenchError, InvariantViolation, TooFewSamples
 from .importance import permutation_importance
-# group_rates is no longer called here, but perfbench/spans.py patches it by name (ROADMAP item 1)
+# group_rates and macro_f1 go uncalled; perfbench/spans.py patches them by name (ROADMAP item 1)
 from .metrics import confusion_counts, equalized_odds, group_rates, macro_f1, rates_from_counts
 from .models import (
     ModelSpec,
@@ -354,12 +354,11 @@ def prepare_folds(cohort: Cohort, config: ExperimentConfig,
 def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _FoldData,
                    master_seed: int, n_repeats: int) -> list[tuple]:
     """Every model's results on one (protocol, fold) pair, in ``specs`` order:
-    ({attribute: {group: test counts [tn, fp, fn, tp]}}, fold score,
-    importance by split). ``_entry`` pools equalized odds over the folds.
+    ({attribute: {group: test counts [tn, fp, fn, tp]}}, importance by split).
 
-    The test-split prediction doubles as that split's importance baseline, and
-    every model scores the same shuffled copies of each split, drawn from
-    streams keyed by (protocol, fold, split)."""
+    The test-split prediction is that split's importance baseline, whose score
+    is the fold score, and every model scores the same shuffled copies of each
+    split, drawn from streams keyed by (protocol, fold, split)."""
     fitted = []
     for spec in specs:
         try:
@@ -387,16 +386,16 @@ def _evaluate_pair(specs: tuple[ModelSpec, ...], protocol: str, f: int, fd: _Fol
     tables = {attr: confusion_counts(fd.y_test, y_hats, groups)
               for attr, groups in fd.test_groups.items()}
     return [({attr: dict(zip(keys, cells[m].tolist())) for attr, (keys, cells) in tables.items()},
-             macro_f1(fd.y_test, y_hat),
              {split: {"split": split, **res[m]} for split, res in importance.items()})
-            for m, y_hat in enumerate(y_hats)]
+            for m in range(len(specs))]
 
 
 def _entry(spec: ModelSpec, protocol: str, per_fold: list[tuple]) -> dict:
     """One (model, protocol) report entry from the model's results of
-    ``_evaluate_pair`` on each fold. Its equalized odds per attribute is
-    computed here, pooled over the folds' summed counts and per fold."""
-    counts, fold_scores, importance = zip(*per_fold)
+    ``_evaluate_pair`` on each fold: each fold score is its test-split importance
+    baseline, and equalized odds is pooled over the folds' summed counts and per fold."""
+    counts, importance = zip(*per_fold)
+    fold_scores = [imp["test"]["baseline_score"] for imp in importance]
     fairness = {}
     for attr in SENSITIVE_ATTRIBUTES:
         keys = sorted(set().union(*(fold[attr] for fold in counts)))
@@ -410,7 +409,7 @@ def _entry(spec: ModelSpec, protocol: str, per_fold: list[tuple]) -> dict:
         "model": spec.name,
         "label": spec.label,
         "protocol": protocol,
-        "fold_scores": list(fold_scores),
+        "fold_scores": fold_scores,
         "mean_score": float(np.mean(fold_scores)),
         "fairness": fairness,
         "importance": {split: [imp[split] for imp in importance] for split in ("train", "test")},

@@ -124,6 +124,9 @@ def test_run_writes_all_outputs(run_dir):
 def test_run_meta_sidecar_has_wall_clock(run_dir):
     meta = json.loads((run_dir / "run_meta.json").read_text())
     assert meta["wall_clock_seconds"] >= 0
+    # the arguments main was given, not those of the process that called it
+    assert meta["argv"] == ["run", "--config", str(run_dir.parent / "config.yaml"),
+                            "--out", str(run_dir), "--formats", "md,json,svg"]
     assert "config_hash" in meta
     assert set(meta["blas"]) == {"name", "version"}
     assert meta["blas"]["name"]

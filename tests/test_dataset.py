@@ -1,6 +1,8 @@
 import csv
 import pickle
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,6 +324,20 @@ def test_load_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "excel.csv"
     path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert_same_rows(load_cohort_csv(path), cohort)
+
+
+def test_loading_a_csv_holds_less_than_five_times_its_size(tmp_path):
+    # the decoded text in a StringIO alone would be 4 bytes a character
+    spec = default_cohort_spec()
+    spec = replace(spec, itp=replace(spec.itp, size=1000), non_itp=replace(spec.non_itp, size=500))
+    path = write_cohort_csv(synthesize_cohort(spec, seed=7), tmp_path / "cohort.csv")
+    tracemalloc.start()
+    try:
+        assert len(load_cohort_csv(path)) == 1500
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * path.stat().st_size
 
 
 def test_load_accepts_spelled_out_gender(tmp_path):

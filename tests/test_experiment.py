@@ -495,19 +495,39 @@ def test_pooled_fairness_of_summed_counts_equals_that_of_the_concatenated_folds(
         for attr in experiment.SENSITIVE_ATTRIBUTES:
             keys, cells = metrics.confusion_counts(y_true, [y_pred], groups)
             counts[attr] = dict(zip(keys, cells[0].tolist()))
-        per_fold.append((counts, 0.5, {"train": {}, "test": {}}))
+        per_fold.append((counts, {"train": {}, "test": {"baseline_score": 0.25 * len(per_fold)}}))
     entry = experiment._entry(ModelSpec("tree"), AWARE, per_fold)
+    assert entry["fold_scores"] == [0.0, 0.25, 0.5]
     y_true, y_pred, groups = (sum(parts, []) for parts in zip(*folds))
     pooled = metrics.group_rates(y_true, y_pred, groups)
     assert list(pooled) == ["a", "b", "c"] and pooled["c"][0] is None
     assert metrics.equalized_odds(pooled) == 0.625
     summed = sum(np.array([counts["age"].get(key, [0] * 4) for key in pooled])
-                 for counts, _, _ in per_fold)
+                 for counts, _ in per_fold)
     assert metrics.rates_from_counts(list(pooled), summed) == pooled
     for attr in experiment.SENSITIVE_ATTRIBUTES:
         assert entry["fairness"][attr] == {
             "pooled": metrics.equalized_odds(pooled),
             "per_fold": [metrics.equalized_odds(metrics.group_rates(*fold)) for fold in folds]}
+
+
+def test_each_fold_score_of_the_golden_report_is_its_test_importance_baseline():
+    golden = json.loads((Path(__file__).parent / "golden" / "quick_report.json").read_text())
+    for entry in golden["entries"]:
+        assert entry["fold_scores"] == [fold["baseline_score"]
+                                        for fold in entry["importance"]["test"]]
+
+
+def test_a_study_scores_each_fold_without_recounting_its_labels(monkeypatch):
+    # the fold score is the test split's importance baseline, counted once
+    cfg = small_config()
+    expected = run_experiment(cfg).to_json()
+
+    def recount(y_true, y_pred):
+        raise AssertionError("macro_f1 recounted a fold's labels")
+
+    monkeypatch.setattr(experiment, "macro_f1", recount)
+    assert run_experiment(cfg).to_json() == expected
 
 
 def test_each_entry_of_the_quick_study_is_the_same_when_its_model_runs_alone():
@@ -526,7 +546,10 @@ def test_each_entry_of_the_quick_study_is_the_same_when_its_model_runs_alone():
     (float("nan"), "entries[0].fold_scores[0]"),
 ])
 def test_a_study_with_a_score_outside_the_unit_interval_fails(monkeypatch, score, path):
-    monkeypatch.setattr(experiment, "macro_f1", lambda y, y_hat: score)
+    # a fold score is its test split's importance baseline
+    scored = experiment.permutation_importance
+    monkeypatch.setattr(experiment, "permutation_importance", lambda *args, **kwargs: [
+        {**record, "baseline_score": score} for record in scored(*args, **kwargs)])
     cfg = small_config(k_folds=2, protocols=(UNAWARE,), models=(ModelSpec("tree"),))
     with pytest.raises(InvariantViolation, match=re.escape(f"{path} must be a number in [0, 1]")):
         run_experiment(cfg)
