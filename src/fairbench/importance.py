@@ -73,19 +73,10 @@ def permutation_importance(
     the cells its flipped labels move between. The distinct rows of successive
     targets are predicted together, in one predict_many call per
     ``CHUNK_ROWS`` rows (or per target larger than that), and each model cuts
-    them into the blocks of one iterator, models._row_blocks. So ``predict``
-    must be row-independent: the label of a row may not depend on the other
-    rows passed with it. All five model families are in their arithmetic, but
-    not at the bit level. A KNN distance and an SVM kernel value come from a
-    matrix product (GEMM), and with OpenBLAS 0.3.31 on x86-64 a row's bits can
-    change with the number of rows multiplied with it when the training side
-    has a column count that is not a multiple of 8 (seen at 300, 1199, 1204,
-    1206 and 1500 training rows, not at 120 or 1200). A one-row block would go
-    to gemv, the matrix-vector product, whose bits differ from GEMM's, so the
-    iterator makes a lone row a block of two. The products that finish the SVM
-    and logistic decisions are einsum loops, whose row bits do not change with
-    the block height; gemv's did, at every size tried. A label can change only
-    on a near-exact tie.
+    them into blocks (models._row_blocks). A row's label must not depend on
+    the rows predicted with it, and in no model family does it, to the bit:
+    kernel and distance products pad their operands (models._padded), and
+    the SVM and logistic decisions end in einsum loops.
     """
     X = np.asarray(X, dtype=float)
     y = _as_binary("y", y)

@@ -21,7 +21,8 @@ next node that needs a split from every unfinished tree, each node sorts its
 own ranks, and the Gini of the cuts between distinct values of a step's nodes
 is computed in batches of at most SPLIT_BATCH sorted values). SVM, KNN and
 forest prediction and the SVM's diagonal take their rows in the blocks of one
-iterator, _row_blocks, sized to BLOCK_ELEMENTS values. Both solvers stop on a
+iterator, _row_blocks, sized to BLOCK_ELEMENTS values; every kernel and
+distance product pads its operands by one rule, _padded. Both solvers stop on a
 tolerance; their iteration caps are safety nets that warn with DidNotConverge.
 Trees are stored as flat preorder node arrays in a ForestModel, which keep a
 split's right child only, its left child being the next node: a decision tree
@@ -68,8 +69,7 @@ LOGR_MAX_ITER = 50  # safety net; Newton needs a handful of steps
 LOGR_GRAD_TOL = 1e-6
 SVM_KKT_TOL = 1e-3
 SVM_MAX_ITER = 200_000
-# rows per square product whose diagonal gives the SVM's squared norms; at
-# this size they keep the bits of X @ X.T's diagonal on the benchmark folds
+# rows per padded square product whose diagonal gives the SVM's squared norms
 DIAGONAL_BLOCK = 32
 # values per block of _row_blocks: a KNN block takes as many query rows as keep
 # its distances to every training row (and the selection temporaries of that
@@ -258,40 +258,49 @@ def _kernel_values(kernel: str, K: np.ndarray, gamma: float, coef0: float,
     return K
 
 
-def _gram_row(X: np.ndarray, i: int) -> np.ndarray:
-    """The dot products x_i . X, a new array: row 0 of [x_i; x_i] @ X.T. numpy
-    would multiply one row by gemv, whose bits differ from GEMM's; at 120 and
-    1,200 rows these are the bits of row i of X @ X.T (see CHANGES.md)."""
-    return (X[[i, i]] @ X.T)[0].copy()  # a view would keep both rows alive
+def _padded(A: np.ndarray) -> np.ndarray:
+    """A with zero rows appended to a multiple of 8 rows (A itself, uncopied,
+    when its height is one). Both operands of every kernel and distance
+    product are padded so, and the caller cuts the product to its real rows
+    and columns: with OpenBLAS 0.3.31 on x86-64 with FMA a row then has the
+    bits it has in the whole product, whatever the rows multiplied with it,
+    on the SkylakeX and Haswell kernels alike (README states the host class).
+    Logistic regression's training products sum over the fit's rows, where
+    padding does not make those kernels agree; they stay unpadded."""
+    pad = -len(A) % 8
+    return np.concatenate((A, np.zeros((pad, A.shape[1])))) if pad else A
+
+
+def _gram_row(X: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Row i of X, padded already (see _padded), times its first n rows, a new array."""
+    return (_padded(X[i:i + 1]) @ X.T)[0, :n].copy()  # a view would keep all 8 rows alive
 
 
 def _row_blocks(X: np.ndarray, columns: int = 0, width: int = 0, step: int | None = None):
-    """Each block of X's rows, from the top, as (start, rows, A, out): the
-    block's ``rows`` rows of X as A, and ``out``, a view of A's height of one
-    (block, ``width``) array that every block of the call shares. A block
-    takes ``step`` rows, by default as many as keep ``columns`` values a row
-    within BLOCK_ELEMENTS. A lone row comes as two copies of itself, as numpy
-    would multiply one row by gemv, whose bits differ from GEMM's, so a row
-    predicted alone has the bits it has in a block; a caller keeps the first
-    ``rows`` rows of what it computes from A."""
+    """Each block of X's rows, from the top, as (start, rows, A, out): its
+    ``rows`` rows of X as A, a view, and ``out``, a view of A's padded height
+    (see _padded) of one (block, ``width``) array that every block of the call
+    shares. A block takes ``step`` rows, by default as many as keep
+    ``columns`` values a row within BLOCK_ELEMENTS."""
     if step is None:
         step = max(1, BLOCK_ELEMENTS // max(1, columns))
     # one block array per call, not one per block: unless a larger array
     # freed earlier has raised glibc's mmap threshold, each fresh array of
     # about BLOCK_ELEMENTS values is mapped and faulted in page by page
-    buffer = np.empty((max(2, min(step, len(X))), width))
+    buffer = np.empty((min(step, len(X)) + 7, width))  # room for any block, padded
     for start in range(0, len(X), step):
         A = X[start:start + step]
         rows = len(A)
-        yield start, rows, A if rows > 1 else A[[0, 0]], buffer[:max(2, rows)]
+        yield start, rows, A, buffer[:rows + -rows % 8]
 
 
 def _gram_diagonal(X: np.ndarray) -> np.ndarray:
     """The squared norms x_i . x_i, each from the diagonal of the square product
-    of its block of DIAGONAL_BLOCK rows. Row norms summed directly have other
-    bits than X @ X.T's diagonal."""
+    of its padded block of DIAGONAL_BLOCK rows (see _padded). Row norms summed
+    directly have other bits than X @ X.T's diagonal."""
     out = np.empty(len(X))
     for start, rows, B, _ in _row_blocks(X, step=DIAGONAL_BLOCK):
+        B = _padded(B)
         out[start:start + rows] = np.diag(B @ B.T)[:rows]
     return out
 
@@ -355,23 +364,26 @@ class SvmModel(TrainedModel):
     converged: bool = True
     n_iter: int = 0
     kkt_gap: float = 0.0  # the solver's last m - M; 0.0 when it stopped on an empty set
+    _support: np.ndarray = field(init=False, repr=False, compare=False)  # support_X, padded
+
+    def __post_init__(self):
+        self._support = _padded(self.support_X)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Each block of rows' kernel values against the support vectors (see
-        _row_blocks), times their coefficients by einsum's loop, plus the bias.
-        The loop's row bits do not depend on the block; the kernel block's can:
-        it is a GEMM, whose row bits change with the block height when the
-        support-vector count is not a multiple of 8 (see permutation_importance)."""
-        S, rbf = self.support_X, self.spec.kernel == "rbf"
+        """Each block of rows' kernel values against the support vectors, a
+        product of padded operands (see _padded), times their coefficients by
+        einsum's loop, whose row bits do not depend on the block, plus the bias."""
+        S, n_sv, rbf = self._support, len(self.support_X), self.spec.kernel == "rbf"
         sq_s = np.sum(S * S, axis=1) if rbf else None
         out = np.empty(len(X))
         # S.T, the transposed view: a C-contiguous copy can change the bits
         for start, rows, A, block in _row_blocks(X, len(S), len(S)):
+            A = _padded(A)
             K = _kernel_values(self.spec.kernel, np.matmul(A, S.T, out=block), self.gamma,
                                self.spec.coef0, np.sum(A * A, axis=1)[:, None] if rbf else None,
                                sq_s)
-            out[start:start + rows] = (np.einsum("ij,j->i", K, self.support_coef)
-                                       + self.bias)[:rows]
+            out[start:start + rows] = np.einsum("ij,j->i", K[:rows, :n_sv],
+                                                self.support_coef) + self.bias
         return out
 
 
@@ -414,22 +426,21 @@ def _knn_votes(train_X: np.ndarray, train_y: np.ndarray, X: np.ndarray,
     training index; an even-k vote tie takes the nearest neighbour's label."""
     ks = [min(k, len(train_y)) for k in ks]
     n, d = train_X.shape
-    # |b|^2 - 2 b.x + |x|^2 as one product [b, |b|^2, 1] @ [-2 x^T; 1; |x|^2],
-    # whose last two terms stand for the two broadcast adds. With OpenBLAS
-    # 0.3.31 the bits equal those adds' at 120 and 1,200 training rows; other
-    # sizes or BLAS builds can differ in the last place (see CHANGES.md).
-    # -2 x^T: a power of two commutes with rounding, so B @ (-2 x^T) equals
-    # -2 (B @ x^T) bit for bit, barring overflow and subnormals
-    W = np.empty((d + 2, n))
-    np.multiply(train_X.T, -2.0, out=W[:d])
-    W[d] = 1.0
-    np.sum(train_X * train_X, axis=1, out=W[d + 1])
+    # |b|^2 - 2 b.x + |x|^2 as one product [b, |b|^2, 1] @ [-2 x^T; 1; |x|^2]
+    # of padded operands, cut to the real rows and columns before any
+    # neighbour is chosen. -2 x^T: a power of two commutes with rounding, so
+    # B @ (-2 x^T) equals -2 (B @ x^T) bit for bit, barring overflow and subnormals
+    W = np.zeros((d + 2, n + -n % 8))
+    np.multiply(train_X.T, -2.0, out=W[:d, :n])
+    W[d, :n] = 1.0
+    np.sum(train_X * train_X, axis=1, out=W[d + 1, :n])
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
-    for start, rows, B, Q in _row_blocks(X, n, d + 2):  # Q: the block's [b, |b|^2, 1]
-        Q[:, :d] = B
-        np.sum(B * B, axis=1, out=Q[:, d])
-        Q[:, d + 1] = 1.0
-        votes = train_y[_nearest((Q @ W)[:rows], max(ks))]
+    for start, rows, B, Q in _row_blocks(X, n, d + 2):  # Q: the block's [b, |b|^2, 1], padded
+        Q[:rows, :d] = B
+        np.sum(B * B, axis=1, out=Q[:rows, d])
+        Q[:rows, d + 1] = 1.0
+        Q[rows:] = 0.0
+        votes = train_y[_nearest((Q @ W)[:rows, :n], max(ks))]
         pos = np.cumsum(votes, axis=1)
         for pred, k in zip(preds, ks):
             twice = 2 * pos[:, k - 1]
@@ -505,7 +516,7 @@ class ForestModel(TrainedModel):
             counts = np.bitwise_count(exits)
             # a row sum over a single word costs more than the count itself
             votes = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1)
-            out[start:start + rows] = (votes > len(self.roots) // 2)[:rows]  # a tie is 0
+            out[start:start + rows] = votes > len(self.roots) // 2  # a tie is 0
         return out
 
 
@@ -706,12 +717,13 @@ def _train_svm(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> SvmModel:
     # is computed when the solver first reads it and kept until the fit ends
     sq = np.sum(X * X, axis=1) if kernel == "rbf" else None
     K_diag = _kernel_values(kernel, _gram_diagonal(X), gamma, coef0, sq, sq)
+    Xp = _padded(X)  # the kernel rows' training side, padded once per fit
     rows: dict[int, np.ndarray] = {}
 
     def row(i: int) -> np.ndarray:
         K_i = rows.get(i)
         if K_i is None:
-            K_i = rows[i] = _kernel_values(kernel, _gram_row(X, i), gamma, coef0,
+            K_i = rows[i] = _kernel_values(kernel, _gram_row(Xp, i, n), gamma, coef0,
                                            None if sq is None else sq[i], sq)
         return K_i
 

@@ -502,7 +502,9 @@ def scipy_match_beta_shapes(lo, hi, median, mean, n):
         return f"mean {mean} must lie strictly inside ({lo}, {hi})"
     mu, t = (mean - lo) / (hi - lo), (median - lo) / (hi - lo)
     mu_grid = np.clip(mu + np.linspace(-0.8, 0.8, 17) * MOMENT_TOLERANCE, 0.005, 0.995)
-    MU, CC = np.meshgrid(mu_grid, np.logspace(np.log10(0.5), np.log10(128.0), 64), indexing="ij")
+    # the pinned table the program reads: np.logspace's last bits change with
+    # numpy's AVX-512 loops
+    MU, CC = np.meshgrid(mu_grid, dataset._CONCENTRATIONS, indexing="ij")
     A, B = CC * MU, CC * (1.0 - MU)
 
     def band_score(z):

@@ -3,17 +3,13 @@ command, the file it writes that the row checks and the sha256 prefix that
 file must have.
 
 The hashes were made with numpy 2.4.6 and OpenBLAS 0.3.31 and are the same
-with OPENBLAS_NUM_THREADS set to 1, set to 2 and unset. Every study here
-trains on 120 or 1,200 rows, and at those sizes a row's bits in a KNN
-distance block do not depend on how many rows are multiplied with it. That
-does not hold for an SVM kernel block, whose columns are the support vectors:
-when their count is not a multiple of 8, a row's bits change with the block
-height (see SvmModel.decision_function). A study's blocks follow from its
-config, so its bits still do. The products that finish the SVM and logistic
-decisions are einsum loops, whose row bits do not depend on the height (see
-permutation_importance). Every warning is an error
-here, so a row also shows that no solver stops at its iteration cap on its
-study.
+with OPENBLAS_NUM_THREADS set to 1, set to 2 and unset, and on OpenBLAS's
+SkylakeX and Haswell kernels. A row's bits in a KNN distance or SVM kernel
+block do not depend on how many rows are multiplied with it (see
+models._padded), and the products that finish the SVM and logistic decisions
+are einsum loops, whose row bits do not depend on the height either (see
+permutation_importance). Every warning is an error here, so a row also shows
+that no solver stops at its iteration cap on its study.
 """
 
 import hashlib

@@ -135,6 +135,17 @@ def test_spec_names_and_labels_suffix_each_field_away_from_its_default():
 # ---------------------------------------------------------------------------
 
 
+def padded(A):
+    """A with zero rows appended to a multiple of 8 rows: the library pads both
+    operands of every kernel and distance product so."""
+    return np.vstack([A, np.zeros((-len(A) % 8, A.shape[1]))])
+
+
+# the block heights at which a row of a kernel or distance product must keep
+# the bits it has in the whole product
+BLOCK_HEIGHTS = (1, 2, 3, 7, 109, 300)
+
+
 def kernel_matrix(kernel, A, B, gamma, coef0):
     """The kernel matrix of A and B as the library builds its rows and blocks:
     the one matrix A @ B.T, turned into kernel values in place."""
@@ -428,7 +439,8 @@ def test_svm_exit_satisfies_kkt(toy_svm_fits):
 
 @pytest.mark.parametrize("kernel", models_mod.KERNELS)
 def test_a_decision_block_has_the_kernel_matrix_bits(monkeypatch, kernel):
-    # rbf's blocks, as the solver's rows, are scaled by -2 after the product
+    # rbf's blocks, as the solver's rows, are scaled by -2 after the product;
+    # the kernel matrix is that of padded operands, cut to the real ones
     rng = np.random.default_rng(5)
     shapes = ((3, 1, 4), (3, 2, 4), (37, 1, 13), (3, 17, 22), (120, 109, 13), (301, 109, 13),
               (301, 1200, 22))
@@ -439,23 +451,24 @@ def test_a_decision_block_has_the_kernel_matrix_bits(monkeypatch, kernel):
         spec = ModelSpec("svm", kernel=kernel)
         m = models_mod.SvmModel(spec=spec, n_features=d, support_X=S, support_coef=coef,
                                 bias=0.25, gamma=0.37)
-        monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", rows * n_sv)  # one block
-        Q = A if rows > 1 else A[[0, 0]]  # a lone row is multiplied as two
-        K = kernel_matrix(kernel, Q, S, 0.37, spec.coef0)
-        want = (np.einsum("ij,j->i", K, coef) + 0.25)[:rows]
+        monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", rows * len(padded(S)))  # one block
+        K = kernel_matrix(kernel, padded(A), padded(S), 0.37, spec.coef0)[:rows, :n_sv]
+        want = np.einsum("ij,j->i", K, coef) + 0.25
         assert m.decision_function(A).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kernel", models_mod.KERNELS)
-def test_svm_predicts_a_lone_row_with_its_bits_in_a_two_row_block(kernel):
-    # 301 support vectors, not a multiple of 8: gemv's bits differ from GEMM's
+def test_svm_predicts_a_lone_row_with_its_bits_in_a_two_row_block(monkeypatch, kernel):
+    # and in a block of every height in BLOCK_HEIGHTS: 301 support vectors, not
+    # a multiple of 8, gave a row other bits at other heights when unpadded
     rng = np.random.default_rng(11)
-    S, Xq = rng.random((301, 13)), rng.random((40, 13))
+    S, Xq = rng.random((301, 13)), rng.random((300, 13))
     m = models_mod.SvmModel(spec=ModelSpec("svm", kernel=kernel), n_features=13, support_X=S,
                             support_coef=rng.standard_normal(301), bias=0.25, gamma=0.37)
-    pairs = np.concatenate([m.decision_function(Xq[i:i + 2]) for i in range(0, len(Xq), 2)])
-    alone = np.concatenate([m.decision_function(Xq[i:i + 1]) for i in range(len(Xq))])
-    assert alone.tobytes() == pairs.tobytes()
+    whole = m.decision_function(Xq)  # one block
+    for height in BLOCK_HEIGHTS:
+        monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", height * len(padded(S)))
+        assert m.decision_function(Xq).tobytes() == whole.tobytes(), height
 
 
 def test_svm_labels_do_not_depend_on_the_kernel_block(monkeypatch, toy_svm_fits):
@@ -472,7 +485,8 @@ def solver_kernel(kernel, X, gamma, coef0):
     row from the library's row helper, the diagonal from its diagonal helper,
     both turned into kernel values by the library's transform."""
     sq = np.sum(X * X, axis=1) if kernel == "rbf" else None
-    K = np.stack([models_mod._gram_row(X, i) for i in range(len(X))])
+    Xp = models_mod._padded(X)
+    K = np.stack([models_mod._gram_row(Xp, i, len(X)) for i in range(len(X))])
     K = models_mod._kernel_values(kernel, K, gamma, coef0,
                                   None if sq is None else sq[:, None], sq)
     return K, models_mod._kernel_values(kernel, models_mod._gram_diagonal(X), gamma, coef0,
@@ -1444,17 +1458,19 @@ def full_matrix_svm(spec, X, y, kernel_rows=solver_kernel):
 
 
 def two_add_knn_votes(train_X, train_y, X, ks):
-    """Labels of _knn_votes, each distance block a GEMM and two broadcast adds;
-    also returns the blocks, before _nearest overwrites them."""
+    """Labels of _knn_votes, each distance block a GEMM of padded operands and
+    two broadcast adds; also returns the blocks, before _nearest overwrites
+    them."""
     ks = [min(k, len(train_y)) for k in ks]
+    n = len(train_y)
     sq_train = np.sum(train_X * train_X, axis=1)
-    minus_2xt = -2.0 * train_X.T
+    minus_2xt = -2.0 * padded(train_X).T
     preds = [np.empty(len(X), dtype=np.int64) for _ in ks]
     blocks = []
-    step = max(1, models_mod.BLOCK_ELEMENTS // len(train_y))
+    step = max(1, models_mod.BLOCK_ELEMENTS // n)
     for start in range(0, len(X), step):
         B = X[start:start + step]
-        d2 = B @ minus_2xt
+        d2 = (padded(B) @ minus_2xt)[:len(B), :n]
         d2 += np.sum(B * B, axis=1)[:, None]
         d2 += sq_train
         blocks.append(d2.copy())
@@ -1518,11 +1534,17 @@ def test_svm_keeps_the_gram_matrix_bits_at_the_golden_sizes(kernel, n):
     assert same_svm(m, full_matrix_svm(m.spec, X, y, kernel_rows=gram_matrix_kernel))
 
 
-@pytest.mark.parametrize("n", [2, 33, 120, 1200])
+@pytest.mark.parametrize("n", [2, 33, 120, 1199, 1200])
 def test_the_gram_diagonal_has_the_bits_of_the_gram_matrix(n):
-    # 33 rows leave a last block of one row, which is multiplied as two
+    # and so does each kernel row the solver computes alone: the Gram matrix
+    # of padded X, cut to n rows. 33 rows leave a last diagonal block of one
+    # row; at 1,199 rows X @ X.T itself, unpadded, has other bits
     X = aware_fold()[0][:n]
-    assert models_mod._gram_diagonal(X).tobytes() == np.diag(X @ X.T).tobytes()
+    whole = (padded(X) @ padded(X).T)[:n, :n]
+    assert models_mod._gram_diagonal(X).tobytes() == np.diag(whole).tobytes()
+    Xp = models_mod._padded(X)
+    for i in range(n):
+        assert models_mod._gram_row(Xp, i, n).tobytes() == whole[i].tobytes(), i
 
 
 @pytest.mark.parametrize("kernel", models_mod.KERNELS)
@@ -1532,9 +1554,9 @@ def test_the_solver_turns_each_row_it_reads_into_the_kernel_matrix_row_once(monk
     rows, diags = {}, []  # the rows computed, by index; the diagonals
     real_row, real_diagonal = models_mod._gram_row, models_mod._gram_diagonal
 
-    def row_spy(X, i):
+    def row_spy(X, i, n):
         assert i not in rows, f"row {i} computed twice"
-        rows[i] = real_row(X, i)  # turned into its kernel row in place
+        rows[i] = real_row(X, i, n)  # turned into its kernel row in place
         return rows[i]
 
     def diagonal_spy(X):
@@ -1562,7 +1584,8 @@ def test_an_svm_fit_holds_only_the_kernel_rows_it_reads(monkeypatch, kernel):
     n = len(y)
     read = []
     real = models_mod._gram_row
-    monkeypatch.setattr(models_mod, "_gram_row", lambda X, i: (read.append(i), real(X, i))[1])
+    monkeypatch.setattr(models_mod, "_gram_row",
+                        lambda X, i, n: (read.append(i), real(X, i, n))[1])
     tracemalloc.start()
     try:
         train(ModelSpec("svm", kernel=kernel), X, y)
@@ -1617,25 +1640,28 @@ def test_knn_distance_blocks_equal_the_two_add_form(monkeypatch, n):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("n", [120, 1200])
+@pytest.mark.parametrize("n", [120, 1199, 1200])
 def test_a_lone_knn_query_row_has_its_bits_in_a_block(monkeypatch, n):
-    # numpy would multiply a one-row block by gemv, whose bits differ from
-    # the matrix product's; a lone row is multiplied as one row of two
+    # and in a block of every height in BLOCK_HEIGHTS; unpadded, a row's bits
+    # changed with the height at 1,199 training rows, and a one-row product
+    # went to gemv, whose bits differ from the matrix product's
     X, y, Xq = knn_cohort_rows(n)
+    Xq = Xq[:300]
     blocks = []
     real = models_mod._nearest
     monkeypatch.setattr(models_mod, "_nearest",
                         lambda d2, k: (blocks.append(d2.copy()), real(d2, k))[1])
-    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 109 * n)
-    models_mod._knn_votes(X, y, Xq[:109], [1])
+    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", 300 * n)
+    models_mod._knn_votes(X, y, Xq, [1])
     whole = blocks.pop()
-    monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", n)  # one row a block
-    models_mod._knn_votes(X, y, Xq[:8], [1])
-    models_mod._knn_votes(X, y, Xq[:1], [1])
-    assert len(blocks) == 9
-    for r, b in enumerate(blocks[:8]):
-        assert b.tobytes() == whole[r:r + 1].tobytes()
-    assert blocks[8].tobytes() == whole[:1].tobytes()
+    for height in BLOCK_HEIGHTS:
+        monkeypatch.setattr(models_mod, "BLOCK_ELEMENTS", height * n)
+        models_mod._knn_votes(X, y, Xq, [1])
+        assert len(blocks) == -(-len(Xq) // height)
+        assert np.vstack(blocks).tobytes() == whole.tobytes(), height
+        blocks.clear()
+    models_mod._knn_votes(X, y, Xq[:1], [1])  # a lone row, in a call of its own
+    assert blocks[0].tobytes() == whole[:1].tobytes()
 
 
 @pytest.mark.parametrize("k", KNN_KS)
