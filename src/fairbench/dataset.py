@@ -32,6 +32,7 @@ from .errors import (
     UnexpectedColumn,
     UnparsableValue,
 )
+from .models import _finite, _int
 
 GENDERS = ("F", "M")
 RACES = ("White", "Black", "Asian", "Other")
@@ -249,6 +250,27 @@ def write_cohort_csv(cohort: Cohort, path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
+# the most rows one float64 column can hold, its bytes counted by numpy's
+# signed index type
+MAX_CLASS_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _class_size(value) -> int:
+    """A class size: an integer of at least 2 and at most MAX_CLASS_SIZE."""
+    size = _int(value)
+    if not 2 <= size <= MAX_CLASS_SIZE:
+        raise ValueError(f"expected at most {MAX_CLASS_SIZE} rows and at least 2, got {size}")
+    return size
+
+
+def _invariant(convert, value, what: str):
+    """``convert(value)``; a value it rejects is an InvariantViolation naming ``what``."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise InvariantViolation(f"{what}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class StatBlock:
     """Per-variable summary statistics; median/mean may be unpublished (None)."""
@@ -259,39 +281,35 @@ class StatBlock:
     mean: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.lo > self.hi:
+        if _invariant(_finite, self.lo, "stat min") > _invariant(_finite, self.hi, "stat max"):
             raise InvariantViolation(f"invalid stat range [{self.lo}, {self.hi}]")
         for name in ("median", "mean"):
             v = getattr(self, name)
-            if v is not None and not (self.lo <= v <= self.hi):
+            if v is not None and not (self.lo <= _invariant(_finite, v, name) <= self.hi):
                 raise InvariantViolation(f"{name} {v} outside [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
 class ClassSpec:
-    size: int
+    size: int  # an integral float such as 100.0 is kept as an int
     gender: dict[str, float]
     race: dict[str, float]
     variables: dict[str, StatBlock]
 
     def __post_init__(self):
-        if self.size < 2:
-            raise InvariantViolation(f"class size must be >= 2, got {self.size}")
+        object.__setattr__(self, "size", _invariant(_class_size, self.size, "class size"))
         _check_proportions("gender", self.gender, GENDERS)
         _check_proportions("race", self.race, RACES)
-        missing = set(NUMERIC_FIELDS) - set(self.variables)
-        if missing:
-            raise InvariantViolation(f"spec missing variable block(s): {sorted(missing)}")
-        extra = set(self.variables) - set(NUMERIC_FIELDS)
-        if extra:
-            raise InvariantViolation(f"spec has unknown variable block(s): {sorted(extra)}")
+        if sorted(self.variables) != sorted(NUMERIC_FIELDS):
+            raise InvariantViolation(f"spec variable blocks must be {sorted(NUMERIC_FIELDS)}, "
+                                     f"got {sorted(self.variables)}")
 
 
 def _check_proportions(what: str, probs: dict[str, float], allowed: tuple[str, ...]) -> None:
     unknown = set(probs) - set(allowed)
     if unknown:
         raise InvariantViolation(f"{what} proportions name unknown categories: {sorted(unknown)}")
-    total = sum(probs.get(k, 0.0) for k in allowed)
+    total = sum(_invariant(_finite, probs.get(k, 0.0), f"{what} proportion {k}") for k in allowed)
     if abs(total - 1.0) > 1e-9:
         raise InvariantViolation(f"{what} proportions must sum to 1, got {total}")
     if any(p < 0 for p in probs.values()):

@@ -55,6 +55,7 @@ from .rng import derive_seed
 from .specfile import (
     _or_none,
     _walk,
+    cohort_spec_from_dict,
     cohort_spec_to_dict,
     default_cohort_spec,
     load_cohort_spec,
@@ -104,10 +105,16 @@ def _model(entry) -> ModelSpec:
         raise ValueError(f"bad model entry {entry!r}: {exc}") from None
 
 
+def _cohort_spec(spec) -> CohortSpec:
+    """A CohortSpec, or the mapping of its classes that canonical_dict writes."""
+    return spec if isinstance(spec, CohortSpec) else cohort_spec_from_dict(
+        {"classes": _checked(Mapping, spec, "a CohortSpec or a mapping of its classes")})
+
+
 # ExperimentConfig field -> its conversion; a cohort_* field left None takes
 # its default (see the field comments)
 _FIELDS = {"cohort_csv": _or_none(_path), "cohort_seed": _or_none(_int),
-           "cohort_spec": _or_none(lambda spec: _checked(CohortSpec, spec, "a CohortSpec")),
+           "cohort_spec": _or_none(_cohort_spec),
            "k_folds": _positive_int, "master_seed": _int, "n_permutation_repeats": _positive_int,
            "n_workers": _positive_int, "clamp": _flag, "protocols": _list,
            "models": lambda entries: tuple(_model(m) for m in _list(entries)),
@@ -115,6 +122,8 @@ _FIELDS = {"cohort_csv": _or_none(_path), "cohort_seed": _or_none(_int),
 # ExperimentConfig field -> its key in a config file, where the two differ
 _CONFIG_KEYS = {"master_seed": "seed", "n_workers": "workers", "cohort_csv": "cohort.csv",
                 "cohort_seed": "cohort.synthetic.seed"}
+# the fields canonical_dict writes: all but n_workers, which moves no result
+_RESULT_FIELDS = tuple(name for name in _FIELDS if name != "n_workers")
 
 
 def _unchecked(value):
@@ -171,9 +180,8 @@ class ExperimentConfig:
                               f"got {list(edges)}")
 
     def canonical_dict(self) -> dict:
-        """Every field as a JSON value, but n_workers, which moves no result."""
-        doc = {f.name: getattr(self, f.name) for f in dataclass_fields(self)
-               if f.name != "n_workers"}
+        """Each of _RESULT_FIELDS as a JSON value, which ExperimentConfig reads back."""
+        doc = {name: getattr(self, name) for name in _RESULT_FIELDS}
         doc.update(cohort_spec=(None if self.cohort_spec is None
                                 else cohort_spec_to_dict(self.cohort_spec)["classes"]),
                    models=[m.name for m in self.models], protocols=list(self.protocols),
@@ -201,38 +209,43 @@ def _number_in(lo, hi):
                  and lo <= v <= hi, f"a number in [{lo}, {hi}]")
 
 
-def _is_model_name(name) -> bool:
-    try:
-        return isinstance(name, str) and bool(parse_model_name(name))
-    except ConfigError:
-        return False
+def _stored_config(doc) -> dict:
+    """A report's provenance.config: the keys canonical_dict writes, whose
+    values the ExperimentConfig they build converts and checks, kept as that
+    config's canonical_dict()."""
+    if not isinstance(doc, dict) or doc.keys() != set(_RESULT_FIELDS):
+        raise ValueError(f"must be a mapping of exactly the keys {sorted(_RESULT_FIELDS)}")
+    return ExperimentConfig(**doc).canonical_dict()
 
 
 _SCORE = _number_in(0, 1)
 _STRING = _must(lambda value: isinstance(value, str), "a string")
-_PROTOCOL = _must(lambda protocol: protocol in PROTOCOLS, f"one of {list(PROTOCOLS)}")
+_INTEGER = _must(lambda value: type(value) is int, "an integer")
 _FOLD_IMPORTANCE = {
+    "split": _STRING, "baseline_score": _SCORE,
     "features": {"*": {"mean_drop": _number_in(-1, 1), "std_drop": _number_in(0, 1),
-                       "*": _unchecked}},
-    "*": _unchecked,
+                       "repeats": _INTEGER}},
 }
-# the report: every value rendering reads, each fold score, mean score and
-# pooled or per-fold fairness ratio a number in [0, 1]
+# the report, every key named but the feature names and the model names of
+# directional_findings; each fold score, mean score and fairness ratio in [0, 1]
 _REPORT = {
-    "provenance": {"config": {"k_folds": _must(lambda k: type(k) is int, "an integer"),
-                              "models": [_STRING], "protocols": [_PROTOCOL], "*": _unchecked},
-                   "cohort_source": _unchecked,
-                   "class_counts": {"ITP": _unchecked, "NonITP": _unchecked},
-                   "*": _unchecked},
-    "fold_flags": [{"small_race_groups": [_STRING], "*": _unchecked}],
-    "directional_findings": _unchecked,
+    "provenance": {"toolkit_version": _STRING, "config_hash": _STRING, "config": _stored_config,
+                   "master_seed": _INTEGER, "fold_seed": _INTEGER,
+                   "cohort_seed": _or_none(_INTEGER), "cohort_source": _STRING,
+                   "n_records": _INTEGER, "class_counts": {"ITP": _INTEGER, "NonITP": _INTEGER},
+                   "importance_streams": [_STRING]},
+    "fold_flags": [{"fold": _INTEGER, "small_race_groups": [_STRING]}],
+    "directional_findings": {
+        "evaluated": _flag, "reason?": _STRING, "all_pass?": _flag,
+        "unaware_f1_ge_aware?": {"*": _flag},
+        "aware_eo_ge_unaware?": {"*": {attr: _flag for attr in SENSITIVE_ATTRIBUTES}},
+    },
     "entries": [{
         "fold_scores": [_SCORE], "mean_score": _SCORE,
         "fairness": {attr: {"pooled": _SCORE, "per_fold": [_SCORE]}
                      for attr in SENSITIVE_ATTRIBUTES},
-        "model": _must(_is_model_name, "a model name"), "label": _STRING, "protocol": _PROTOCOL,
+        "model": _STRING, "label": _STRING, "protocol": _STRING,
         "importance": {"train": [_FOLD_IMPORTANCE], "test": [_FOLD_IMPORTANCE]},
-        "*": _unchecked,
     }],
 }
 
@@ -253,10 +266,6 @@ class ExperimentReport:
         # keep the walked report, in which a None where a mapping is due reads as empty
         vars(self).update(_walk(self.to_dict(), _REPORT, "", InvariantViolation, "{path} {exc}"))
         config = self.provenance["config"]
-        for key in ("models", "protocols"):
-            if not config[key] or len(set(config[key])) < len(config[key]):
-                raise InvariantViolation(f"provenance.config.{key} must be a non-empty list "
-                                         f"with no repeats, got {config[key]}")
         pairs = [(e["model"], e["protocol"]) for e in self.entries]
         grid = [(m, p) for m in config["models"] for p in config["protocols"]]
         for model, protocol in grid:

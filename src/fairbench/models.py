@@ -259,10 +259,11 @@ def _kernel_values(kernel: str, K: np.ndarray, gamma: float, coef0: float,
 
 
 def _padded(A: np.ndarray) -> np.ndarray:
-    """A with zero rows appended to a multiple of 8 rows (A itself, uncopied,
-    when its height is one). Both operands of every kernel and distance
-    product are padded so, and the caller cuts the product to its real rows
-    and columns: with OpenBLAS 0.3.31 on x86-64 with FMA a row then has the
+    """A with zero rows appended to a multiple of 8 rows, as a new array (8
+    rows for a one-row A), or A itself, uncopied, when its height is a
+    multiple of 8 already. Both operands of every kernel and distance product
+    are padded so, and the caller cuts the product to its real rows and
+    columns: with OpenBLAS 0.3.31 on x86-64 with FMA a row then has the
     bits it has in the whole product, whatever the rows multiplied with it,
     on the SkylakeX and Haswell kernels alike (README states the host class).
     Logistic regression's training products sum over the fit's rows, where

@@ -179,36 +179,17 @@ def _svg_barchart(title: str, pairs: list[tuple[str, float]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-# the most levels of lists and mappings a stored report may nest; a report
-# nests 8, and writing one back as JSON recurses once per level
-MAX_REPORT_DEPTH = 64
-
-
-def _depth(doc) -> int:
-    """How many levels of lists and mappings ``doc`` nests, counted one level
-    at a time, so that a deep document cannot exhaust the stack."""
-    depth, level = 0, [doc]
-    while level := [node for node in level if isinstance(node, (dict, list))]:
-        depth += 1
-        level = [child for node in level
-                 for child in (node.values() if isinstance(node, dict) else node)]
-    return depth
-
-
 def load_report_json(path: str | Path) -> ExperimentReport:
     """The report a report.json holds, checked as ``ExperimentReport`` checks
     every report; a file that is not one is an error naming it."""
-    too_deep = FairbenchError(f"{path} nests more than {MAX_REPORT_DEPTH} levels deep")
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FairbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # not UTF-8 or not JSON
         raise FairbenchError(f"{path} is not JSON: {exc}") from exc
-    except RecursionError:  # the decoder recurses once per level too
-        raise too_deep from None
-    if _depth(doc) > MAX_REPORT_DEPTH:
-        raise too_deep
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise FairbenchError(f"{path} nests too deeply to read") from None
     try:
         return ExperimentReport.from_dict(doc)
     except InvariantViolation as exc:

@@ -8,14 +8,11 @@ import functools
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .dataset import GENDERS, NUMERIC_FIELDS, RACES, ClassSpec, CohortSpec, StatBlock
-from .errors import ConfigError
-from .models import _finite, _positive_int
-
-MAX_CLASS_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+from .dataset import GENDERS, NUMERIC_FIELDS, RACES, ClassSpec, CohortSpec, StatBlock, _class_size
+from .errors import ConfigError, FairbenchError
+from .models import _finite
 
 
 def _walk(doc, schema, path: str = "", error=ConfigError,
@@ -33,8 +30,10 @@ def _walk(doc, schema, path: str = "", error=ConfigError,
     if not isinstance(schema, dict):
         try:
             return schema(doc)
-        except (TypeError, ValueError, ConfigError) as exc:
+        except (TypeError, ValueError, FairbenchError) as exc:
             raise error(bad_value.format(path=path, exc=exc)) from None
+        except RecursionError:  # a value nested too deeply for its message to show
+            raise error(f"{path} nests too deeply to check") from None
     doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         raise error(f"{path or 'the document'} must be a mapping, got {type(doc).__name__}")
@@ -53,15 +52,6 @@ def _walk(doc, schema, path: str = "", error=ConfigError,
 def _or_none(convert):
     """``convert``, but None stays None."""
     return lambda value: None if value is None else convert(value)
-
-
-def _class_size(value) -> int:
-    """A class size: a positive integer, and no more rows than one float64
-    column can hold, its bytes counted by numpy's signed index type."""
-    size = _positive_int(value)
-    if size > MAX_CLASS_SIZE:
-        raise ValueError(f"expected at most {MAX_CLASS_SIZE} rows, got {size}")
-    return size
 
 
 _CLASS = {

@@ -13,11 +13,11 @@ import yaml
 
 from fairbench import cli
 from fairbench.cli import main
-from fairbench.dataset import CSV_HEADER, load_cohort_csv
+from fairbench.dataset import CSV_HEADER, MAX_CLASS_SIZE, load_cohort_csv
 from fairbench.errors import InvariantViolation
 from fairbench.experiment import ExperimentReport
 from fairbench.report import load_report_json
-from fairbench.specfile import MAX_CLASS_SIZE
+from fairbench.specfile import cohort_spec_to_dict, default_cohort_spec
 
 
 def test_synth_writes_loadable_csv(tmp_path, capsys):
@@ -272,6 +272,13 @@ MEAN_DROP_PATH = "entries[3].importance.test[2].features.alt"
 
 
 GOLDEN_ENTRIES = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))["entries"]
+SPEC = ("provenance", "config", "cohort_spec")
+
+
+def with_spec(*edits) -> str:
+    """The golden quick report whose config names the shipped calibration, as
+    canonical_dict writes it, with each (keys, value) edit made."""
+    return edited_report((SPEC, cohort_spec_to_dict(default_cohort_spec())["classes"]), *edits)
 
 
 def nested_findings(depth: int) -> str:
@@ -282,7 +289,7 @@ def nested_findings(depth: int) -> str:
 
 REPORT_CASES = [
     pytest.param("{}", "provenance is missing", id="{}"),
-    pytest.param("[" * 2000, "nests more than 64 levels deep", id="nested-2000"),
+    pytest.param("[" * 2000, "nests too deeply to read", id="nested-2000"),
     pytest.param("not json", None, id="not json"),
     pytest.param("[1, 2]", "the document must be a mapping, got list", id="[1, 2]"),
     pytest.param(edited_report((("entries", 0, "mean_score"), 2.0),
@@ -309,19 +316,19 @@ REPORT_CASES = [
       for value, name in ((None, "null"), ("x", "string"), ([1], "list"), ({"a": 1}, "mapping"),
                           (float("inf"), "inf"), (1e308, "1e308"))],
     pytest.param(edited_report((("entries", 1, "protocol"), "x")),
-                 "entries[1].protocol must be one of ['aware', 'unaware'], got 'x'",
-                 id="protocol-x"),
+                 "entries has no entry for logr under unaware", id="protocol-x"),
     pytest.param(edited_report((("entries", 0, "label"), None)),
                  "entries[0].label must be a string, got None", id="label-None"),
     pytest.param(edited_report((("entries", 2, "model"), [1])),
-                 "entries[2].model must be a model name, got [1]", id="model-list"),
+                 "entries[2].model must be a string, got [1]", id="model-list"),
     pytest.param(edited_report((MEAN_DROP, DELETE)),
                  "entries[3].importance.test must be one or more folds that name the same "
                  "features", id="fold-without-a-feature"),
     pytest.param(edited_report((("entries", 1, "protocol"), "aware")),
                  "entries has no entry for logr under unaware", id="protocol-swapped"),
     pytest.param(edited_report((("provenance", "config", "k_folds"), "5")),
-                 "provenance.config.k_folds must be an integer, got '5'", id="k-folds-string"),
+                 "provenance.config bad value for k_folds: expected an integer, got '5'",
+                 id="k-folds-string"),
     pytest.param(edited_report((("provenance", "config", "k_folds"), 4)),
                  "entries[0].fold_scores must have provenance.config.k_folds (4) items",
                  id="k-folds-4"),
@@ -349,30 +356,54 @@ REPORT_CASES = [
                                 ["svm-rbf", "knn-2", "dt", "rf"])),
                  "entries[0] is for logr under aware, which provenance.config does not name",
                  id="model-not-configured"),
-    # a null feature mapping reads as empty; the grid's lists are non-empty and
-    # repeat nothing; a value may not nest too deeply to write back
+    # a null feature mapping reads as empty; the config's lists are non-empty
+    # and repeat nothing, as ExperimentConfig checks; directional_findings is a
+    # mapping of named keys, so no value nests deeper than the schema
     pytest.param(edited_report((("entries", 0, "importance", "train", 0, "features"), None)),
                  "entries[0].importance.train must be one or more folds that name the same "
                  "features", id="features-null"),
     pytest.param(edited_report((("provenance", "config", "protocols"), []), (("entries",), [])),
-                 "provenance.config.protocols must be a non-empty list with no repeats, got []",
-                 id="protocols-empty"),
+                 "provenance.config protocols must be a non-empty subset of "
+                 "('aware', 'unaware')", id="protocols-empty"),
     pytest.param(edited_report((("provenance", "config", "models"), []), (("entries",), [])),
-                 "provenance.config.models must be a non-empty list with no repeats, got []",
-                 id="models-empty"),
+                 "provenance.config model grid must not be empty", id="models-empty"),
     pytest.param(edited_report((("provenance", "config", "models"),
                                 ["logr", "svm-rbf", "knn-2", "dt", "rf", "logr"])),
-                 "provenance.config.models must be a non-empty list with no repeats, got "
+                 "provenance.config duplicate models in grid: "
                  "['logr', 'svm-rbf', 'knn-2', 'dt', 'rf', 'logr']", id="models-repeated"),
     pytest.param(edited_report((("provenance", "config", "protocols"), ["aware", "unaware",
                                                                         "aware"])),
-                 "provenance.config.protocols must be a non-empty list with no repeats, got "
-                 "['aware', 'unaware', 'aware']", id="protocols-repeated"),
-    pytest.param(nested_findings(64), "nests more than 64 levels deep", id="findings-nested-64"),
-    pytest.param(nested_findings(990), "nests more than 64 levels deep", id="findings-nested-990"),
+                 "provenance.config duplicate protocols: ['aware', 'unaware', 'aware']",
+                 id="protocols-repeated"),
+    pytest.param(nested_findings(64), "directional_findings must be a mapping, got list",
+                 id="findings-nested-64"),
+    # 990 levels under the test's own frames exceed the JSON decoder's limit
+    pytest.param(nested_findings(990), "nests too deeply to read", id="findings-nested-990"),
+    # each of these exited 0: every key of the report is named, and its config
+    # is one ExperimentConfig accepts
+    pytest.param(edited_report((("entries", 4, "notes"), "x")),
+                 "unknown key(s) in entries[4]: ['notes']", id="entry-extra-key"),
+    pytest.param(edited_report((("provenance", "host"), "x")),
+                 "unknown key(s) in provenance: ['host']", id="provenance-extra-key"),
+    pytest.param(edited_report((("fold_flags", 2, "size"), 30)),
+                 "unknown key(s) in fold_flags[2]: ['size']", id="fold-flag-extra-key"),
+    pytest.param(edited_report((("provenance", "config", "k_folds"), 1)),
+                 "provenance.config k_folds must be >= 2", id="config-k-folds-1"),
+    pytest.param(edited_report((("provenance", "config", "models"), ["logr[C=-1.0]"])),
+                 "provenance.config bad value for models: unknown model name 'logr[C=-1.0]'",
+                 id="config-negative-c"),
+    pytest.param(edited_report((("provenance", "config", "n_workers"), 2)),
+                 "provenance.config must be a mapping of exactly the keys",
+                 id="config-extra-key"),
+    pytest.param(with_spec(((*SPEC, "ITP", "size"), DELETE)),
+                 "provenance.config bad value for cohort_spec: classes.ITP.size is missing",
+                 id="config-spec-without-size"),
+    pytest.param(with_spec(((*SPEC, "ITP", "gender", "F"), 0.1)),
+                 "provenance.config bad value for cohort_spec: gender proportions must sum to 1",
+                 id="config-spec-proportions"),
 ]
 # the cases a reader rejects before it builds a report
-NOT_A_DOCUMENT = ("not json", "nested-2000", "findings-nested-64", "findings-nested-990")
+NOT_A_DOCUMENT = ("not json", "nested-2000", "findings-nested-990")
 
 
 @pytest.mark.parametrize("text, named", REPORT_CASES)
@@ -399,13 +430,31 @@ def test_a_report_read_and_a_report_built_fail_with_one_message(tmp_path, capsys
     assert capsys.readouterr().err == f"error: {path} is not a report: {caught.value}\n"
 
 
-def test_a_report_nested_as_deeply_as_allowed_renders(tmp_path):
+def test_a_report_with_directional_findings_63_lists_deep_exits_1(tmp_path, capsys):
+    # 64 levels, the report's own included; the schema names the keys of
+    # directional_findings, so a list there is an error at its first level
     path = tmp_path / "report.json"
-    path.write_text(nested_findings(63))  # 64 levels, the report's own included
+    path.write_text(nested_findings(63))
     assert main(["report", "--in", str(path), "--out", str(tmp_path / "o"),
-                 "--formats", "md,json,svg"]) == 0
-    assert load_report_json(tmp_path / "o" / "report.json").to_dict() == json.loads(
-        path.read_text())
+                 "--formats", "md,json,svg"]) == 1
+    assert capsys.readouterr().err == (f"error: {path} is not a report: directional_findings "
+                                       f"must be a mapping, got list\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("keys", [("provenance", "master_seed"), ("fold_flags", 0, "fold"),
+                                  ("provenance", "config", "models")])
+def test_a_value_nested_nearly_as_deep_as_json_reads_exits_1(tmp_path, capsys, keys):
+    # a value this deep decodes, or nearly does, but its repr in a message may
+    # exhaust the stack; every depth must still exit 1 with a message
+    path = tmp_path / "report.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 120, limit + 1, 4):
+        path.write_text(edited_report((keys, "HOLE")).replace(
+            '"HOLE"', "[" * depth + "]" * depth))
+        assert main(["report", "--in", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} ") and "Traceback" not in err
 
 
 def test_rendered_labels_and_feature_names_are_escaped(tmp_path):

@@ -546,6 +546,30 @@ def test_stat_block_rejects_moment_outside_range():
         StatBlock(lo=0.0, hi=1.0, median=2.0)
 
 
+# each built, or raised a TypeError, and failed later in synthesize_cohort
+# with a TypeError or a ValueError
+@pytest.mark.parametrize("make, message", [
+    (lambda itp: replace(itp, size=2.5), "class size: expected an integer, got 2.5"),
+    (lambda itp: replace(itp, size="100"), "class size: expected an integer, got '100'"),
+    (lambda itp: replace(itp, gender={"F": float("nan"), "M": 1.0}),
+     "gender proportion F: expected a finite number, got nan"),
+    (lambda itp: replace(itp, race={**itp.race, "Other": True}),
+     "race proportion Other: expected a finite number, got True"),
+    (lambda itp: StatBlock("0", 1.0), "stat min: expected a finite number, got '0'"),
+    (lambda itp: StatBlock(0.0, 1.0, median=float("nan")), "median: expected a finite number"),
+], ids=["size-2.5", "size-string", "gender-nan", "race-bool", "stat-string", "median-nan"])
+def test_a_spec_built_in_code_is_checked_on_construction(make, message):
+    with pytest.raises(InvariantViolation) as caught:
+        make(default_cohort_spec().itp)
+    assert str(caught.value).startswith(message)
+
+
+def test_a_class_spec_keeps_an_integral_size_as_an_int():
+    itp = replace(default_cohort_spec().itp, size=100.0)
+    assert type(itp.size) is int
+    assert synthesize_cohort(replace(default_cohort_spec(), itp=itp), 3).n_itp == 100
+
+
 # ---------------------------------------------------------------------------
 # stratified folds
 # ---------------------------------------------------------------------------

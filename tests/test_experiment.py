@@ -326,6 +326,18 @@ def test_cohort_spec_to_dict_inverts_parsing(tmp_path):
         assert cohort_spec_from_dict(cohort_spec_to_dict(spec)) == spec
 
 
+def test_a_config_reads_back_the_canonical_dict_it_writes(tmp_path):
+    # a stored report's config is rebuilt so; a custom spec comes back as the
+    # mapping of its classes
+    path = tmp_path / "spec.yaml"
+    path.write_text(CUSTOM_SPEC)
+    cfg = config_from_dict({"cohort": {"synthetic": {"spec": str(path), "seed": 5}},
+                            "models": ["logr[C=2.0]", {"family": "knn", "k_neighbors": 3}],
+                            "age_bin_edges": [40, 60]})
+    again = ExperimentConfig(**cfg.canonical_dict())
+    assert again == cfg and again.canonical_dict() == cfg.canonical_dict()
+
+
 def test_config_hash_of_a_custom_spec_is_stable(tmp_path):
     # the value earlier releases computed for this document; a change here
     # changes the provenance of every report made with a custom spec

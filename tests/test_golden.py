@@ -72,6 +72,11 @@ ROWS = {
                      "07224e45dfd21d20"),
     "grid-default-7": (("grid-default", 7), "run --config study.yaml --formats json",
                        "report.json", "e154b273098d1bf0"),
+    # the default grid on a cohort that platelet count cannot separate
+    # (configs/overlap_cohort.yaml, a test fixture): its models make errors,
+    # so equalized odds and the directional findings have something to measure
+    "overlap": (None, "run --config configs/overlap.yaml --formats json", "report.json",
+                "f7c2ebb9d034005c"),
     # the synthetic cohort, whose Beta shapes come from the numpy inverse
     # of the incomplete Beta function
     "synth": (None, "synth --seed 7", "cohort.csv", "fd047ea8c81bdaa8"),
